@@ -23,7 +23,8 @@ layers = [
     (rng.standard_normal((6, 1)), np.zeros(1), "linear"),
 ]
 x = rng.standard_normal((3, 4))
-g = dm.input_gradient(layers, x)
+_, g_node = dm.affine_stack_with_input_gradient(x, layers)
+g = g_node.value
 print("\ncritic input gradient shape:", g.shape)
 
 h = 1e-5
@@ -37,8 +38,14 @@ print(f"entry [0,0]: analytic {g[0, 0]:+.8f} vs central difference "
 
 # the penalty pushes the input-gradient norm toward 1
 store = dm.ParamStore({"real.W": np.array([[3.0], [0.0]]), "real.b": np.zeros(1)})
-layout = [("real.W", "real.b", "linear")]
-pen_grads = dm.grad_penalty_param_grad(store, layout, np.zeros((4, 2)))
+
+
+def penalty(leaves):
+    critic = [(leaves["real.W"], leaves["real.b"], "linear")]
+    return dm.lipschitz_penalty_node(np.zeros((4, 2)), critic)
+
+
+pen_grads = dm.grad_scalar(penalty, store)
 print("\nlinear critic with |w| = 3: penalty (3-1)^2 = 4")
 print("analytic penalty gradient:", pen_grads["real.W"].ravel(),
       "(formula: 2(|w|-1) w/|w|)")

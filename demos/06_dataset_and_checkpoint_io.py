@@ -7,12 +7,12 @@ files, so artifacts are safe to diff and cache.
 
 import os
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
 from genzsl import (SyntheticSpec, TrainConfig, load_checkpoint, load_dataset,
                     make_synthetic, save_checkpoint, save_dataset, train)
-from genzsl.training import config_to_dict
 
 with tempfile.TemporaryDirectory() as tmp:
     ds_dir = os.path.join(tmp, "dataset")
@@ -33,7 +33,7 @@ with tempfile.TemporaryDirectory() as tmp:
                       n_generate_eval=5)
     params, _ = train(dataset, cfg)
     ck_dir = os.path.join(tmp, "checkpoint")
-    save_checkpoint(params, config_to_dict(cfg), ck_dir)
+    save_checkpoint(params, asdict(cfg), ck_dir)
     loaded, snapshot = load_checkpoint(ck_dir)
     print("\ncheckpoint holds", len(list(loaded.generator.store.names())),
           "generator tensors and", len(list(loaded.discriminator.store.names())),

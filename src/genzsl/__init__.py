@@ -19,12 +19,9 @@ from .evaluation import (EvalReport, build_classifier, evaluate_model,
                          harmonic_mean, retrieval_map, su_curve_auc, top1)
 from .hallucination import (PRESETS, HallucinationPolicy, policy_from_config,
                             sample_alpha, sample_alphas, sample_hallucinated_text)
-from .losses import (LossConfig, creativity_loss, discriminator_loss,
-                     generator_loss, hallucinated_categorization_loss,
-                     lipschitz_interpolate, minmax_normalize,
-                     segc_categorizer_loss, visual_pivot)
+from .losses import LossConfig, lipschitz_interpolate, minmax_normalize
 from .model import (ArchSpec, DiscriminatorParams, GeneratorParams, ModelParams,
-                    discriminate, generate, init_params, segc_score)
+                    discriminate, generate, init_params)
 from .training import (ABLATION_SUITES, ArchConfig, CrossValResult, TrainConfig,
                        TrainHistory, ablate, cross_validate, train)
 
@@ -39,11 +36,9 @@ __all__ = [
     "retrieval_map", "su_curve_auc", "top1",
     "PRESETS", "HallucinationPolicy", "policy_from_config", "sample_alpha",
     "sample_alphas", "sample_hallucinated_text",
-    "LossConfig", "creativity_loss", "discriminator_loss", "generator_loss",
-    "hallucinated_categorization_loss", "lipschitz_interpolate",
-    "minmax_normalize", "segc_categorizer_loss", "visual_pivot",
+    "LossConfig", "lipschitz_interpolate", "minmax_normalize",
     "ArchSpec", "DiscriminatorParams", "GeneratorParams", "ModelParams",
-    "discriminate", "generate", "init_params", "segc_score",
+    "discriminate", "generate", "init_params",
     "ABLATION_SUITES", "ArchConfig", "CrossValResult", "TrainConfig",
     "TrainHistory", "ablate", "cross_validate", "train",
 ]

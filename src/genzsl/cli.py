@@ -23,6 +23,8 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -146,9 +148,7 @@ def cmd_synth(args, ctx: RunContext) -> None:
         split_mode=args.split, seed=args.seed,
     )
     ctx.seeds = [args.seed]
-    ctx.config_snapshot = {k: getattr(spec, k) for k in (
-        "k_seen", "k_unseen", "visual_dim", "semantic_dim", "samples_per_class",
-        "cluster_spread", "semantic_noise", "split_mode", "seed")}
+    ctx.config_snapshot = asdict(spec)
     dataset = io.make_synthetic(spec)
     io.save_dataset(dataset, ctx.out_dir)
     ctx.outputs.extend(os.path.join(ctx.out_dir, f"{f}.zsld")
@@ -160,7 +160,7 @@ def cmd_synth(args, ctx: RunContext) -> None:
 
 def cmd_train(args, ctx: RunContext) -> None:
     cfg = _load_config(args)
-    ctx.config_snapshot = tr.config_to_dict(cfg)
+    ctx.config_snapshot = asdict(cfg)
     ctx.seeds = [cfg.seed]
     ctx.inputs.append(args.data)
     dataset = io.load_dataset(args.data)
@@ -207,23 +207,17 @@ def cmd_eval(args, ctx: RunContext) -> None:
 def cmd_sweep(args, ctx: RunContext) -> None:
     cfg = _load_config(args)
     seeds = args.seeds if args.seeds else [cfg.seed]
-    ctx.config_snapshot = tr.config_to_dict(cfg)
+    ctx.config_snapshot = asdict(cfg)
     ctx.seeds = list(seeds)
     ctx.inputs.append(args.data)
     dataset = io.load_dataset(args.data)
 
-    def run_one(seed: int):
-        from dataclasses import replace
-        return seed, tr.cross_validate(dataset, replace(cfg, seed=seed))
-
-    results = []
+    jobs = [(dataset, cfg, seed) for seed in seeds]
     if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_sweep_worker,
-                                    [(dataset, cfg, s) for s in seeds]))
+            results = list(pool.map(_cross_validate_seed, jobs))
     else:
-        results = [run_one(s) for s in seeds]
+        results = [_cross_validate_seed(job) for job in jobs]
 
     cell_rows = []
     winner_rows = []
@@ -244,16 +238,17 @@ def cmd_sweep(args, ctx: RunContext) -> None:
               f"(val_auc {metric:.4f})")
 
 
-def _sweep_worker(payload):
-    from dataclasses import replace
-    dataset, cfg, seed = payload
+def _cross_validate_seed(job):
+    """One sweep seed: (seed, cross-validation result). Module level, so
+    that worker processes can unpickle it."""
+    dataset, cfg, seed = job
     return seed, tr.cross_validate(dataset, replace(cfg, seed=seed))
 
 
 def cmd_ablate(args, ctx: RunContext) -> None:
     cfg = _load_config(args)
     seeds = args.seeds if args.seeds else [cfg.seed]
-    ctx.config_snapshot = tr.config_to_dict(cfg)
+    ctx.config_snapshot = asdict(cfg)
     ctx.seeds = list(seeds)
     ctx.inputs.append(args.data)
     dataset = io.load_dataset(args.data)

@@ -23,7 +23,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -371,19 +371,10 @@ def save_checkpoint(params: mo.ModelParams, config_snapshot: dict, directory: st
                 "shape": list(np.asarray(value).shape),
             }
             index += 1
-    arch = params.generator.arch
     manifest = {
         "format": "zsl-checkpoint",
         "version": CHECKPOINT_VERSION,
-        "arch": {
-            "preset": arch.preset,
-            "semantic_dim": arch.semantic_dim,
-            "visual_dim": arch.visual_dim,
-            "noise_dim": arch.noise_dim,
-            "hidden_dim": arch.hidden_dim,
-            "reduced_dim": arch.reduced_dim,
-            "leak": arch.leak,
-        },
+        "arch": asdict(params.generator.arch),
         "k_seen": params.discriminator.k_seen,
         "segc": params.discriminator.segc,
         "extra_class": params.discriminator.extra_class,
@@ -394,25 +385,44 @@ def save_checkpoint(params: mo.ModelParams, config_snapshot: dict, directory: st
 
 
 def load_checkpoint(directory: str, expect_arch: mo.ArchSpec | None = None):
-    """Returns (ModelParams, config snapshot dict). Rejects version drift and,
-    when `expect_arch` is given, any architecture mismatch."""
+    """Returns (ModelParams, config snapshot dict). Rejects version drift, a
+    malformed manifest, tensors that do not fit the architecture and, when
+    `expect_arch` is given, any architecture mismatch."""
     manifest = _read_manifest(directory, "zsl-checkpoint")
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise DataFormatError(f"unsupported checkpoint version {manifest.get('version')}")
-    arch = mo.ArchSpec(**manifest["arch"])
+    try:
+        arch = mo.ArchSpec(**manifest["arch"])
+        k_seen, segc = int(manifest["k_seen"]), bool(manifest["segc"])
+        extra_class = bool(manifest["extra_class"])
+        tensors = [(key, entry["file"], tuple(entry["shape"]))
+                   for key, entry in manifest["tensors"].items()]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataFormatError(f"{directory}: malformed checkpoint manifest "
+                              f"({type(exc).__name__}: {exc})") from exc
     if expect_arch is not None and arch != expect_arch:
         raise ValidationError(
             f"checkpoint was trained with {arch.preset!r} architecture "
             f"({arch}), refusing to load into {expect_arch.preset!r} ({expect_arch})"
         )
     stores = {"gen": dm.ParamStore(), "disc": dm.ParamStore(), "div": dm.ParamStore()}
-    for key, entry in manifest["tensors"].items():
+    for key, fname, shape in tensors:
         prefix, _, name = key.partition("/")
         if prefix not in stores:
             raise DataFormatError(f"unknown tensor group {prefix!r}")
-        arr = read_matrix(os.path.join(directory, entry["file"]))
-        stores[prefix].add(name, arr.reshape(entry["shape"]))
+        arr = read_matrix(os.path.join(directory, fname))
+        if arr.size != math.prod(shape):
+            raise DataFormatError(f"{key}: {fname} holds {arr.size} values, "
+                                  f"not the declared shape {list(shape)}")
+        stores[prefix].add(name, arr.reshape(shape))
+    # the tensors must be exactly those the architecture and heads define
+    layout = mo.init_params(arch, k_seen, segc, np.random.default_rng(0), extra_class)
+    for prefix, ref in zip(("gen", "disc"), layout):
+        want = {n: v.shape for n, v in ref.store.items()}.items()
+        got = {n: v.shape for n, v in stores[prefix].items()}.items()
+        if got != want:
+            raise DataFormatError(f"{prefix} tensors {sorted(got - want)} do not fit the "
+                                  f"architecture, which needs {sorted(want - got)}")
     gen = mo.GeneratorParams(arch, stores["gen"])
-    disc = mo.DiscriminatorParams(arch, int(manifest["k_seen"]), bool(manifest["segc"]),
-                                  bool(manifest["extra_class"]), stores["disc"])
+    disc = mo.DiscriminatorParams(arch, k_seen, segc, extra_class, stores["disc"])
     return mo.ModelParams(gen, disc, stores["div"]), manifest.get("config", {})

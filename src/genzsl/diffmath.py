@@ -23,7 +23,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -550,40 +550,3 @@ def grad_scalar(
             raise NumericOverflowError(f"non-finite gradient for parameter {name!r}")
         grads[name] = g
     return grads
-
-
-def input_gradient(layers: Sequence[tuple], x, slope: float = 0.2) -> np.ndarray:
-    """Gradient of a scalar-headed affine stack's output with respect to its
-    input batch, one row per sample."""
-    x = as_tensor(x)
-    w0 = layers[0][0]
-    w0_shape = w0.value.shape if isinstance(w0, Node) else as_tensor(w0).shape
-    if x.ndim != 2 or x.shape[1] != w0_shape[0]:
-        raise DimensionError(
-            f"input shape {x.shape} does not match first layer {w0_shape}"
-        )
-    _, g = affine_stack_with_input_gradient(constant(x), layers, slope)
-    if not np.all(np.isfinite(g.value)):
-        raise NumericOverflowError("non-finite input gradient")
-    return g.value
-
-
-def grad_penalty_param_grad(
-    params: ParamStore,
-    layout: Sequence[tuple[str, str, str]],
-    x_tilde,
-    slope: float = 0.2,
-) -> dict[str, np.ndarray]:
-    """Parameter gradients of the Lipschitz penalty on a batch of
-    interpolates.
-
-    `layout` names the (weight, bias, activation) triple of each stack layer
-    inside `params`. Parameters outside the stack receive zero gradients.
-    """
-    x_tilde = as_tensor(x_tilde)
-
-    def build(leaves):
-        layers = [(leaves[w], leaves[b], act) for w, b, act in layout]
-        return lipschitz_penalty_node(constant(x_tilde), layers, slope)
-
-    return grad_scalar(build, params)

@@ -5,30 +5,24 @@ zero) or a score is undefined (cosine of a zero vector). The convention is to
 substitute a safe value and record the event here instead of failing, so
 training can proceed while the incident stays observable.
 
-Counters are thread-local: parallel sweep workers each see their own tally.
+There is one tally per process; parallel sweep workers are processes, so
+each keeps its own.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 
-_local = threading.local()
-
-
-def _counter() -> Counter:
-    if not hasattr(_local, "counts"):
-        _local.counts = Counter()
-    return _local.counts
+_counts: Counter = Counter()
 
 
 def record(name: str) -> None:
-    _counter()[name] += 1
+    _counts[name] += 1
 
 
 def counts() -> dict[str, int]:
-    return dict(_counter())
+    return dict(_counts)
 
 
 def reset() -> None:
-    _counter().clear()
+    _counts.clear()

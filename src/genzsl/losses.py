@@ -1,4 +1,4 @@
-"""Every training objective, as tape expressions plus plain-value wrappers.
+"""Every training objective, as tape expressions.
 
 Generator side:
     L_G = creativity
@@ -22,10 +22,12 @@ Discriminator side:
           [ + lambda * entropy term on t_h ]    (negative-result flag)
 
 Classification terms use either the classic softmax head or the softmax over
-semantic-guided scores; the critic terms are identical either way. Builders
-accept parameter maps whose values are tape Nodes (live) or plain arrays
-(frozen), so the same code serves generator steps, discriminator steps, and
-gradient checks.
+semantic-guided scores; the critic terms are identical either way. Each
+builder returns a dictionary of named term Nodes, and :func:`total` sums
+them into the scalar that training differentiates. Builders accept parameter
+maps whose values are tape Nodes (live) or plain arrays (frozen), so the same
+code serves generator steps, discriminator steps, gradient checks, and plain
+evaluation (read `.value` off each term).
 """
 
 from __future__ import annotations
@@ -171,26 +173,38 @@ def divergence_rows_node(probs: dm.Node, gamma: dm.Node, beta: dm.Node, spec: dv
     return dm.Node(vals, (probs, gamma, beta), vjp)
 
 
-def _seen_probs_node(disc_map, arch, x_node, segc, cfg, reduced_seen):
-    """Softmax over the active classification head for a feature batch."""
-    feat = mo.trunk_features(disc_map, arch, x_node)
-    if segc:
-        if reduced_seen is None:
-            raise ValidationError("semantic-guided scoring needs the reduced class table")
-        scores = mo.segc_score_node(disc_map["segc.W"], feat, reduced_seen,
-                                    cfg.segc_normalized, cfg.eta)
-        return dm.softmax_rows(scores), feat
-    return dm.softmax_rows(mo.class_logits(disc_map, feat)), feat
+def total(terms: dict[str, dm.Node]) -> dm.Node:
+    """The sum of the named terms, added in dictionary order."""
+    out = dm.constant(0.0)
+    for t in terms.values():
+        out = dm.add(out, t)
+    return out
 
 
-def _head_ce_rows(disc_map, arch, feat, onehot, segc, cfg, reduced_seen) -> dm.Node:
-    if segc:
-        if reduced_seen is None:
-            raise ValidationError("semantic-guided scoring needs the reduced class table")
-        scores = mo.segc_score_node(disc_map["segc.W"], feat, reduced_seen,
-                                    cfg.segc_normalized, cfg.eta)
-        return dm.cross_entropy_rows(scores, dm.constant(onehot))
-    return dm.cross_entropy_rows(mo.class_logits(disc_map, feat), dm.constant(onehot))
+def _head_scores(disc_map, feat, segc, cfg, reduced_seen) -> dm.Node:
+    """Logits of the active classification head for trunk features."""
+    if not segc:
+        return mo.class_logits(disc_map, feat)
+    if reduced_seen is None:
+        raise ValidationError("semantic-guided scoring needs the reduced class table")
+    return mo.segc_score_node(disc_map["segc.W"], feat, reduced_seen,
+                              cfg.segc_normalized, cfg.eta)
+
+
+def _head_ce(disc_map, arch, x, onehot, segc, cfg, reduced_seen) -> dm.Node:
+    """Mean cross-entropy of the active head on a feature batch."""
+    feat = mo.trunk_features(disc_map, arch, x)
+    scores = _head_scores(disc_map, feat, segc, cfg, reduced_seen)
+    return dm.vmean(dm.cross_entropy_rows(scores, dm.constant(onehot)))
+
+
+def _entropy_term(disc_map, arch, x, segc, cfg, reduced_seen, gamma, beta) -> dm.Node:
+    """lambda times the batch mean of the min-max-normalized divergence of
+    the seen-class softmax rows from uniform."""
+    feat = mo.trunk_features(disc_map, arch, x)
+    probs = dm.softmax_rows(_head_scores(disc_map, feat, segc, cfg, reduced_seen))
+    rows = divergence_rows_node(probs, gamma, beta, cfg.divergence)
+    return dm.mul(cfg.lambda_creativity, dm.vmean(dm.minmax_normalize_node(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,54 +228,16 @@ def creativity_terms(x_h: dm.Node, disc_map, div_map, arch, disc_meta,
         if not disc_meta.extra_class:
             raise ValidationError("the new-class ablation needs a discriminator "
                                   "built with the extra class logit")
-        feat = mo.trunk_features(disc_map, arch, x_h)
         target = np.zeros((x_h.value.shape[0], disc_meta.n_logits))
         target[:, disc_meta.k_seen] = 1.0
-        ce = dm.cross_entropy_rows(mo.class_logits(disc_map, feat), dm.constant(target))
-        terms["creativity_entropy"] = dm.mul(cfg.lambda_creativity, dm.vmean(ce))
+        ce = _head_ce(disc_map, arch, x_h, target, False, cfg, None)
+        terms["creativity_entropy"] = dm.mul(cfg.lambda_creativity, ce)
     elif cfg.entropy_term and cfg.lambda_creativity != 0.0:
         # a zero weight contributes exact zeros; skip building the subgraph
         gamma, beta = divergence_param_nodes(cfg.divergence, div_map)
-        probs, _ = _seen_probs_node(disc_map, arch, x_h, disc_meta.segc, cfg, reduced_seen)
-        rows = divergence_rows_node(probs, gamma, beta, cfg.divergence)
-        terms["creativity_entropy"] = dm.mul(
-            cfg.lambda_creativity, dm.vmean(dm.minmax_normalize_node(rows))
-        )
+        terms["creativity_entropy"] = _entropy_term(
+            disc_map, arch, x_h, disc_meta.segc, cfg, reduced_seen, gamma, beta)
     return terms
-
-
-def creativity_loss(disc: mo.DiscriminatorParams, gen: mo.GeneratorParams,
-                    t_h_batch, z_batch, cfg: LossConfig, seen_semantics=None) -> float:
-    """Plain value of the creativity loss on a hallucinated batch.
-
-    With the semantic-guided head active, the per-class descriptor table
-    must be supplied so the seen-class softmax can be scored.
-    """
-    t_h, z = mo._check_widths(t_h_batch, z_batch, gen.arch)
-    x_h = dm.constant(mo.generate(gen, t_h, z))
-    reduced_seen = _reduced_table(gen, disc, cfg, seen_semantics)
-    terms = creativity_terms(x_h, disc.store, _div_init_map(cfg),
-                             gen.arch, disc, cfg, reduced_seen)
-    return float(sum(t.value for t in terms.values())) if terms else 0.0
-
-
-def _div_init_map(cfg: LossConfig) -> dict[str, np.ndarray]:
-    return {k: np.asarray(v) for k, v in cfg.divergence.unconstrained_init().items()}
-
-
-def _reduced_for(gen, table) -> np.ndarray:
-    return mo.reduce_semantics(gen, table)
-
-
-def _reduced_table(gen, disc, cfg, seen_semantics):
-    """Reduced per-class descriptors when the semantic-guided head needs
-    them, None otherwise."""
-    if not disc.segc:
-        return None
-    if seen_semantics is None:
-        raise ValidationError("the semantic-guided head needs the seen-class "
-                              "descriptor table (seen_semantics)")
-    return _reduced_for(gen, seen_semantics)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +245,8 @@ def _reduced_table(gen, disc, cfg, seen_semantics):
 
 
 def visual_pivot_node(gen_map, arch, pivot: PivotInputs) -> dm.Node:
+    """Average squared distance between per-class generated means and the
+    real per-class means."""
     semantics = dm.as_tensor(pivot.semantics)
     means = dm.as_tensor(pivot.real_means)
     z = dm.as_tensor(pivot.z)
@@ -285,14 +263,6 @@ def visual_pivot_node(gen_map, arch, pivot: PivotInputs) -> dm.Node:
     return dm.vmean(dm.vsum(dm.square(err), axis=1))
 
 
-def visual_pivot(gen: mo.GeneratorParams, seen_semantics, real_class_means, z_batch_per_class) -> float:
-    """Average squared distance between per-class generated means and the
-    real per-class means."""
-    pivot = PivotInputs(dm.as_tensor(seen_semantics), dm.as_tensor(real_class_means),
-                        dm.as_tensor(z_batch_per_class))
-    return float(visual_pivot_node(gen.store, gen.arch, pivot).value)
-
-
 # ---------------------------------------------------------------------------
 # generator loss
 
@@ -303,7 +273,9 @@ def generator_loss_node(gen_map, div_map, disc: mo.DiscriminatorParams,
                         reduced_seen=None, reduced_ucat=None) -> dict[str, dm.Node]:
     """All generator-side terms; the discriminator map is expected frozen.
 
-    Returns the term dictionary; the full loss is the sum of its values.
+    `div_map` holds the unconstrained entropy parameters (empty when none
+    are learned); the semantic-guided head needs `reduced_seen`, the reduced
+    descriptors of the seen classes, and u-categorization `reduced_ucat`.
     """
     arch = disc.arch
     if len(seen.t) == 0 or len(hallu.t) == 0:
@@ -318,9 +290,8 @@ def generator_loss_node(gen_map, div_map, disc: mo.DiscriminatorParams,
     terms["critic_seen"] = dm.neg(dm.vmean(r_s))
 
     onehot = _onehot(seen.y, disc.n_logits, disc.k_seen)
-    feat_s = mo.trunk_features(disc_map, arch, x_s)
-    ce = _head_ce_rows(disc_map, arch, feat_s, onehot, disc.segc, cfg, reduced_seen)
-    terms["classification"] = dm.vmean(ce)
+    terms["classification"] = _head_ce(disc_map, arch, x_s, onehot, disc.segc, cfg,
+                                       reduced_seen)
 
     terms["visual_pivot"] = visual_pivot_node(gen_map, arch, pivot)
 
@@ -333,132 +304,68 @@ def generator_loss_node(gen_map, div_map, disc: mo.DiscriminatorParams,
     return terms
 
 
-def generator_loss_terms(gen: mo.GeneratorParams, disc: mo.DiscriminatorParams,
-                         seen: SeenBatch, hallu: HalluBatch, pivot: PivotInputs,
-                         cfg: LossConfig, ucat: UCatBatch | None = None) -> dict[str, float]:
-    reduced_seen = _reduced_for(gen, pivot.semantics) if disc.segc else None
-    reduced_ucat = _reduced_for(gen, ucat.t) if (ucat is not None and cfg.u_categorization) else None
-    div_map = _div_init_map(cfg)
-    terms = generator_loss_node(gen.store, div_map, disc, seen, hallu, pivot, cfg,
-                                ucat, reduced_seen, reduced_ucat)
-    out = {k: float(v.value) for k, v in terms.items()}
-    out["total"] = float(sum(out.values()))
-    return out
-
-
-def generator_loss(gen, disc, seen: SeenBatch, hallu: HalluBatch, pivot: PivotInputs,
-                   cfg: LossConfig, ucat: UCatBatch | None = None) -> float:
-    return generator_loss_terms(gen, disc, seen, hallu, pivot, cfg, ucat)["total"]
-
-
 # ---------------------------------------------------------------------------
 # discriminator loss
 
 
-def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, gen: mo.GeneratorParams,
-                            real_x, real_y, seen: SeenBatch, hallu: HalluBatch,
-                            x_tilde, cfg: LossConfig, reduced_seen=None,
+def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real_y,
+                            x_fake, fake_y, x_tilde, cfg: LossConfig, x_h=None,
+                            reduced_seen=None,
                             div_values: tuple[float, float] | None = None) -> dict[str, dm.Node]:
-    """All discriminator-side terms; generator outputs enter frozen."""
+    """All discriminator-side terms.
+
+    The generations enter frozen: `x_fake` with its labels `fake_y`, the
+    interpolates `x_tilde`, and, when a hallucinated term is on, `x_h`.
+    The entropy-on-discriminator term also takes the current (gamma, beta)
+    as `div_values`; those parameters only learn through the generator loss.
+    """
     arch = disc.arch
-    real_x = dm.as_tensor(real_x)
-    if len(real_x) == 0 or len(seen.t) == 0:
+    real_x = dm.constant(real_x)
+    x_fake = dm.constant(x_fake)
+    if len(real_x.value) == 0 or len(x_fake.value) == 0:
         raise ValidationError("empty batch")
-    x_fake = dm.constant(mo.generate(gen, seen.t, seen.z))
     layers = mo.critic_layers(disc_map, arch)
 
     terms: dict[str, dm.Node] = {}
     terms["critic_fake"] = dm.vmean(dm.affine_stack(x_fake, layers, arch.leak))
-    terms["critic_real"] = dm.neg(dm.vmean(dm.affine_stack(dm.constant(real_x), layers, arch.leak)))
+    terms["critic_real"] = dm.neg(dm.vmean(dm.affine_stack(real_x, layers, arch.leak)))
     terms["gradient_penalty"] = dm.lipschitz_penalty_node(dm.constant(x_tilde), layers, arch.leak)
 
     onehot_real = _onehot(real_y, disc.n_logits, disc.k_seen)
-    onehot_fake = _onehot(seen.y, disc.n_logits, disc.k_seen)
-    feat_real = mo.trunk_features(disc_map, arch, dm.constant(real_x))
-    feat_fake = mo.trunk_features(disc_map, arch, x_fake)
-    ce_real = _head_ce_rows(disc_map, arch, feat_real, onehot_real, disc.segc, cfg, reduced_seen)
-    ce_fake = _head_ce_rows(disc_map, arch, feat_fake, onehot_fake, disc.segc, cfg, reduced_seen)
-    terms["cls_real"] = dm.mul(0.5, dm.vmean(ce_real))
-    terms["cls_fake"] = dm.mul(0.5, dm.vmean(ce_fake))
+    onehot_fake = _onehot(fake_y, disc.n_logits, disc.k_seen)
+    terms["cls_real"] = dm.mul(0.5, _head_ce(disc_map, arch, real_x, onehot_real,
+                                             disc.segc, cfg, reduced_seen))
+    terms["cls_fake"] = dm.mul(0.5, _head_ce(disc_map, arch, x_fake, onehot_fake,
+                                             disc.segc, cfg, reduced_seen))
 
     if cfg.rf_hallucinated or cfg.creativity_on_discriminator:
-        x_h = dm.constant(mo.generate(gen, hallu.t, hallu.z))
+        if x_h is None or (cfg.creativity_on_discriminator and div_values is None):
+            raise ValidationError("the hallucinated discriminator terms need x_h, "
+                                  "and the entropy term also div_values")
+        x_h = dm.constant(x_h)
         if cfg.rf_hallucinated:
             # hallucinated generations are pushed down as fakes
             terms["critic_hallucinated"] = dm.vmean(dm.affine_stack(x_h, layers, arch.leak))
         if cfg.creativity_on_discriminator:
-            # the entropy parameters only learn through the generator loss
-            if div_values is None:
-                div_values = current_divergence_params(cfg.divergence, _div_init_map(cfg))
             gamma, beta = dm.constant(div_values[0]), dm.constant(div_values[1])
-            probs, _ = _seen_probs_node(disc_map, arch, x_h, disc.segc, cfg, reduced_seen)
-            rows = divergence_rows_node(probs, gamma, beta, cfg.divergence)
-            terms["entropy_on_disc"] = dm.mul(
-                cfg.lambda_creativity, dm.vmean(dm.minmax_normalize_node(rows))
-            )
+            terms["entropy_on_disc"] = _entropy_term(
+                disc_map, arch, x_h, disc.segc, cfg, reduced_seen, gamma, beta)
     return terms
 
 
-def discriminator_loss_terms(disc: mo.DiscriminatorParams, gen: mo.GeneratorParams,
-                             real_x, real_y, seen: SeenBatch, hallu: HalluBatch,
-                             cfg: LossConfig, rng: np.random.Generator,
-                             x_tilde=None, seen_semantics=None) -> dict[str, float]:
-    if x_tilde is None:
-        x_fake = mo.generate(gen, seen.t, seen.z)
-        x_tilde = lipschitz_interpolate(real_x, x_fake, rng)
-    reduced_seen = _reduced_table(gen, disc, cfg, seen_semantics)
-    terms = discriminator_loss_node(disc.store, disc, gen, real_x, real_y, seen,
-                                    hallu, x_tilde, cfg, reduced_seen)
-    out = {k: float(v.value) for k, v in terms.items()}
-    out["total"] = float(sum(out.values()))
-    return out
-
-
-def discriminator_loss(disc, gen, real_x, real_y, seen: SeenBatch, hallu: HalluBatch,
-                       cfg: LossConfig, rng: np.random.Generator, x_tilde=None,
-                       seen_semantics=None) -> float:
-    return discriminator_loss_terms(disc, gen, real_x, real_y, seen, hallu, cfg,
-                                    rng, x_tilde, seen_semantics)["total"]
-
-
 # ---------------------------------------------------------------------------
-# semantic-guided categorization losses
-
-
-def segc_categorizer_loss(disc: mo.DiscriminatorParams, features, labels,
-                          reduced_semantics, cfg: LossConfig) -> float:
-    """Cross-entropy of the semantic softmax over compatibility scores."""
-    if not cfg.segc_active or not disc.segc:
-        raise ValidationError("semantic-guided head is not active")
-    features = dm.as_tensor(np.atleast_2d(features))
-    reduced = dm.as_tensor(np.atleast_2d(reduced_semantics))
-    onehot = _onehot(labels, reduced.shape[0], reduced.shape[0])
-    scores = mo.segc_score_node(dm.constant(disc.store["segc.W"]), dm.constant(features),
-                                reduced, cfg.segc_normalized, cfg.eta)
-    return float(dm.vmean(dm.cross_entropy_rows(scores, dm.constant(onehot))).value)
+# hallucinated-class categorization
 
 
 def hallucinated_categorization_node(gen_map, disc: mo.DiscriminatorParams,
                                      ucat: UCatBatch, cfg: LossConfig,
                                      reduced_ucat) -> dm.Node:
+    """Semantic softmax over one generation per hallucinated descriptor,
+    scored against the (reduced) descriptors themselves: each sample's own
+    index is its target. Reuses the semantic-guided projection; no extra
+    weights."""
     k_u = len(ucat.t)
     if k_u < 2:
         raise ValidationError("need at least 2 hallucinated classes")
     x_u = mo.generator_output(gen_map, disc.arch, dm.constant(ucat.t), dm.constant(ucat.z))
-    feat = mo.trunk_features(disc.store, disc.arch, x_u)
-    scores = mo.segc_score_node(disc.store["segc.W"], feat, reduced_ucat,
-                                cfg.segc_normalized, cfg.eta)
-    return dm.vmean(dm.cross_entropy_rows(scores, dm.constant(np.eye(k_u))))
-
-
-def hallucinated_categorization_loss(disc: mo.DiscriminatorParams, gen: mo.GeneratorParams,
-                                     hallucinated_descriptors, z, cfg: LossConfig) -> float:
-    """Semantic softmax over one generation per hallucinated descriptor,
-    scored against the descriptors themselves (the sample's own index is the
-    target). Reuses the semantic-guided projection; no extra weights."""
-    if not cfg.u_categorization:
-        raise ValidationError("u_categorization is not enabled")
-    t_u = dm.as_tensor(np.atleast_2d(hallucinated_descriptors))
-    ucat = UCatBatch(t_u, dm.as_tensor(z))
-    reduced = _reduced_for(gen, t_u)
-    return float(hallucinated_categorization_node(gen.store, disc, ucat, cfg, reduced).value)
+    return _head_ce(disc.store, disc.arch, x_u, np.eye(k_u), True, cfg, reduced_ucat)

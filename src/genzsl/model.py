@@ -164,20 +164,14 @@ def class_logits(params, feat) -> dm.Node:
 
 def critic_layers(params, arch: ArchSpec) -> list[tuple]:
     """The trunk plus real/fake head as an affine-stack description; feeding
-    this to the diffmath stack helpers reproduces the critic exactly."""
+    this to the diffmath stack helpers reproduces the critic exactly (the
+    same score as `real_score(params, trunk_features(params, arch, x))`)."""
     layers = [
         (params[f"trunk{i}.W"], params[f"trunk{i}.b"], "leaky")
         for i in range(arch.n_hidden)
     ]
     layers.append((params["real.W"], params["real.b"], "linear"))
     return layers
-
-
-def critic_layout(arch: ArchSpec) -> list[tuple[str, str, str]]:
-    """Parameter names of the critic stack, for gradient-penalty helpers."""
-    layout = [(f"trunk{i}.W", f"trunk{i}.b", "leaky") for i in range(arch.n_hidden)]
-    layout.append(("real.W", "real.b", "linear"))
-    return layout
 
 
 def segc_score_node(W, feat, reduced_T, normalized: bool = False, eta: float = 1.0) -> dm.Node:
@@ -246,15 +240,3 @@ def discriminate(disc: DiscriminatorParams, x) -> dict:
     if not disc.segc:
         s = dm.softmax_rows(class_logits(disc.store, feat)).value
     return {"r": r, "s": s, "feat": feat.value}
-
-
-def segc_score(W, x_l, T, normalized: bool = False, eta: float = 1.0) -> np.ndarray:
-    """Numeric form of :func:`segc_score_node` on plain arrays."""
-    W = dm.as_tensor(W)
-    x_l = dm.as_tensor(np.atleast_2d(x_l))
-    T = dm.as_tensor(np.atleast_2d(T))
-    if x_l.shape[1] != W.shape[0] or T.shape[1] != W.shape[1]:
-        raise DimensionError(
-            f"incompatible widths: features {x_l.shape}, projection {W.shape}, descriptors {T.shape}"
-        )
-    return segc_score_node(dm.constant(W), dm.constant(x_l), T, normalized, eta).value

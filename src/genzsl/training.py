@@ -13,7 +13,8 @@ on all seen classes with the winning (weight, step) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -125,78 +126,32 @@ class TrainHistory:
 # config (de)serialization
 
 
-def config_to_dict(cfg: TrainConfig) -> dict:
-    d = {
-        "n_steps": cfg.n_steps, "batch_size": cfg.batch_size, "n_d": cfg.n_d,
-        "lr": cfg.lr, "beta1": cfg.beta1, "beta2": cfg.beta2,
-        "lambda_grid": list(cfg.lambda_grid), "eval_every": cfg.eval_every,
-        "seed": cfg.seed, "n_generate_eval": cfg.n_generate_eval,
-        "class_balanced": cfg.class_balanced,
-        "loss": {
-            "lambda_creativity": cfg.loss.lambda_creativity,
-            "realism_term": cfg.loss.realism_term,
-            "entropy_term": cfg.loss.entropy_term,
-            "new_class_ablation": cfg.loss.new_class_ablation,
-            "creativity_on_discriminator": cfg.loss.creativity_on_discriminator,
-            "segc_active": cfg.loss.segc_active,
-            "segc_normalized": cfg.loss.segc_normalized,
-            "eta": cfg.loss.eta,
-            "rf_hallucinated": cfg.loss.rf_hallucinated,
-            "u_categorization": cfg.loss.u_categorization,
-            "k_unseen_cap": cfg.loss.k_unseen_cap,
-            "divergence": {
-                "family": cfg.loss.divergence.family,
-                "gamma": cfg.loss.divergence.gamma,
-                "beta": cfg.loss.divergence.beta,
-                "learn_gamma": cfg.loss.divergence.learn_gamma,
-                "learn_beta": cfg.loss.divergence.learn_beta,
-                "orientation": cfg.loss.divergence.orientation,
-            },
-        },
-        "arch": {
-            "preset": cfg.arch.preset, "hidden_dim": cfg.arch.hidden_dim,
-            "noise_dim": cfg.arch.noise_dim, "reduced_dim": cfg.arch.reduced_dim,
-            "leak": cfg.arch.leak,
-        },
-        "policy": {"mode": cfg.policy.mode,
-                   "intervals": [list(iv) for iv in cfg.policy.intervals]},
-    }
-    return d
-
-
-def _check_keys(d: dict, allowed, where: str) -> None:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
-
-
 def config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
-    _check_keys(d, {f.name for f in fields(TrainConfig)}, "config")
-    if "loss" in d:
-        loss_d = dict(d["loss"])
-        _check_keys(loss_d, {f.name for f in fields(ls.LossConfig)}, "loss")
-        if "divergence" in loss_d:
-            div_d = dict(loss_d["divergence"])
-            _check_keys(div_d, {f.name for f in fields(dv.DivergenceSpec)}, "divergence")
-            loss_d["divergence"] = dv.DivergenceSpec(**div_d)
-        d["loss"] = ls.LossConfig(**loss_d)
-    if "arch" in d:
-        arch_d = dict(d["arch"])
-        _check_keys(arch_d, {f.name for f in fields(ArchConfig)}, "arch")
-        d["arch"] = ArchConfig(**arch_d)
-    if "policy" in d:
-        p = d["policy"]
-        if isinstance(p, dict):
-            mode = p.get("mode", "uniform")
-            intervals = tuple(tuple(iv) for iv in p.get("intervals", ()))
-            d["policy"] = hl.HallucinationPolicy(intervals, mode) if mode == "uniform" \
-                else hl.HallucinationPolicy(mode=mode)
-        else:
-            d["policy"] = hl.policy_from_config(p)
-    if "lambda_grid" in d:
-        d["lambda_grid"] = tuple(float(v) for v in d["lambda_grid"])
-    return TrainConfig(**d)
+    """The TrainConfig that a JSON mirror (`dataclasses.asdict` of one)
+    describes. Missing keys take their defaults, unknown keys are rejected
+    at every level, lists become tuples, and values follow the field
+    annotations (an integer given for a float field reads as a float). The
+    policy may also be a preset name or a list of [lo, hi] intervals."""
+    return _from_json(TrainConfig, d, "config")
+
+
+def _from_json(hint, value, where: str):
+    if hint is hl.HallucinationPolicy and not isinstance(value, dict):
+        return hl.policy_from_config(value)
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{where} must be an object, got {value!r}")
+        hints = get_type_hints(hint)
+        unknown = set(value) - {f.name for f in fields(hint)}
+        if unknown:
+            raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
+        return hint(**{k: _from_json(hints[k], v, k) for k, v in value.items()})
+    if isinstance(value, list):
+        item = (get_args(hint) or (None,))[0]  # tuple[float, ...], tuple[float, float]
+        return tuple(_from_json(item, v, where) for v in value)
+    if hint is float and type(value) is int:
+        return float(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +171,22 @@ def _sample_indices(dataset: ZslDataset, size: int, rng, class_balanced: bool,
 
 # ---------------------------------------------------------------------------
 # the training loop
+
+
+def _loss_grads(build_terms, params: dm.ParamStore, where: str):
+    """Gradients over `params` of the summed terms that `build_terms(leaves)`
+    returns, and the float value of each term."""
+    terms: dict[str, dm.Node] = {}
+
+    def loss(leaves):
+        terms.update(build_terms(leaves))
+        return ls.total(terms)
+
+    try:
+        grads = dm.grad_scalar(loss, params)
+    except NumericOverflowError as exc:
+        raise NumericOverflowError(f"{where}: {exc}") from exc
+    return grads, {k: float(v.value) for k, v in terms.items()}
 
 
 def train(dataset: ZslDataset, cfg: TrainConfig):
@@ -262,35 +233,27 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
         z_h = rng_noise.standard_normal((m, arch.noise_dim))
         hallu = ls.HalluBatch(t_h, z_h)
         div_values = ls.current_divergence_params(spec, div_store)
-        # the generator is frozen across the discriminator phase
+        # the generator is frozen until its own update at the end of the step
         reduced_seen = mo.reduce_semantics(gen, dataset.seen_semantics) \
             if disc.segc else None
+        x_h = mo.generate(gen, t_h, z_h) \
+            if cfg.loss.rf_hallucinated or cfg.loss.creativity_on_discriminator else None
 
         for _ in range(cfg.n_d):
             idx = _sample_indices(dataset, m, rng_batch, cfg.class_balanced, per_class)
             x = dataset.seen_features[idx]
             y = dataset.seen_labels[idx]
-            seen = ls.SeenBatch(dataset.seen_semantics[y], y,
-                                rng_noise.standard_normal((m, arch.noise_dim)))
-            x_fake = mo.generate(gen, seen.t, seen.z)
+            z = rng_noise.standard_normal((m, arch.noise_dim))
+            x_fake = mo.generate(gen, dataset.seen_semantics[y], z)
             x_tilde = ls.lipschitz_interpolate(x, x_fake, rng_interp)
 
             def build_d(leaves):
-                terms = ls.discriminator_loss_node(
-                    leaves, disc, gen, x, y, seen, hallu, x_tilde, cfg.loss,
+                return ls.discriminator_loss_node(
+                    leaves, disc, x, y, x_fake, y, x_tilde, cfg.loss, x_h,
                     reduced_seen, div_values)
-                total = dm.constant(0.0)
-                for t in terms.values():
-                    total = dm.add(total, t)
-                build_d.terms = {k: float(v.value) for k, v in terms.items()}
-                return total
 
-            try:
-                grads = dm.grad_scalar(build_d, disc.store)
-            except NumericOverflowError as exc:
-                raise NumericOverflowError(f"step {step}, discriminator: {exc}") from exc
+            grads, terms_d = _loss_grads(build_d, disc.store, f"step {step}, discriminator")
             disc.store, state_d = dm.adam_step(disc.store, grads, state_d, **adam_kw)
-            terms_d = build_d.terms
             loss_d_val = sum(terms_d.values())
             w_est = -terms_d["critic_real"] - terms_d["critic_fake"]
 
@@ -309,8 +272,6 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
             ucat = ls.UCatBatch(t_u, rng_ucat.standard_normal(
                 (cfg.loss.k_unseen_cap, arch.noise_dim)))
             reduced_ucat = mo.reduce_semantics(gen, t_u)
-        reduced_seen = mo.reduce_semantics(gen, dataset.seen_semantics) \
-            if disc.segc else None
 
         merged = dm.ParamStore(
             [("gen." + k, v) for k, v in gen.store.items()]
@@ -319,25 +280,17 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
         def build_g(leaves):
             gen_map = {k[4:]: v for k, v in leaves.items() if k.startswith("gen.")}
             div_map = {k[4:]: v for k, v in leaves.items() if k.startswith("div.")}
-            terms = ls.generator_loss_node(gen_map, div_map, disc, seen, hallu,
-                                           pivot, cfg.loss, ucat, reduced_seen,
-                                           reduced_ucat)
-            total = dm.constant(0.0)
-            for t in terms.values():
-                total = dm.add(total, t)
-            build_g.total = float(total.value)
-            return total
+            return ls.generator_loss_node(gen_map, div_map, disc, seen, hallu,
+                                          pivot, cfg.loss, ucat, reduced_seen,
+                                          reduced_ucat)
 
-        try:
-            grads = dm.grad_scalar(build_g, merged)
-        except NumericOverflowError as exc:
-            raise NumericOverflowError(f"step {step}, generator: {exc}") from exc
+        grads, terms_g = _loss_grads(build_g, merged, f"step {step}, generator")
         gen_grads = {k[4:]: v for k, v in grads.items() if k.startswith("gen.")}
         gen.store, state_g = dm.adam_step(gen.store, gen_grads, state_g, **adam_kw)
         if state_e is not None:
             div_grads = {k[4:]: v for k, v in grads.items() if k.startswith("div.")}
             div_store, state_e = dm.adam_step(div_store, div_grads, state_e, **adam_kw)
-        loss_g_val = build_g.total
+        loss_g_val = sum(terms_g.values())
 
         if step % cfg.eval_every == 0:
             report = ev.evaluate_model(gen, dataset, cfg.n_generate_eval,
@@ -456,14 +409,6 @@ def _with_divergence(family, gamma=2.0, beta=2.0, learn_gamma=False, learn_beta=
 def _with_policy(name):
     def apply(cfg: TrainConfig) -> TrainConfig:
         return replace(cfg, policy=hl.PRESETS[name])
-    return apply
-
-
-def _compose(*fns):
-    def apply(cfg: TrainConfig) -> TrainConfig:
-        for fn in fns:
-            cfg = fn(cfg)
-        return cfg
     return apply
 
 

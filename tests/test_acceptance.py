@@ -119,13 +119,6 @@ def _loss_instance(rng, segc=False, extra=False):
     return arch, gen, disc, seen, hallu, pivot, real_x, real_y
 
 
-def _sum_terms(terms):
-    total = dm.constant(0.0)
-    for t in terms.values():
-        total = dm.add(total, t)
-    return total
-
-
 def _check_directional(build, value, params, rng, tol):
     grads = dm.grad_scalar(build, params)
     direction = random_direction(params, rng)
@@ -168,7 +161,7 @@ class TestCriterion2Gradients:
             def build(leaves):
                 gen_map = {k[4:]: v for k, v in leaves.items() if k.startswith("gen.")}
                 div_map = {k[4:]: v for k, v in leaves.items() if k.startswith("div.")}
-                return _sum_terms(ls.generator_loss_node(
+                return ls.total(ls.generator_loss_node(
                     gen_map, div_map, disc, seen, hallu, pivot, loss_cfg,
                     ucat_batch, reduced_seen, reduced_ucat))
 
@@ -195,12 +188,13 @@ class TestCriterion2Gradients:
                 divergence=dv.DivergenceSpec("sharma_mittal", 2.0, 2.5), **flags)
             x_fake = mo.generate(gen, seen.t, seen.z)
             x_t = ls.lipschitz_interpolate(real_x, x_fake, io.philox(i, 3))
+            x_h = mo.generate(gen, hallu.t, hallu.z)
             reduced_seen = mo.reduce_semantics(gen, pivot.semantics) if segc else None
 
             def build(leaves):
-                return _sum_terms(ls.discriminator_loss_node(
-                    leaves, disc, gen, real_x, real_y, seen, hallu, x_t,
-                    loss_cfg, reduced_seen))
+                return ls.total(ls.discriminator_loss_node(
+                    leaves, disc, real_x, real_y, x_fake, seen.y, x_t, loss_cfg, x_h,
+                    reduced_seen, loss_cfg.divergence.effective_params()))
 
             def value(p):
                 return float(build({k: dm.constant(v) for k, v in p.items()}).value)
@@ -223,7 +217,7 @@ class TestCriterion2Gradients:
                 div_map = {k[4:]: v for k, v in leaves.items() if k.startswith("div.")}
                 x_h = mo.generator_output(gen_map, arch, dm.constant(hallu.t),
                                           dm.constant(hallu.z))
-                return _sum_terms(ls.creativity_terms(
+                return ls.total(ls.creativity_terms(
                     x_h, disc.store, div_map, arch, disc, loss_cfg))
 
             def value(p):
@@ -358,7 +352,9 @@ class TestCriterion3AblationIdentity:
                                rng.standard_normal((4, 3, 3)))
         cfg = ls.LossConfig(realism_term=False, entropy_term=False,
                             divergence=dv.DivergenceSpec("kl"))
-        terms = ls.generator_loss_terms(gen, disc, seen, hallu, pivot, cfg)
+        nodes = ls.generator_loss_node(gen.store, {}, disc, seen, hallu, pivot, cfg)
+        terms = {k: float(v.value) for k, v in nodes.items()}
+        terms["total"] = float(ls.total(nodes).value)
 
         # the reduction, by direct arithmetic on public forward passes
         x_s = mo.generate(gen, seen.t, seen.z)

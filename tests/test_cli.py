@@ -117,6 +117,24 @@ class TestEvalAndRetrieve:
         assert lines[0] == "fraction,map"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m.pop("arch"),
+        lambda m: m["arch"].update(depth=3),
+        lambda m: m["tensors"]["gen/h0.W"].update(shape=[6, 9]),
+        lambda m: m["tensors"]["gen/h0.W"].update(shape=[10, 6]),
+    ], ids=["missing-arch", "unknown-arch-key", "size-mismatch", "shape-mismatch"])
+    def test_malformed_checkpoint_manifest_exits_4(self, tmp_path, trained, corrupt):
+        ds, ckpt = trained
+        path = os.path.join(ckpt, "manifest.json")
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        corrupt(manifest)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", ckpt, "--data", ds, "--out", str(out)]) == 4
+        assert json.loads((out / "run_manifest.json").read_text())["status"] == "failed"
+
     def test_checkpoint_determinism_across_invocations(self, tmp_path, trained):
         ds, ckpt = trained
         outs = []

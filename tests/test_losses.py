@@ -47,6 +47,19 @@ def base_cfg(**kw):
     return ls.LossConfig(**defaults)
 
 
+def values(terms):
+    """Plain values of a builder's named terms, plus their total."""
+    out = {k: float(v.value) for k, v in terms.items()}
+    out["total"] = float(ls.total(terms).value)
+    return out
+
+
+def creativity_value(disc, gen, t_h, z, cfg):
+    x_h = dm.constant(mo.generate(gen, t_h, z))
+    return values(ls.creativity_terms(x_h, disc.store, cfg.divergence.unconstrained_init(),
+                                      gen.arch, disc, cfg))["total"]
+
+
 class FixedUniform:
     """Duck-typed stand-in for a Generator whose uniform() is constant."""
 
@@ -97,7 +110,7 @@ class TestCreativityLoss:
         cfg = base_cfg(lambda_creativity=0.0, realism_term=False)
         t_h = rng(1).standard_normal((4, 5))
         z = rng(2).standard_normal((4, 2))
-        assert ls.creativity_loss(disc, gen, t_h, z, cfg) == 0.0
+        assert creativity_value(disc, gen, t_h, z, cfg) == 0.0
 
     def test_uniform_softmax_zeroes_entropy_term(self):
         arch, gen, disc = small_setup()
@@ -106,7 +119,7 @@ class TestCreativityLoss:
         cfg = base_cfg(realism_term=False, lambda_creativity=5.0)
         t_h = rng(1).standard_normal((4, 5))
         z = rng(2).standard_normal((4, 2))
-        assert ls.creativity_loss(disc, gen, t_h, z, cfg) == pytest.approx(0.0, abs=1e-12)
+        assert creativity_value(disc, gen, t_h, z, cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_built_batch_matches_direct_arithmetic(self):
         arch, gen, disc = small_setup(seed=5)
@@ -121,13 +134,13 @@ class TestCreativityLoss:
         span = le.max() - le.min()
         norm = (le - le.min()) / span if span >= 1e-12 else np.zeros(2)
         expected = -out["r"].mean() + 0.7 * norm.mean()
-        got = ls.creativity_loss(disc, gen, t_h, z, cfg)
+        got = creativity_value(disc, gen, t_h, z, cfg)
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_empty_batch_rejected(self):
         arch, gen, disc = small_setup()
         with pytest.raises(ValidationError):
-            ls.creativity_loss(disc, gen, np.zeros((0, 5)), np.zeros((0, 2)), base_cfg())
+            creativity_value(disc, gen, np.zeros((0, 5)), np.zeros((0, 2)), base_cfg())
 
     def test_new_class_ablation_targets_extra_logit(self):
         arch, gen, disc = small_setup(extra=True)
@@ -138,7 +151,7 @@ class TestCreativityLoss:
         x_h = mo.generate(gen, t_h, z)
         out = mo.discriminate(disc, x_h)
         expected = -np.log(out["s"][:, 3]).mean()
-        assert ls.creativity_loss(disc, gen, t_h, z, cfg) == pytest.approx(expected, abs=1e-10)
+        assert creativity_value(disc, gen, t_h, z, cfg) == pytest.approx(expected, abs=1e-10)
 
 
 class TestVisualPivot:
@@ -150,7 +163,8 @@ class TestVisualPivot:
         means = np.stack([
             mo.generate(gen, np.tile(sem[k], (4, 1)), z[k]).mean(axis=0) for k in range(3)
         ])
-        assert ls.visual_pivot(gen, sem, means, z) == pytest.approx(0.0, abs=1e-18)
+        pivot = ls.PivotInputs(sem, means, z)
+        assert ls.visual_pivot_node(gen.store, arch, pivot).value == pytest.approx(0.0, abs=1e-18)
 
     def test_single_class_unit_offset(self):
         arch, gen, disc = small_setup()
@@ -160,7 +174,8 @@ class TestVisualPivot:
         mean = mo.generate(gen, np.tile(sem[0], (4, 1)), z[0]).mean(axis=0)
         offset = np.zeros(6)
         offset[0] = 1.0
-        assert ls.visual_pivot(gen, sem, (mean - offset)[None, :], z) == pytest.approx(1.0, abs=1e-12)
+        pivot = ls.PivotInputs(sem, (mean - offset)[None, :], z)
+        assert ls.visual_pivot_node(gen.store, arch, pivot).value == pytest.approx(1.0, abs=1e-12)
 
     def test_three_classes_hand_average(self):
         arch, gen, disc = small_setup()
@@ -172,13 +187,15 @@ class TestVisualPivot:
         ])
         offsets = g.standard_normal((3, 6))
         expected = float((offsets**2).sum(axis=1).mean())
-        got = ls.visual_pivot(gen, sem, gen_means - offsets, z)
+        pivot = ls.PivotInputs(sem, gen_means - offsets, z)
+        got = ls.visual_pivot_node(gen.store, arch, pivot).value
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_class_count_mismatch(self):
         arch, gen, disc = small_setup()
         with pytest.raises(ValidationError):
-            ls.visual_pivot(gen, np.zeros((3, 5)), np.zeros((2, 6)), np.zeros((3, 2, 2)))
+            ls.visual_pivot_node(gen.store, arch, ls.PivotInputs(
+                np.zeros((3, 5)), np.zeros((2, 6)), np.zeros((3, 2, 2))))
 
 
 class TestGeneratorLoss:
@@ -193,20 +210,20 @@ class TestGeneratorLoss:
         seen, hallu, pivot, *_ = random_batches(arch, 3)
         seen = ls.SeenBatch(seen.t, np.zeros(4, dtype=int), seen.z)
         cfg = base_cfg(lambda_creativity=0.0, realism_term=False)
-        terms = ls.generator_loss_terms(gen, disc, seen, hallu, pivot, cfg)
+        terms = values(ls.generator_loss_node(gen.store, {}, disc, seen, hallu, pivot, cfg))
         assert terms["classification"] == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_direct_arithmetic_without_creativity(self):
         arch, gen, disc = small_setup(seed=9)
         seen, hallu, pivot, *_ = random_batches(arch, 3, seed=11)
         cfg = base_cfg(lambda_creativity=0.0, realism_term=False)
-        terms = ls.generator_loss_terms(gen, disc, seen, hallu, pivot, cfg)
+        terms = values(ls.generator_loss_node(gen.store, {}, disc, seen, hallu, pivot, cfg))
 
         x_s = mo.generate(gen, seen.t, seen.z)
         out = mo.discriminate(disc, x_s)
         crit = -out["r"].mean()
         cls = -np.log(out["s"][np.arange(4), seen.y]).mean()
-        piv = ls.visual_pivot(gen, pivot.semantics, pivot.real_means, pivot.z)
+        piv = ls.visual_pivot_node(gen.store, arch, pivot).value
         assert terms["critic_seen"] == pytest.approx(crit, abs=1e-10)
         assert terms["classification"] == pytest.approx(cls, abs=1e-10)
         assert terms["visual_pivot"] == pytest.approx(piv, abs=1e-12)
@@ -231,21 +248,13 @@ class TestGeneratorLoss:
         def build(leaves):
             gen_map = {k[4:]: v for k, v in leaves.items() if k.startswith("gen.")}
             div_map = {k[4:]: v for k, v in leaves.items() if k.startswith("div.")}
-            terms = ls.generator_loss_node(gen_map, div_map, disc, seen, hallu,
-                                           pivot, cfg, reduced_seen=reduced_seen)
-            total = dm.constant(0.0)
-            for t in terms.values():
-                total = dm.add(total, t)
-            return total
+            return ls.total(ls.generator_loss_node(gen_map, div_map, disc, seen, hallu,
+                                                   pivot, cfg, reduced_seen=reduced_seen))
 
         grads = dm.grad_scalar(build, merged)
 
         def value(p):
-            gen_map = {k[4:]: v for k, v in p.items() if k.startswith("gen.")}
-            div_map = {k[4:]: v for k, v in p.items() if k.startswith("div.")}
-            terms = ls.generator_loss_node(gen_map, div_map, disc, seen, hallu,
-                                           pivot, cfg, reduced_seen=reduced_seen)
-            return float(sum(t.value for t in terms.values()))
+            return float(build(p).value)
 
         for trial in range(3):
             direction = random_direction(merged, rng(100 + trial))
@@ -268,19 +277,13 @@ class TestGeneratorLoss:
         def build(leaves):
             gen_map = {k[4:]: v for k, v in leaves.items() if k.startswith("gen.")}
             div_map = {k[4:]: v for k, v in leaves.items() if k.startswith("div.")}
-            terms = ls.generator_loss_node(gen_map, div_map, disc, seen, hallu, pivot, cfg)
-            total = dm.constant(0.0)
-            for t in terms.values():
-                total = dm.add(total, t)
-            return total
+            return ls.total(ls.generator_loss_node(gen_map, div_map, disc, seen, hallu,
+                                                   pivot, cfg))
 
         grads = dm.grad_scalar(build, merged)
 
         def value(p):
-            gen_map = {k[4:]: v for k, v in p.items() if k.startswith("gen.")}
-            div_map = {k[4:]: v for k, v in p.items() if k.startswith("div.")}
-            terms = ls.generator_loss_node(gen_map, div_map, disc, seen, hallu, pivot, cfg)
-            return float(sum(t.value for t in terms.values()))
+            return float(build(p).value)
 
         # sigmoid of the shared unconstrained start maps a 1e-5 parameter
         # step to a slightly smaller gamma/beta step; stay safely outside
@@ -314,9 +317,11 @@ class TestDiscriminatorLoss:
         real_y = np.zeros(b, dtype=int)
         seen = ls.SeenBatch(g.standard_normal((b, 2)), real_y, g.standard_normal((b, 1)))
         hallu = ls.HalluBatch(g.standard_normal((b, 2)), g.standard_normal((b, 1)))
-        cfg = base_cfg(lambda_creativity=0.0)
-        total = ls.discriminator_loss(disc, gen, real_x, real_y, seen, hallu, cfg, rng(2))
-        assert abs(total) < 1e-6
+        x_fake = mo.generate(gen, seen.t, seen.z)
+        x_t = ls.lipschitz_interpolate(real_x, x_fake, rng(2))
+        terms = ls.discriminator_loss_node(disc.store, disc, real_x, real_y, x_fake, seen.y,
+                                           x_t, base_cfg(lambda_creativity=0.0))
+        assert abs(ls.total(terms).value) < 1e-6
 
     def test_gradient_norm_three_contributes_four(self):
         arch = mo.ArchSpec(semantic_dim=2, visual_dim=2, noise_dim=1, hidden_dim=2)
@@ -333,19 +338,23 @@ class TestDiscriminatorLoss:
         seen = ls.SeenBatch(g.standard_normal((4, 2)), np.zeros(4, dtype=int),
                             g.standard_normal((4, 1)))
         hallu = ls.HalluBatch(g.standard_normal((4, 2)), g.standard_normal((4, 1)))
-        terms = ls.discriminator_loss_terms(disc, gen, real_x, np.zeros(4, dtype=int),
-                                            seen, hallu, base_cfg(), rng(2))
-        assert terms["gradient_penalty"] == pytest.approx(4.0, abs=1e-9)
+        x_fake = mo.generate(gen, seen.t, seen.z)
+        x_t = ls.lipschitz_interpolate(real_x, x_fake, rng(2))
+        terms = ls.discriminator_loss_node(disc.store, disc, real_x, seen.y, x_fake, seen.y,
+                                           x_t, base_cfg())
+        assert terms["gradient_penalty"].value == pytest.approx(4.0, abs=1e-9)
 
     def test_hallucinated_real_fake_term(self):
         arch, gen, disc = small_setup(seed=3)
         seen, hallu, pivot, real_x, real_y = random_batches(arch, 3, seed=5)
-        x_t = ls.lipschitz_interpolate(real_x, mo.generate(gen, seen.t, seen.z), rng(6))
-        plain = ls.discriminator_loss_terms(disc, gen, real_x, real_y, seen, hallu,
-                                            base_cfg(), rng(0), x_tilde=x_t)
-        with_h = ls.discriminator_loss_terms(disc, gen, real_x, real_y, seen, hallu,
-                                             base_cfg(rf_hallucinated=True), rng(0), x_tilde=x_t)
+        x_fake = mo.generate(gen, seen.t, seen.z)
+        x_t = ls.lipschitz_interpolate(real_x, x_fake, rng(6))
         x_h = mo.generate(gen, hallu.t, hallu.z)
+        plain = values(ls.discriminator_loss_node(disc.store, disc, real_x, real_y, x_fake,
+                                                  seen.y, x_t, base_cfg()))
+        with_h = values(ls.discriminator_loss_node(disc.store, disc, real_x, real_y, x_fake,
+                                                   seen.y, x_t, base_cfg(rf_hallucinated=True),
+                                                   x_h))
         expected = mo.discriminate(disc, x_h)["r"].mean()
         assert with_h["critic_hallucinated"] == pytest.approx(expected, abs=1e-10)
         assert with_h["total"] - plain["total"] == pytest.approx(expected, abs=1e-9)
@@ -360,23 +369,20 @@ class TestDiscriminatorLoss:
         arch, gen, disc = small_setup(seed=8, segc=segc)
         seen, hallu, pivot, real_x, real_y = random_batches(arch, 3, seed=13)
         cfg = base_cfg(**flags)
-        x_t = ls.lipschitz_interpolate(real_x, mo.generate(gen, seen.t, seen.z), rng(7))
+        x_fake = mo.generate(gen, seen.t, seen.z)
+        x_t = ls.lipschitz_interpolate(real_x, x_fake, rng(7))
+        x_h = mo.generate(gen, hallu.t, hallu.z)
         reduced_seen = mo.reduce_semantics(gen, pivot.semantics) if segc else None
 
         def build(leaves):
-            terms = ls.discriminator_loss_node(leaves, disc, gen, real_x, real_y, seen,
-                                               hallu, x_t, cfg, reduced_seen)
-            total = dm.constant(0.0)
-            for t in terms.values():
-                total = dm.add(total, t)
-            return total
+            return ls.total(ls.discriminator_loss_node(
+                leaves, disc, real_x, real_y, x_fake, seen.y, x_t, cfg, x_h, reduced_seen,
+                cfg.divergence.effective_params()))
 
         grads = dm.grad_scalar(build, disc.store)
 
         def value(p):
-            terms = ls.discriminator_loss_node(p, disc, gen, real_x, real_y, seen,
-                                               hallu, x_t, cfg, reduced_seen)
-            return float(sum(t.value for t in terms.values()))
+            return float(build(p).value)
 
         for trial in range(3):
             direction = random_direction(disc.store, rng(200 + trial))
@@ -391,58 +397,44 @@ class TestDiscriminatorLoss:
         for name in ("trunk0.W", "trunk0.b", "real.W", "real.b"):
             disc_s.store[name][:] = disc_c.store[name]
         seen, hallu, pivot, real_x, real_y = random_batches(arch, 3, seed=23)
-        x_t = ls.lipschitz_interpolate(real_x, mo.generate(gen, seen.t, seen.z), rng(3))
-        a = ls.discriminator_loss_terms(disc_c, gen, real_x, real_y, seen, hallu,
-                                        base_cfg(), rng(0), x_tilde=x_t)
-        b = ls.discriminator_loss_terms(disc_s, gen, real_x, real_y, seen, hallu,
-                                        base_cfg(segc_active=True), rng(0), x_tilde=x_t,
-                                        seen_semantics=pivot.semantics)
+        x_fake = mo.generate(gen, seen.t, seen.z)
+        x_t = ls.lipschitz_interpolate(real_x, x_fake, rng(3))
+        a = ls.discriminator_loss_node(disc_c.store, disc_c, real_x, real_y, x_fake, seen.y,
+                                       x_t, base_cfg())
+        b = ls.discriminator_loss_node(disc_s.store, disc_s, real_x, real_y, x_fake, seen.y,
+                                       x_t, base_cfg(segc_active=True),
+                                       reduced_seen=mo.reduce_semantics(gen, pivot.semantics))
         for key in ("critic_fake", "critic_real", "gradient_penalty"):
-            assert a[key] == b[key]
+            assert a[key].value == b[key].value
 
 
 class TestSegcCategorizerLoss:
-    def _setup(self):
-        arch = mo.ArchSpec(semantic_dim=4, visual_dim=3, noise_dim=2, hidden_dim=3,
-                           reduced_dim=3)
-        gen, disc = mo.init_params(arch, 3, True, rng(0))
-        return arch, gen, disc
+    """Cross-entropy of the semantic softmax over compatibility scores."""
+
+    @staticmethod
+    def loss(W, feats, labels, reduced):
+        scores = mo.segc_score_node(W, feats, reduced)
+        onehot = np.eye(len(reduced))[labels]
+        return float(dm.vmean(dm.cross_entropy_rows(scores, dm.constant(onehot))).value)
 
     def test_saturated_scores_give_zero_loss(self):
-        arch, gen, disc = self._setup()
-        disc.store["segc.W"][:] = 50.0 * np.eye(3)
-        feats = np.eye(3)
-        reduced = np.eye(3)
-        cfg = base_cfg(segc_active=True)
-        loss = ls.segc_categorizer_loss(disc, feats, np.arange(3), reduced, cfg)
+        loss = self.loss(50.0 * np.eye(3), np.eye(3), np.arange(3), np.eye(3))
         assert loss == pytest.approx(0.0, abs=1e-10)
 
     def test_uniform_two_class_scores_give_log_two(self):
-        arch, gen, disc = self._setup()
-        disc.store["segc.W"][:] = 0.0
-        cfg = base_cfg(segc_active=True)
-        loss = ls.segc_categorizer_loss(disc, np.ones((4, 3)), np.zeros(4, dtype=int),
-                                        np.eye(3)[:2], cfg)
+        loss = self.loss(np.zeros((3, 3)), np.ones((4, 3)), np.zeros(4, dtype=int),
+                         np.eye(3)[:2])
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_hand_set_score_matrix(self):
-        arch, gen, disc = self._setup()
-        disc.store["segc.W"][:] = np.eye(3)
         feats = rng(5).standard_normal((3, 3))
-        reduced = np.eye(3)
         labels = np.array([0, 1, 2])
         scores = feats  # W = I, descriptors = basis vectors
         expected = float(np.mean([
             -np.log(np.exp(scores[i, labels[i]]) / np.exp(scores[i]).sum()) for i in range(3)
         ]))
-        cfg = base_cfg(segc_active=True)
-        got = ls.segc_categorizer_loss(disc, feats, labels, reduced, cfg)
+        got = self.loss(np.eye(3), feats, labels, np.eye(3))
         assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_requires_active_head(self):
-        arch, gen, disc = small_setup(segc=False)
-        with pytest.raises(ValidationError):
-            ls.segc_categorizer_loss(disc, np.ones((2, 7)), [0, 1], np.eye(3), base_cfg())
 
 
 class TestHallucinatedCategorizationLoss:
@@ -452,8 +444,9 @@ class TestHallucinatedCategorizationLoss:
         cfg = base_cfg(segc_active=True, u_categorization=True, k_unseen_cap=2)
         t_u = rng(1).standard_normal((2, 5))
         z = rng(2).standard_normal((2, 2))
-        assert ls.hallucinated_categorization_loss(disc, gen, t_u, z, cfg) == pytest.approx(
-            np.log(2.0), abs=1e-12)
+        loss = ls.hallucinated_categorization_node(gen.store, disc, ls.UCatBatch(t_u, z), cfg,
+                                                   mo.reduce_semantics(gen, t_u))
+        assert loss.value == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_dominant_own_descriptor_gives_near_zero(self):
         arch = mo.ArchSpec(semantic_dim=2, visual_dim=2, noise_dim=1, hidden_dim=2,
@@ -471,14 +464,17 @@ class TestHallucinatedCategorizationLoss:
         cfg = base_cfg(segc_active=True, u_categorization=True, k_unseen_cap=2)
         t_u = np.eye(2)
         z = np.zeros((2, 1))
-        loss = ls.hallucinated_categorization_loss(disc, gen, t_u, z, cfg)
-        assert loss == pytest.approx(0.0, abs=1e-10)
+        loss = ls.hallucinated_categorization_node(gen.store, disc, ls.UCatBatch(t_u, z), cfg,
+                                                   mo.reduce_semantics(gen, t_u))
+        assert loss.value == pytest.approx(0.0, abs=1e-10)
 
     def test_fewer_than_two_classes_rejected(self):
         arch, gen, disc = small_setup(segc=True)
         cfg = base_cfg(segc_active=True, u_categorization=True, k_unseen_cap=2)
         with pytest.raises(ValidationError):
-            ls.hallucinated_categorization_loss(disc, gen, np.ones((1, 5)), np.ones((1, 2)), cfg)
+            ls.hallucinated_categorization_node(gen.store, disc,
+                                                ls.UCatBatch(np.ones((1, 5)), np.ones((1, 2))),
+                                                cfg, np.ones((1, 3)))
 
 
 class TestFinitenessAfterFlooring:
@@ -495,7 +491,7 @@ class TestFinitenessAfterFlooring:
                        divergence=dv.DivergenceSpec("sharma_mittal", 4.0, 3.0))
         t_h = rng(1).standard_normal((4, 5))
         z = rng(2).standard_normal((4, 2))
-        value = ls.creativity_loss(disc, gen, t_h, z, cfg)
+        value = creativity_value(disc, gen, t_h, z, cfg)
         assert np.isfinite(value)
 
     def test_gradient_penalty_is_nonnegative_and_zero_only_at_unit_norm(self):

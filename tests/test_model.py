@@ -128,15 +128,16 @@ class TestDiscriminate:
 
 class TestSegcScore:
     def test_orthogonal_pair_scores_zero(self):
-        s = mo.segc_score(np.eye(2), [[1.0, 0.0]], [[0.0, 1.0]])
+        s = mo.segc_score_node(np.eye(2), [[1.0, 0.0]], [[0.0, 1.0]]).value
         assert s[0, 0] == 0.0
 
     def test_unit_inner_product(self):
-        s = mo.segc_score(np.eye(2), [[1.0, 0.0]], [[1.0, 0.0]])
+        s = mo.segc_score_node(np.eye(2), [[1.0, 0.0]], [[1.0, 0.0]]).value
         assert s[0, 0] == 1.0
 
     def test_normalized_colinear_pair_scores_eta_squared(self):
-        s = mo.segc_score(np.eye(2), [[2.0, 0.0]], [[5.0, 0.0]], normalized=True, eta=3.0)
+        s = mo.segc_score_node(np.eye(2), [[2.0, 0.0]], [[5.0, 0.0]], normalized=True,
+                               eta=3.0).value
         assert s[0, 0] == pytest.approx(9.0, abs=1e-12)
 
     def test_linearity_in_features(self):
@@ -144,8 +145,8 @@ class TestSegcScore:
         W = g.standard_normal((4, 3))
         x = g.standard_normal((5, 4))
         T = g.standard_normal((6, 3))
-        s1 = mo.segc_score(W, x, T)
-        s2 = mo.segc_score(W, 2.5 * x, T)
+        s1 = mo.segc_score_node(W, x, T).value
+        s2 = mo.segc_score_node(W, 2.5 * x, T).value
         np.testing.assert_allclose(s2, 2.5 * s1, rtol=1e-12)
 
     def test_normalized_argmax_invariant_to_feature_scale(self):
@@ -153,31 +154,28 @@ class TestSegcScore:
         W = g.standard_normal((4, 3))
         x = g.standard_normal((5, 4))
         T = g.standard_normal((6, 3))
-        a = mo.segc_score(W, x, T, normalized=True, eta=2.0).argmax(axis=1)
-        b = mo.segc_score(W, 7.0 * x, T, normalized=True, eta=2.0).argmax(axis=1)
+        a = mo.segc_score_node(W, x, T, normalized=True, eta=2.0).value.argmax(axis=1)
+        b = mo.segc_score_node(W, 7.0 * x, T, normalized=True, eta=2.0).value.argmax(axis=1)
         np.testing.assert_array_equal(a, b)
 
     def test_zero_norm_scores_zero_and_records_event(self):
         events.reset()
-        s = mo.segc_score(np.eye(2), [[0.0, 0.0]], [[1.0, 0.0]], normalized=True, eta=1.0)
+        s = mo.segc_score_node(np.eye(2), [[0.0, 0.0]], [[1.0, 0.0]], normalized=True,
+                               eta=1.0).value
         assert s[0, 0] == 0.0
         assert events.counts().get("degenerate_zero_norm", 0) >= 1
         events.reset()
 
     def test_eta_must_be_positive_when_normalized(self):
         with pytest.raises(ValidationError):
-            mo.segc_score(np.eye(2), [[1.0, 0.0]], [[1.0, 0.0]], normalized=True, eta=0.0)
-
-    def test_width_mismatch(self):
-        with pytest.raises(DimensionError):
-            mo.segc_score(np.eye(2), [[1.0, 0.0, 0.0]], [[1.0, 0.0]])
+            mo.segc_score_node(np.eye(2), [[1.0, 0.0]], [[1.0, 0.0]], normalized=True, eta=0.0)
 
 
 class TestSegcSoftmaxRows:
     def test_softmax_over_scores_forms_probability_rows(self):
         g = rng(10)
-        scores = mo.segc_score(g.standard_normal((4, 3)), g.standard_normal((6, 4)),
-                               g.standard_normal((5, 3)))
+        scores = mo.segc_score_node(g.standard_normal((4, 3)), g.standard_normal((6, 4)),
+                                    g.standard_normal((5, 3))).value
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         soft = e / e.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(soft.sum(axis=1), np.ones(6), atol=1e-12)
