@@ -19,7 +19,7 @@ from .evaluation import (EvalReport, build_classifier, evaluate_model,
                          harmonic_mean, retrieval_map, su_curve_auc, top1)
 from .hallucination import (PRESETS, HallucinationPolicy, policy_from_config,
                             sample_alpha, sample_alphas, sample_hallucinated_text)
-from .losses import LossConfig, lipschitz_interpolate, minmax_normalize
+from .losses import LossConfig, lipschitz_interpolate
 from .model import (ArchSpec, DiscriminatorParams, GeneratorParams, ModelParams,
                     discriminate, generate, init_params)
 from .training import (ABLATION_SUITES, ArchConfig, CrossValResult, TrainConfig,
@@ -36,7 +36,7 @@ __all__ = [
     "retrieval_map", "su_curve_auc", "top1",
     "PRESETS", "HallucinationPolicy", "policy_from_config", "sample_alpha",
     "sample_alphas", "sample_hallucinated_text",
-    "LossConfig", "lipschitz_interpolate", "minmax_normalize",
+    "LossConfig", "lipschitz_interpolate",
     "ArchSpec", "DiscriminatorParams", "GeneratorParams", "ModelParams",
     "discriminate", "generate", "init_params",
     "ABLATION_SUITES", "ArchConfig", "CrossValResult", "TrainConfig",

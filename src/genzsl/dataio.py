@@ -276,6 +276,8 @@ def _read_manifest(directory: str, expected_format: str) -> dict:
         raise DataFormatError(f"missing manifest: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{path}: manifest must be a JSON object")
     if manifest.get("format") != expected_format:
         raise DataFormatError(f"{path}: expected format {expected_format!r}, "
                               f"got {manifest.get('format')!r}")
@@ -323,10 +325,13 @@ def load_dataset(directory: str) -> ZslDataset:
     if manifest.get("version") != DATASET_VERSION:
         raise DataFormatError(f"unsupported dataset version {manifest.get('version')}")
     files = manifest.get("files", {})
+    counts = manifest.get("counts", {})
+    if not isinstance(files, dict) or not isinstance(counts, dict):
+        raise DataFormatError("manifest 'files' and 'counts' must be objects")
     fields = {}
     for name in _DATASET_FIELDS:
-        if name not in files:
-            raise DataFormatError(f"manifest lists no file for field {name!r}")
+        if not isinstance(files.get(name), str):
+            raise DataFormatError(f"manifest lists no file name for field {name!r}")
         arr = read_matrix(os.path.join(directory, files[name]))
         if name in _LABEL_FIELDS:
             if arr.shape[1] != 1:
@@ -337,7 +342,6 @@ def load_dataset(directory: str) -> ZslDataset:
             arr = labels.astype(np.int64)
         fields[name] = arr
     dataset = ZslDataset(split_mode=manifest.get("split_mode", "custom"), **fields)
-    counts = manifest.get("counts", {})
     declared = (counts.get("k_seen"), counts.get("n_seen"))
     if declared != (dataset.k_seen, len(dataset.seen_features)):
         raise DataFormatError(

@@ -5,12 +5,17 @@ its forward value and a closure that maps the upstream gradient onto the
 operand gradients. Calling :func:`grad_scalar` on a scalar-valued expression
 runs one reverse sweep and returns a gradient per named parameter.
 
+Most of the time goes to Python dispatch per node, not to arithmetic, so a
+dense layer is one fused node (:func:`dense`), and a batch that several
+terms read goes through the network once, each term reading its rows
+(:func:`row_slice`).
+
 Second-order support is deliberately narrow. The only place a derivative of
 a derivative is needed is the critic's Lipschitz penalty, and there the
-input gradient of an affine/leaky-rectifier/tanh stack has a closed form
-that can itself be written with first-order tape operations
-(:func:`affine_stack_with_input_gradient`). One ordinary reverse sweep over
-that expression yields the penalty's parameter gradients, so no general
+input gradient of a leaky-rectifier stack has a closed form that can itself
+be written with first-order tape operations
+(:func:`critic_input_gradient`). One ordinary reverse sweep over that
+expression yields the penalty's parameter gradients, so no general
 higher-order machinery exists here.
 
 Conventions:
@@ -106,24 +111,24 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def backward(root: Node) -> None:
     """Reverse sweep seeding d(root)/d(root) = 1; accumulates `.grad` on leaves."""
     topo: list[Node] = []
-    seen: set[int] = set()
+    seen: set[Node] = set()  # nodes hash by identity
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, done = stack.pop()
         if done:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen and not p.const:
+            if p not in seen and not p.const:
                 stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.value)}
+    grads: dict[Node, np.ndarray] = {root: np.ones_like(root.value)}
     for node in reversed(topo):
-        g = grads.get(id(node))
+        g = grads.get(node)
         if g is None:
             continue
         if node.vjp is None:
@@ -132,8 +137,8 @@ def backward(root: Node) -> None:
         for parent, pg in zip(node.parents, node.vjp(g)):
             if pg is None or parent.const:
                 continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+            acc = grads.get(parent)
+            grads[parent] = pg if acc is None else acc + pg
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +216,7 @@ def vsum(a, axis=None) -> Node:
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
+            return (np.full(shape, g),)
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return Node(a.value.sum(axis=axis), (a,), vjp)
@@ -224,7 +229,7 @@ def vmean(a, axis=None) -> Node:
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g / count, shape).copy(),)
+            return (np.full(shape, g / count),)
         return (np.broadcast_to(np.expand_dims(g / count, axis), shape).copy(),)
 
     return Node(np.asarray(a.value.mean(axis=axis)), (a,), vjp)
@@ -235,21 +240,9 @@ def square(a) -> Node:
     return Node(a.value * a.value, (a,), lambda g: (2.0 * a.value * g,))
 
 
-def exp(a) -> Node:
-    a = _lift(a)
-    out = np.exp(a.value)
-    return Node(out, (a,), lambda g: (g * out,))
-
-
 def log(a) -> Node:
     a = _lift(a)
     return Node(np.log(a.value), (a,), lambda g: (g / a.value,))
-
-
-def tanh(a) -> Node:
-    a = _lift(a)
-    out = np.tanh(a.value)
-    return Node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def softplus(a) -> Node:
@@ -259,17 +252,16 @@ def softplus(a) -> Node:
     return Node(out, (a,), lambda g: (g * sig,))
 
 
+def _gate(positive: np.ndarray, slope: float) -> np.ndarray:
+    """The leaky rectifier's derivative factor: 1 where `positive`, else
+    `slope`. A table lookup, which beats a branchy `np.where` here."""
+    return np.array((slope, 1.0)).take(positive.view(np.uint8))
+
+
 def leaky_relu(a, slope: float = 0.2) -> Node:
     a = _lift(a)
-    gate = np.where(a.value > 0.0, 1.0, slope)
+    gate = _gate(a.value > 0.0, slope)
     return Node(a.value * gate, (a,), lambda g: (g * gate,))
-
-
-def leaky_gate(a, slope: float = 0.2) -> Node:
-    """The rectifier's derivative factor. Piecewise constant, so its own
-    derivative is zero almost everywhere and the vjp drops the path."""
-    a = _lift(a)
-    return Node(np.where(a.value > 0.0, 1.0, slope), (a,), lambda g: (None,))
 
 
 def softmax_rows(logits) -> Node:
@@ -361,80 +353,93 @@ def minmax_normalize_node(values) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# affine stacks and the Lipschitz penalty
-
-# A stack layer is (W, b, activation) with activation in
-# {"linear", "leaky", "tanh"}; W and b may be Nodes or plain arrays.
-
-_ACTIVATIONS = ("linear", "leaky", "tanh")
+# fused dense layers and the Lipschitz penalty
 
 
-def affine_stack(x, layers, slope: float = 0.2) -> Node:
-    """Forward pass of a fully connected stack."""
-    h = _lift(x)
-    for W, b, act in layers:
-        z = add(matmul(h, _lift(W)), _lift(b))
-        if act == "leaky":
-            h = leaky_relu(z, slope)
-        elif act == "tanh":
-            h = tanh(z)
-        elif act == "linear":
-            h = z
-        else:
-            raise ValidationError(f"unknown activation {act!r}")
-    return h
+def dense(x, W, b=None, slope=None) -> Node:
+    """`x @ W + b`, through the leaky rectifier when `slope` is given, as one
+    tape node. Its value and gradients are bit-identical to the composed
+    matmul/add/leaky_relu; the reverse map skips constant operands."""
+    x, W = _lift(x), _lift(W)
+    z = x.value @ W.value
+    parents = (x, W)
+    if b is not None:
+        b = _lift(b)
+        z = z + b.value
+        parents = (x, W, b)
+    gate = None if slope is None else _gate(z > 0.0, slope)
+    out = z if gate is None else z * gate
+
+    def vjp(g):
+        if gate is not None:
+            g = g * gate
+        grads = (None if x.const else g @ W.value.T,
+                 None if W.const else x.value.T @ g)
+        return grads if b is None else grads + (g.sum(axis=0),)
+
+    return Node(out, parents, vjp)
 
 
-def affine_stack_with_input_gradient(x, layers, slope: float = 0.2):
-    """Forward pass plus the input gradient of a scalar-headed stack,
-    both as tape expressions.
+def dense_input_grad(g, W, gate=None) -> Node:
+    """`(g * gate) @ W.T`, the reverse map of a dense layer onto its input,
+    as one tape node that is itself differentiable in `g` and `W` (the gate
+    is a constant array of the shape of `g`)."""
+    g, W = _lift(g), _lift(W)
+    gg = g.value if gate is None else g.value * gate
 
-    The last layer must be linear with output width 1. The returned
-    gradient node has the shape of `x`, and because it is built from
-    ordinary tape operations a reverse sweep over anything derived from it
-    (such as the Lipschitz penalty) yields correct parameter gradients.
+    def vjp(u):
+        gu = None
+        if not g.const:
+            gu = u @ W.value
+            if gate is not None:
+                gu = gu * gate
+        return (gu, None if W.const else u.T @ gg)
+
+    return Node(gg @ W.value.T, (g, W), vjp)
+
+
+def row_slice(a, start: int, stop: int) -> Node:
+    """Rows `start:stop` of `a`; the whole of `a` is returned as it is."""
+    a = _lift(a)
+    if start == 0 and stop == len(a.value):
+        return a
+
+    def vjp(g):
+        full = np.zeros_like(a.value)
+        full[start:stop] = g
+        return (full,)
+
+    return Node(a.value[start:stop], (a,), vjp)
+
+
+def critic_input_gradient(weights, activations, slope: float = 0.2) -> Node:
+    """Input gradient of a scalar critic made of leaky-rectified dense layers
+    and a linear head, as a tape expression.
+
+    `weights` are the weight matrices from the input to the head, and
+    `activations` the input rows followed by each hidden layer's output at
+    those rows, as plain arrays. A rectifier with a non-negative slope keeps
+    the sign of its input, so each layer's gate is read off its output; the
+    gate is piecewise constant, so it enters the expression as a constant.
+    A reverse sweep over anything derived from the result (such as the
+    Lipschitz penalty) yields its gradients with respect to the weights.
     """
-    x = _lift(x)
-    if not layers:
-        raise ValidationError("empty layer stack")
-    if layers[-1][2] != "linear":
-        raise ValidationError("critic head must be linear")
-
-    h = x
-    acts = []  # (pre-linearity input node, activation output node, W node, act)
-    for W, b, act in layers:
-        Wn, bn = _lift(W), _lift(b)
-        z = add(matmul(h, Wn), bn)
-        if act == "leaky":
-            h = leaky_relu(z, slope)
-        elif act == "tanh":
-            h = tanh(z)
-        elif act == "linear":
-            h = z
-        else:
-            raise ValidationError(f"unknown activation {act!r}")
-        acts.append((z, h, Wn, act))
-
-    out = h
-    if out.value.ndim != 2 or out.value.shape[1] != 1:
-        raise DimensionError(
-            f"critic output must have width 1, got shape {out.value.shape}"
-        )
-
-    batch = x.value.shape[0]
-    g = constant(np.ones((batch, 1)))
-    for z, a, Wn, act in reversed(acts):
-        if act == "leaky":
-            g = mul(g, leaky_gate(z, slope))
-        elif act == "tanh":
-            g = mul(g, sub(1.0, square(a)))
-        g = matmul(g, transpose(Wn))
-    return out, g
+    if len(weights) != len(activations):
+        raise DimensionError(f"{len(weights)} weight matrices for "
+                             f"{len(activations)} layer inputs")
+    head = _lift(weights[-1])
+    if head.value.ndim != 2 or head.value.shape[1] != 1:
+        raise DimensionError(f"critic head must have output width 1, got {head.value.shape}")
+    g = dense_input_grad(constant(np.ones((len(activations[0]), 1))), head)
+    for W, h in zip(reversed(weights[:-1]), reversed(activations[1:])):
+        g = dense_input_grad(g, W, _gate(h > 0.0, slope))
+    return g
 
 
-def lipschitz_penalty_node(x_tilde, layers, slope: float = 0.2) -> Node:
-    """Mean squared deviation of the critic's input-gradient norm from 1."""
-    _, g = affine_stack_with_input_gradient(x_tilde, layers, slope)
+def lipschitz_penalty_node(weights, activations, slope: float = 0.2) -> Node:
+    """Mean squared deviation of the critic's input-gradient norm from 1;
+    the arguments are those of :func:`critic_input_gradient`."""
+    g = critic_input_gradient(weights, activations, slope)
     return vmean(square(sub(row_norm(g), 1.0)))
 
 
@@ -482,11 +487,12 @@ class ParamStore:
 
 
 class AdamState:
-    """First/second moment estimates plus the shared step counter."""
+    """First/second moment estimates plus the shared step counter; zero
+    moments for every parameter of `params`, or none without it."""
 
-    def __init__(self, params: ParamStore):
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+    def __init__(self, params: ParamStore | None = None):
+        self.m = {k: np.zeros_like(v) for k, v in (params or {}).items()}
+        self.v = {k: np.zeros_like(v) for k, v in (params or {}).items()}
         self.step = 0
 
 
@@ -510,19 +516,29 @@ def adam_step(
         if g is None or g.shape != p.shape:
             raise DimensionError(f"gradient missing or mis-shaped for {name!r}")
 
-    new = AdamState(params)
+    new = AdamState()
     new.step = state.step + 1
     t = new.step
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
     out = ParamStore()
     for name, p in params.items():
+        # in place on fresh temporaries (0-d parameters rebind instead): the
+        # same operations, bit for bit, as p - lr * (m / c1) / (sqrt(v / c2) + eps)
         g = grads[name]
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
+        m = beta1 * state.m[name]
+        m += (1.0 - beta1) * g
+        v = g * g
+        v *= 1.0 - beta2
+        v += beta2 * state.v[name]
         new.m[name] = m
         new.v[name] = v
-        out.add(name, p - lr * (m / c1) / (np.sqrt(v / c2) + eps))
+        denom = np.sqrt(v / c2)
+        denom += eps
+        step = m / c1
+        step *= lr
+        step /= denom
+        out.add(name, p - step)
     return out, new
 
 

@@ -22,7 +22,9 @@ Discriminator side:
           [ + lambda * entropy term on t_h ]    (negative-result flag)
 
 Classification terms use either the classic softmax head or the softmax over
-semantic-guided scores; the critic terms are identical either way. Each
+semantic-guided scores; the critic terms are identical either way. A
+builder stacks the batches that its critic and head terms read, runs the
+critic's trunk once on them, and each term reads its own rows. Each
 builder returns a dictionary of named term Nodes, and :func:`total` sums
 them into the scalar that training differentiates. Builders accept parameter
 maps whose values are tape Nodes (live) or plain arrays (frozen), so the same
@@ -100,17 +102,6 @@ class UCatBatch(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # small pieces
-
-
-def minmax_normalize(values) -> np.ndarray:
-    """Rescale a batch to [0, 1]; a (near-)constant batch maps to zeros."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValidationError("empty batch")
-    span = v.max() - v.min()
-    if span < 1e-12:
-        return np.zeros_like(v)
-    return (v - v.min()) / span
 
 
 def lipschitz_interpolate(x_real, x_fake, rng: np.random.Generator) -> np.ndarray:
@@ -191,53 +182,15 @@ def _head_scores(disc_map, feat, segc, cfg, reduced_seen) -> dm.Node:
                               cfg.segc_normalized, cfg.eta)
 
 
-def _head_ce(disc_map, arch, x, onehot, segc, cfg, reduced_seen) -> dm.Node:
-    """Mean cross-entropy of the active head on a feature batch."""
-    feat = mo.trunk_features(disc_map, arch, x)
-    scores = _head_scores(disc_map, feat, segc, cfg, reduced_seen)
+def _mean_ce(scores, onehot) -> dm.Node:
     return dm.vmean(dm.cross_entropy_rows(scores, dm.constant(onehot)))
 
 
-def _entropy_term(disc_map, arch, x, segc, cfg, reduced_seen, gamma, beta) -> dm.Node:
+def _entropy_term(scores, cfg, gamma, beta) -> dm.Node:
     """lambda times the batch mean of the min-max-normalized divergence of
-    the seen-class softmax rows from uniform."""
-    feat = mo.trunk_features(disc_map, arch, x)
-    probs = dm.softmax_rows(_head_scores(disc_map, feat, segc, cfg, reduced_seen))
-    rows = divergence_rows_node(probs, gamma, beta, cfg.divergence)
+    the seen-class softmax rows of `scores` from uniform."""
+    rows = divergence_rows_node(dm.softmax_rows(scores), gamma, beta, cfg.divergence)
     return dm.mul(cfg.lambda_creativity, dm.vmean(dm.minmax_normalize_node(rows)))
-
-
-# ---------------------------------------------------------------------------
-# creativity loss
-
-
-def creativity_terms(x_h: dm.Node, disc_map, div_map, arch, disc_meta,
-                     cfg: LossConfig, reduced_seen=None) -> dict[str, dm.Node]:
-    """The two creativity terms for a batch of hallucinated generations.
-
-    `disc_meta` is the DiscriminatorParams carrying head shape flags; either
-    parameter map may hold live nodes or frozen arrays.
-    """
-    if x_h.value.shape[0] == 0:
-        raise ValidationError("empty batch")
-    terms: dict[str, dm.Node] = {}
-    if cfg.realism_term:
-        r = dm.affine_stack(x_h, mo.critic_layers(disc_map, arch), arch.leak)
-        terms["creativity_realism"] = dm.neg(dm.vmean(r))
-    if cfg.new_class_ablation:
-        if not disc_meta.extra_class:
-            raise ValidationError("the new-class ablation needs a discriminator "
-                                  "built with the extra class logit")
-        target = np.zeros((x_h.value.shape[0], disc_meta.n_logits))
-        target[:, disc_meta.k_seen] = 1.0
-        ce = _head_ce(disc_map, arch, x_h, target, False, cfg, None)
-        terms["creativity_entropy"] = dm.mul(cfg.lambda_creativity, ce)
-    elif cfg.entropy_term and cfg.lambda_creativity != 0.0:
-        # a zero weight contributes exact zeros; skip building the subgraph
-        gamma, beta = divergence_param_nodes(cfg.divergence, div_map)
-        terms["creativity_entropy"] = _entropy_term(
-            disc_map, arch, x_h, disc_meta.segc, cfg, reduced_seen, gamma, beta)
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +226,47 @@ def generator_loss_node(gen_map, div_map, disc: mo.DiscriminatorParams,
                         reduced_seen=None, reduced_ucat=None) -> dict[str, dm.Node]:
     """All generator-side terms; the discriminator map is expected frozen.
 
-    `div_map` holds the unconstrained entropy parameters (empty when none
-    are learned); the semantic-guided head needs `reduced_seen`, the reduced
-    descriptors of the seen classes, and u-categorization `reduced_ucat`.
+    The hallucinated and seen rows are generated in one pass and go through
+    the critic's trunk together, hallucinated rows first. `div_map` holds
+    the unconstrained entropy parameters (empty when none are learned); the
+    semantic-guided head needs `reduced_seen`, the reduced descriptors of
+    the seen classes, and u-categorization `reduced_ucat`.
     """
     arch = disc.arch
-    if len(seen.t) == 0 or len(hallu.t) == 0:
+    n_h, n = len(hallu.t), len(hallu.t) + len(seen.t)
+    if n_h == 0 or len(seen.t) == 0:
         raise ValidationError("empty batch")
+    if cfg.new_class_ablation and not disc.extra_class:
+        raise ValidationError("the new-class ablation needs a discriminator "
+                              "built with the extra class logit")
     disc_map = disc.store
 
-    x_h = mo.generator_output(gen_map, arch, dm.constant(hallu.t), dm.constant(hallu.z))
-    terms = creativity_terms(x_h, disc_map, div_map, arch, disc, cfg, reduced_seen)
+    x = mo.generator_output(gen_map, arch, dm.constant(np.vstack((hallu.t, seen.t))),
+                            dm.constant(np.vstack((hallu.z, seen.z))))
+    feat = mo.trunk_features(disc_map, arch, x)[-1]
+    score = mo.real_score(disc_map, feat)
+    # a zero creativity weight contributes exact zeros; skip that subgraph
+    entropy = cfg.entropy_term and cfg.lambda_creativity != 0.0
+    # the head reads the hallucinated rows only when a creativity term needs them
+    lo = 0 if entropy or cfg.new_class_ablation else n_h
+    head = _head_scores(disc_map, dm.row_slice(feat, lo, n), disc.segc, cfg, reduced_seen)
 
-    x_s = mo.generator_output(gen_map, arch, dm.constant(seen.t), dm.constant(seen.z))
-    r_s = dm.affine_stack(x_s, mo.critic_layers(disc_map, arch), arch.leak)
-    terms["critic_seen"] = dm.neg(dm.vmean(r_s))
+    terms: dict[str, dm.Node] = {}
+    if cfg.realism_term:
+        terms["creativity_realism"] = dm.neg(dm.vmean(dm.row_slice(score, 0, n_h)))
+    if cfg.new_class_ablation:
+        target = np.zeros((n_h, disc.n_logits))
+        target[:, disc.k_seen] = 1.0
+        terms["creativity_entropy"] = dm.mul(
+            cfg.lambda_creativity, _mean_ce(dm.row_slice(head, 0, n_h), target))
+    elif entropy:
+        gamma, beta = divergence_param_nodes(cfg.divergence, div_map)
+        terms["creativity_entropy"] = _entropy_term(dm.row_slice(head, 0, n_h), cfg,
+                                                    gamma, beta)
 
+    terms["critic_seen"] = dm.neg(dm.vmean(dm.row_slice(score, n_h, n)))
     onehot = _onehot(seen.y, disc.n_logits, disc.k_seen)
-    terms["classification"] = _head_ce(disc_map, arch, x_s, onehot, disc.segc, cfg,
-                                       reduced_seen)
+    terms["classification"] = _mean_ce(dm.row_slice(head, n_h - lo, n - lo), onehot)
 
     terms["visual_pivot"] = visual_pivot_node(gen_map, arch, pivot)
 
@@ -318,38 +293,51 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
     interpolates `x_tilde`, and, when a hallucinated term is on, `x_h`.
     The entropy-on-discriminator term also takes the current (gamma, beta)
     as `div_values`; those parameters only learn through the generator loss.
+
+    The rows [real; fake; (x_h); interpolates] go through the trunk in one
+    pass. The critic score and the active head read row slices of the
+    shared features, and the gradient penalty reads the trunk's layer
+    outputs at the interpolate rows.
     """
     arch = disc.arch
-    real_x = dm.constant(real_x)
-    x_fake = dm.constant(x_fake)
-    if len(real_x.value) == 0 or len(x_fake.value) == 0:
+    n_real, n_fake = len(real_x), len(x_fake)
+    if n_real == 0 or n_fake == 0:
         raise ValidationError("empty batch")
-    layers = mo.critic_layers(disc_map, arch)
-
-    terms: dict[str, dm.Node] = {}
-    terms["critic_fake"] = dm.vmean(dm.affine_stack(x_fake, layers, arch.leak))
-    terms["critic_real"] = dm.neg(dm.vmean(dm.affine_stack(real_x, layers, arch.leak)))
-    terms["gradient_penalty"] = dm.lipschitz_penalty_node(dm.constant(x_tilde), layers, arch.leak)
-
-    onehot_real = _onehot(real_y, disc.n_logits, disc.k_seen)
-    onehot_fake = _onehot(fake_y, disc.n_logits, disc.k_seen)
-    terms["cls_real"] = dm.mul(0.5, _head_ce(disc_map, arch, real_x, onehot_real,
-                                             disc.segc, cfg, reduced_seen))
-    terms["cls_fake"] = dm.mul(0.5, _head_ce(disc_map, arch, x_fake, onehot_fake,
-                                             disc.segc, cfg, reduced_seen))
-
+    blocks = [real_x, x_fake]
     if cfg.rf_hallucinated or cfg.creativity_on_discriminator:
         if x_h is None or (cfg.creativity_on_discriminator and div_values is None):
             raise ValidationError("the hallucinated discriminator terms need x_h, "
                                   "and the entropy term also div_values")
-        x_h = dm.constant(x_h)
-        if cfg.rf_hallucinated:
-            # hallucinated generations are pushed down as fakes
-            terms["critic_hallucinated"] = dm.vmean(dm.affine_stack(x_h, layers, arch.leak))
-        if cfg.creativity_on_discriminator:
-            gamma, beta = dm.constant(div_values[0]), dm.constant(div_values[1])
-            terms["entropy_on_disc"] = _entropy_term(
-                disc_map, arch, x_h, disc.segc, cfg, reduced_seen, gamma, beta)
+        blocks.append(x_h)
+    lo_h = n_real + n_fake        # first hallucinated row
+    lo_t = sum(map(len, blocks))  # first interpolate row
+    rows = np.vstack(blocks + [x_tilde])
+
+    hidden = mo.trunk_features(disc_map, arch, dm.constant(rows))
+    feat = hidden[-1]
+    score = mo.real_score(disc_map, feat)
+    n_head = lo_t if cfg.creativity_on_discriminator else lo_h
+    head = _head_scores(disc_map, dm.row_slice(feat, 0, n_head), disc.segc, cfg, reduced_seen)
+
+    terms: dict[str, dm.Node] = {}
+    terms["critic_fake"] = dm.vmean(dm.row_slice(score, n_real, lo_h))
+    terms["critic_real"] = dm.neg(dm.vmean(dm.row_slice(score, 0, n_real)))
+    terms["gradient_penalty"] = dm.lipschitz_penalty_node(
+        mo.critic_weights(disc_map, arch),
+        [rows[lo_t:]] + [h.value[lo_t:] for h in hidden], arch.leak)
+
+    onehot = _onehot(np.concatenate((real_y, fake_y)), disc.n_logits, disc.k_seen)
+    ce = dm.cross_entropy_rows(dm.row_slice(head, 0, lo_h), dm.constant(onehot))
+    terms["cls_real"] = dm.mul(0.5, dm.vmean(dm.row_slice(ce, 0, n_real)))
+    terms["cls_fake"] = dm.mul(0.5, dm.vmean(dm.row_slice(ce, n_real, lo_h)))
+
+    if cfg.rf_hallucinated:
+        # hallucinated generations are pushed down as fakes
+        terms["critic_hallucinated"] = dm.vmean(dm.row_slice(score, lo_h, lo_t))
+    if cfg.creativity_on_discriminator:
+        gamma, beta = dm.constant(div_values[0]), dm.constant(div_values[1])
+        terms["entropy_on_disc"] = _entropy_term(dm.row_slice(head, lo_h, lo_t), cfg,
+                                                 gamma, beta)
     return terms
 
 
@@ -368,4 +356,5 @@ def hallucinated_categorization_node(gen_map, disc: mo.DiscriminatorParams,
     if k_u < 2:
         raise ValidationError("need at least 2 hallucinated classes")
     x_u = mo.generator_output(gen_map, disc.arch, dm.constant(ucat.t), dm.constant(ucat.z))
-    return _head_ce(disc.store, disc.arch, x_u, np.eye(k_u), True, cfg, reduced_ucat)
+    feat = mo.trunk_features(disc.store, disc.arch, x_u)[-1]
+    return _mean_ce(_head_scores(disc.store, feat, True, cfg, reduced_ucat), np.eye(k_u))

@@ -50,6 +50,8 @@ class ArchSpec:
                 raise ValidationError(f"{name} must be positive")
         if self.reduced_dim > self.semantic_dim:
             raise ValidationError("reduced_dim cannot exceed semantic_dim")
+        if not self.leak >= 0:
+            raise ValidationError("leak must be non-negative")
 
     @property
     def n_hidden(self) -> int:
@@ -132,46 +134,44 @@ def init_params(
 # graph builders: `params` may hold Nodes (live) or plain arrays (frozen)
 
 
-def _affine(x, params, name):
-    return dm.add(dm.matmul(x, params[f"{name}.W"]), params[f"{name}.b"])
+def _dense(x, params, name, slope=None):
+    return dm.dense(x, params[f"{name}.W"], params[f"{name}.b"], slope)
 
 
 def reduce_semantics_node(params, arch: ArchSpec, t) -> dm.Node:
-    return dm.leaky_relu(_affine(t, params, "reduce"), arch.leak)
+    return _dense(t, params, "reduce", arch.leak)
 
 
 def generator_output(params, arch: ArchSpec, t, z) -> dm.Node:
     h = dm.concat_cols(reduce_semantics_node(params, arch, t), dm._lift(z))
     for i in range(arch.n_hidden):
-        h = dm.leaky_relu(_affine(h, params, f"h{i}"), arch.leak)
-    return _affine(h, params, "out")
+        h = _dense(h, params, f"h{i}", arch.leak)
+    return _dense(h, params, "out")
 
 
-def trunk_features(params, arch: ArchSpec, x) -> dm.Node:
-    h = dm._lift(x)
+def trunk_features(params, arch: ArchSpec, x) -> list[dm.Node]:
+    """The output of every trunk layer for the rows `x`, first to last; the
+    last is the feature batch that both heads read."""
+    hidden = []
+    h = x
     for i in range(arch.n_hidden):
-        h = dm.leaky_relu(_affine(h, params, f"trunk{i}"), arch.leak)
-    return h
+        h = _dense(h, params, f"trunk{i}", arch.leak)
+        hidden.append(h)
+    return hidden
+
+
+def critic_weights(params, arch: ArchSpec) -> list:
+    """The critic's weight matrices from the input to the score head, in
+    the order :func:`diffmath.critic_input_gradient` takes them."""
+    return [params[f"trunk{i}.W"] for i in range(arch.n_hidden)] + [params["real.W"]]
 
 
 def real_score(params, feat) -> dm.Node:
-    return _affine(feat, params, "real")
+    return _dense(feat, params, "real")
 
 
 def class_logits(params, feat) -> dm.Node:
-    return _affine(feat, params, "cls")
-
-
-def critic_layers(params, arch: ArchSpec) -> list[tuple]:
-    """The trunk plus real/fake head as an affine-stack description; feeding
-    this to the diffmath stack helpers reproduces the critic exactly (the
-    same score as `real_score(params, trunk_features(params, arch, x))`)."""
-    layers = [
-        (params[f"trunk{i}.W"], params[f"trunk{i}.b"], "leaky")
-        for i in range(arch.n_hidden)
-    ]
-    layers.append((params["real.W"], params["real.b"], "linear"))
-    return layers
+    return _dense(feat, params, "cls")
 
 
 def segc_score_node(W, feat, reduced_T, normalized: bool = False, eta: float = 1.0) -> dm.Node:
@@ -182,8 +182,8 @@ def segc_score_node(W, feat, reduced_T, normalized: bool = False, eta: float = 1
     pairing and raise a degenerate event rather than dividing by zero.
     """
     T = np.asarray(reduced_T.value if isinstance(reduced_T, dm.Node) else reduced_T, dtype=np.float64)
-    proj = dm.matmul(feat, W)
-    scores = dm.matmul(proj, dm.constant(T.T))
+    proj = dm.dense(feat, W)
+    scores = dm.dense(proj, T.T)
     if not normalized:
         return scores
     if eta <= 0:
@@ -234,7 +234,7 @@ def discriminate(disc: DiscriminatorParams, x) -> dict:
     x = dm.as_tensor(x)
     if x.ndim != 2 or x.shape[1] != disc.arch.visual_dim:
         raise DimensionError(f"visual batch has shape {x.shape}, expected (*, {disc.arch.visual_dim})")
-    feat = trunk_features(disc.store, disc.arch, dm.constant(x))
+    feat = trunk_features(disc.store, disc.arch, dm.constant(x))[-1]
     r = real_score(disc.store, feat).value[:, 0]
     s = None
     if not disc.segc:

@@ -224,6 +224,7 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
     n_pivot = max(1, cfg.batch_size // dataset.k_seen)
     m = cfg.batch_size
 
+    hallu_rows = cfg.loss.rf_hallucinated or cfg.loss.creativity_on_discriminator
     history = TrainHistory(degenerate_events=dict(events.counts()))
     adam_kw = dict(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
 
@@ -233,18 +234,23 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
         z_h = rng_noise.standard_normal((m, arch.noise_dim))
         hallu = ls.HalluBatch(t_h, z_h)
         div_values = ls.current_divergence_params(spec, div_store)
-        # the generator is frozen until its own update at the end of the step
+        # the generator is frozen until its own update at the end of the step,
+        # so every generation of the critic phase comes from one pass
         reduced_seen = mo.reduce_semantics(gen, dataset.seen_semantics) \
             if disc.segc else None
-        x_h = mo.generate(gen, t_h, z_h) \
-            if cfg.loss.rf_hallucinated or cfg.loss.creativity_on_discriminator else None
+        idx = [_sample_indices(dataset, m, rng_batch, cfg.class_balanced, per_class)
+               for _ in range(cfg.n_d)]
+        t_rows = [dataset.seen_semantics[dataset.seen_labels[i]] for i in idx]
+        z_rows = [rng_noise.standard_normal((m, arch.noise_dim)) for _ in range(cfg.n_d)]
+        if hallu_rows:
+            t_rows, z_rows = [t_h] + t_rows, [z_h] + z_rows
+        x_gen = mo.generate(gen, np.vstack(t_rows), np.vstack(z_rows))
+        x_h, x_fakes = (x_gen[:m], x_gen[m:]) if hallu_rows else (None, x_gen)
 
-        for _ in range(cfg.n_d):
-            idx = _sample_indices(dataset, m, rng_batch, cfg.class_balanced, per_class)
-            x = dataset.seen_features[idx]
-            y = dataset.seen_labels[idx]
-            z = rng_noise.standard_normal((m, arch.noise_dim))
-            x_fake = mo.generate(gen, dataset.seen_semantics[y], z)
+        for k in range(cfg.n_d):
+            x = dataset.seen_features[idx[k]]
+            y = dataset.seen_labels[idx[k]]
+            x_fake = x_fakes[k * m:(k + 1) * m]
             x_tilde = ls.lipschitz_interpolate(x, x_fake, rng_interp)
 
             def build_d(leaves):

@@ -1,4 +1,6 @@
-"""Shared finite-difference oracles for gradient checks.
+"""Shared oracles: finite differences for gradient checks, and the
+multi-pass critic composition that the program's stacked critic pass must
+reproduce.
 
 Central differences at h=1e-5 on float64 keep the truncation and roundoff
 error orders of magnitude below the tolerances asserted in the tests, so a
@@ -9,6 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+import genzsl.diffmath as dm
+import genzsl.losses as ls
+import genzsl.model as mo
 from genzsl.diffmath import ParamStore
 
 
@@ -72,3 +77,145 @@ def random_direction(params: ParamStore, rng) -> dict:
     d = {k: rng.standard_normal(v.shape) for k, v in params.items()}
     norm = np.sqrt(sum((v * v).sum() for v in d.values()))
     return {k: v / norm for k, v in d.items()}
+
+
+# ---------------------------------------------------------------------------
+# the multi-pass critic, composed from primitive tape operations
+#
+# The program runs the critic once per batch on fused dense nodes. These
+# oracles keep the composition it replaced: one pass per batch, a node per
+# matmul, bias add and rectifier, and the penalty's input gradient built
+# from mul/matmul/transpose.
+
+
+def affine_stack(x, layers, slope=0.2):
+    """Forward pass of (W, b, "leaky" | "linear") layers."""
+    h = dm._lift(x)
+    for W, b, act in layers:
+        z = dm.add(dm.matmul(h, dm._lift(W)), dm._lift(b))
+        h = dm.leaky_relu(z, slope) if act == "leaky" else z
+    return h
+
+
+def affine_stack_with_input_gradient(x, layers, slope=0.2):
+    """Forward pass plus the input gradient of a scalar-headed stack, both
+    as tape expressions; the rectifier gates enter as constants."""
+    h = dm._lift(x)
+    pre = []
+    for W, b, act in layers:
+        z = dm.add(dm.matmul(h, dm._lift(W)), dm._lift(b))
+        h = dm.leaky_relu(z, slope) if act == "leaky" else z
+        pre.append((z, dm._lift(W), act))
+    g = dm.constant(np.ones((len(h.value), 1)))
+    for z, W, act in reversed(pre):
+        if act == "leaky":
+            g = dm.mul(g, dm.constant(np.where(z.value > 0.0, 1.0, slope)))
+        g = dm.matmul(g, dm.transpose(W))
+    return h, g
+
+
+def penalty_oracle(x, layers, slope=0.2):
+    _, g = affine_stack_with_input_gradient(x, layers, slope)
+    return dm.vmean(dm.square(dm.sub(dm.row_norm(g), 1.0)))
+
+
+def critic_layers(params, arch):
+    """The trunk plus the score head of a discriminator parameter map."""
+    layers = [(params[f"trunk{i}.W"], params[f"trunk{i}.b"], "leaky")
+              for i in range(arch.n_hidden)]
+    return layers + [(params["real.W"], params["real.b"], "linear")]
+
+
+def generator_oracle(params, arch, t, z):
+    def affine(h, name):
+        return dm.add(dm.matmul(h, params[f"{name}.W"]), params[f"{name}.b"])
+
+    h = dm.concat_cols(dm.leaky_relu(affine(dm.constant(t), "reduce"), arch.leak),
+                       dm.constant(z))
+    for i in range(arch.n_hidden):
+        h = dm.leaky_relu(affine(h, f"h{i}"), arch.leak)
+    return affine(h, "out")
+
+
+def _head_oracle(disc_map, disc, x, cfg, table):
+    feat = affine_stack(x, critic_layers(disc_map, disc.arch)[:-1], disc.arch.leak)
+    if not disc.segc:
+        return dm.add(dm.matmul(feat, disc_map["cls.W"]), disc_map["cls.b"])
+    return mo.segc_score_node(disc_map["segc.W"], feat, table, cfg.segc_normalized, cfg.eta)
+
+
+def _mean_ce_oracle(scores, onehot):
+    return dm.vmean(dm.cross_entropy_rows(scores, dm.constant(onehot)))
+
+
+def _entropy_oracle(scores, cfg, gamma, beta):
+    rows = ls.divergence_rows_node(dm.softmax_rows(scores), gamma, beta, cfg.divergence)
+    return dm.mul(cfg.lambda_creativity, dm.vmean(dm.minmax_normalize_node(rows)))
+
+
+def discriminator_terms_multipass(disc_map, disc, real_x, real_y, x_fake, fake_y, x_tilde,
+                                  cfg, x_h=None, reduced_seen=None, div_values=None):
+    """The discriminator terms with one critic pass per batch."""
+    arch = disc.arch
+    layers = critic_layers(disc_map, arch)
+    real_x, x_fake = dm.constant(real_x), dm.constant(x_fake)
+
+    def onehot(y):
+        return np.eye(disc.n_logits)[y]
+
+    terms = {
+        "critic_fake": dm.vmean(affine_stack(x_fake, layers, arch.leak)),
+        "critic_real": dm.neg(dm.vmean(affine_stack(real_x, layers, arch.leak))),
+        "gradient_penalty": penalty_oracle(dm.constant(x_tilde), layers, arch.leak),
+        "cls_real": dm.mul(0.5, _mean_ce_oracle(
+            _head_oracle(disc_map, disc, real_x, cfg, reduced_seen), onehot(real_y))),
+        "cls_fake": dm.mul(0.5, _mean_ce_oracle(
+            _head_oracle(disc_map, disc, x_fake, cfg, reduced_seen), onehot(fake_y))),
+    }
+    if cfg.rf_hallucinated:
+        terms["critic_hallucinated"] = dm.vmean(
+            affine_stack(dm.constant(x_h), layers, arch.leak))
+    if cfg.creativity_on_discriminator:
+        scores = _head_oracle(disc_map, disc, dm.constant(x_h), cfg, reduced_seen)
+        terms["entropy_on_disc"] = _entropy_oracle(
+            scores, cfg, dm.constant(div_values[0]), dm.constant(div_values[1]))
+    return terms
+
+
+def generator_terms_multipass(gen_map, div_map, disc, seen, hallu, pivot, cfg,
+                              ucat=None, reduced_seen=None, reduced_ucat=None):
+    """The generator terms with one generator and one critic pass per batch."""
+    arch = disc.arch
+    layers = critic_layers(disc.store, arch)
+    x_h = generator_oracle(gen_map, arch, hallu.t, hallu.z)
+    x_s = generator_oracle(gen_map, arch, seen.t, seen.z)
+    terms = {}
+    if cfg.realism_term:
+        terms["creativity_realism"] = dm.neg(dm.vmean(affine_stack(x_h, layers, arch.leak)))
+    if cfg.new_class_ablation:
+        target = np.zeros((len(hallu.t), disc.n_logits))
+        target[:, disc.k_seen] = 1.0
+        scores = _head_oracle(disc.store, disc, x_h, cfg, None)
+        terms["creativity_entropy"] = dm.mul(cfg.lambda_creativity,
+                                             _mean_ce_oracle(scores, target))
+    elif cfg.entropy_term and cfg.lambda_creativity != 0.0:
+        gamma, beta = ls.divergence_param_nodes(cfg.divergence, div_map)
+        scores = _head_oracle(disc.store, disc, x_h, cfg, reduced_seen)
+        terms["creativity_entropy"] = _entropy_oracle(scores, cfg, gamma, beta)
+    terms["critic_seen"] = dm.neg(dm.vmean(affine_stack(x_s, layers, arch.leak)))
+    terms["classification"] = _mean_ce_oracle(
+        _head_oracle(disc.store, disc, x_s, cfg, reduced_seen),
+        np.eye(disc.n_logits)[seen.y])
+
+    k, n_z, _ = pivot.z.shape
+    out = generator_oracle(gen_map, arch, np.repeat(pivot.semantics, n_z, axis=0),
+                           pivot.z.reshape(k * n_z, -1))
+    gen_means = dm.vmean(dm.reshape(out, (k, n_z, arch.visual_dim)), axis=1)
+    err = dm.sub(gen_means, dm.constant(pivot.real_means))
+    terms["visual_pivot"] = dm.vmean(dm.vsum(dm.square(err), axis=1))
+
+    if cfg.u_categorization:
+        x_u = generator_oracle(gen_map, arch, ucat.t, ucat.z)
+        terms["u_categorization"] = _mean_ce_oracle(
+            _head_oracle(disc.store, disc, x_u, cfg, reduced_ucat), np.eye(len(ucat.t)))
+    return terms

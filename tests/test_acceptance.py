@@ -206,7 +206,7 @@ class TestCriterion2Gradients:
         # creativity loss alone (both terms, learnable divergence parameters)
         worst = 0.0
         for i in range(100):
-            arch, gen, disc, seen, hallu, *_ = _loss_instance(rng)
+            arch, gen, disc, seen, hallu, pivot, *_ = _loss_instance(rng)
             spec = dv.DivergenceSpec("sharma_mittal", 2.0, 2.5, True, True)
             loss_cfg = ls.LossConfig(lambda_creativity=0.7, divergence=spec)
             cfg = tr.TrainConfig(loss=loss_cfg)
@@ -215,10 +215,10 @@ class TestCriterion2Gradients:
             def build(leaves):
                 gen_map = {k[4:]: v for k, v in leaves.items() if k.startswith("gen.")}
                 div_map = {k[4:]: v for k, v in leaves.items() if k.startswith("div.")}
-                x_h = mo.generator_output(gen_map, arch, dm.constant(hallu.t),
-                                          dm.constant(hallu.z))
-                return ls.total(ls.creativity_terms(
-                    x_h, disc.store, div_map, arch, disc, loss_cfg))
+                terms = ls.generator_loss_node(gen_map, div_map, disc, seen, hallu, pivot,
+                                               loss_cfg)
+                return ls.total({k: v for k, v in terms.items()
+                                 if k.startswith("creativity_")})
 
             def value(p):
                 return float(build({k: dm.constant(v) for k, v in p.items()}).value)
@@ -255,13 +255,16 @@ class TestCriterion2Gradients:
 
         # hallucinated real/fake term alone: mean critic score of frozen fakes
         worst = 0.0
+        rf_cfg = ls.LossConfig(rf_hallucinated=True, divergence=dv.DivergenceSpec("kl"))
         for i in range(100):
-            arch, gen, disc, seen, hallu, *_ = _loss_instance(rng)
+            arch, gen, disc, seen, hallu, pivot, real_x, real_y = _loss_instance(rng)
             x_h = mo.generate(gen, hallu.t, hallu.z)
+            x_fake = mo.generate(gen, seen.t, seen.z)
 
             def build(leaves):
-                return dm.vmean(dm.affine_stack(
-                    dm.constant(x_h), mo.critic_layers(leaves, arch), arch.leak))
+                return ls.discriminator_loss_node(
+                    leaves, disc, real_x, real_y, x_fake, seen.y, x_fake, rf_cfg,
+                    x_h)["critic_hallucinated"]
 
             def value(p):
                 return float(build({k: dm.constant(v) for k, v in p.items()}).value)

@@ -84,6 +84,22 @@ class TestTrainCommand:
         for path in manifest["outputs"]:
             assert os.path.exists(path)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m.update(counts=[]) or m,
+        lambda m: [],
+        lambda m: m["files"].update(seen_features=3) or m,
+    ], ids=["counts-list", "top-level-list", "file-name-number"])
+    def test_malformed_dataset_manifest_exits_4(self, tmp_path, corrupt):
+        ds = synth(tmp_path)
+        path = os.path.join(ds, "manifest.json")
+        with open(path, encoding="utf-8") as fh:
+            manifest = corrupt(json.load(fh))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        run = tmp_path / "run"
+        assert main(["train", "--data", ds, "--out", str(run), *SMALL_TRAIN]) == 4
+        assert json.loads((run / "run_manifest.json").read_text())["status"] == "failed"
+
     def test_missing_dataset_exits_4(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "run")]) == 4

@@ -4,13 +4,21 @@ import pytest
 import genzsl.diffmath as dm
 from genzsl import events
 from genzsl.errors import DimensionError, NumericOverflowError, ValidationError
-from helpers import directional_derivative, numeric_grad_params, random_direction, rel_err
+from helpers import (affine_stack, affine_stack_with_input_gradient, directional_derivative,
+                     numeric_grad_params, penalty_oracle, random_direction, rel_err)
 
 
 def mlp_loss(leaves, x, y):
     """Tiny two-layer perceptron with a softmax head, as one tape expression."""
     h = dm.leaky_relu(dm.add(dm.matmul(dm.constant(x), leaves["W1"]), leaves["b1"]))
     logits = dm.add(dm.matmul(h, leaves["W2"]), leaves["b2"])
+    return dm.vmean(dm.cross_entropy_rows(logits, dm.constant(y)))
+
+
+def mlp_loss_fused(leaves, x, y):
+    """The same perceptron on fused dense nodes."""
+    h = dm.dense(dm.constant(x), leaves["W1"], leaves["b1"], 0.2)
+    logits = dm.dense(h, leaves["W2"], leaves["b2"])
     return dm.vmean(dm.cross_entropy_rows(logits, dm.constant(y)))
 
 
@@ -35,15 +43,16 @@ class TestGradScalar:
             "W2": rng.standard_normal((6, 3)) * 0.7,
             "b2": rng.standard_normal(3) * 0.1,
         })
-        grads = dm.grad_scalar(lambda lv: mlp_loss(lv, x, y), params)
+        for loss in (mlp_loss, mlp_loss_fused):
+            grads = dm.grad_scalar(lambda lv: loss(lv, x, y), params)
 
-        def value(p):
-            leaves = {k: dm.constant(v) for k, v in p.items()}
-            return float(mlp_loss(leaves, x, y).value)
+            def value(p):
+                leaves = {k: dm.constant(v) for k, v in p.items()}
+                return float(loss(leaves, x, y).value)
 
-        fd = numeric_grad_params(value, params)
-        for name in params.names():
-            assert rel_err(grads[name], fd[name]).max() < 1e-4
+            fd = numeric_grad_params(value, params)
+            for name in params.names():
+                assert rel_err(grads[name], fd[name]).max() < 1e-4
 
     def test_non_scalar_loss_rejected(self):
         params = dm.ParamStore({"w": np.ones(3)})
@@ -78,22 +87,156 @@ class TestLeakyRectifier:
         np.testing.assert_allclose(node.parents[0].grad, [[0.2, 0.2, 1.0]])
 
 
+def _critic_forward(params, layout, x):
+    """The trunk outputs of a (W, b, act) critic layout, as plain arrays,
+    composed from primitive nodes: the layer inputs the penalty reads."""
+    outs = [x]
+    for w, b, act in layout[:-1]:
+        outs.append(affine_stack(dm.constant(outs[-1]), [(params[w], params[b], act)]).value)
+    return outs
+
+
+class TestFusedNodes:
+    """The fused nodes reproduce the primitive compositions bit for bit, and
+    their reverse maps agree with central differences."""
+
+    @staticmethod
+    def _both(build, params):
+        """(value, gradients) of a scalar expression over `params`."""
+        grads = dm.grad_scalar(build, params)
+        return build({k: dm.constant(v) for k, v in params.items()}).value, grads
+
+    @pytest.mark.parametrize("bias,slope", [(True, 0.2), (True, None), (False, 0.2),
+                                            (False, None)])
+    def test_dense_equals_matmul_add_leaky_relu(self, bias, slope):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((7, 4))
+        x[0, :] = 0.0  # zero pre-activations take the negative-slope branch
+        params = dm.ParamStore({"W": rng.standard_normal((4, 5)), "b": rng.standard_normal(5)})
+        weights = rng.standard_normal((7, 5))
+
+        def fused(lv):
+            out = dm.dense(dm.constant(x), lv["W"], lv["b"] if bias else None, slope)
+            return dm.vsum(dm.mul(out, dm.constant(weights)))
+
+        def composed(lv):
+            out = dm.matmul(dm.constant(x), lv["W"])
+            if bias:
+                out = dm.add(out, lv["b"])
+            if slope is not None:
+                out = dm.leaky_relu(out, slope)
+            return dm.vsum(dm.mul(out, dm.constant(weights)))
+
+        v_f, g_f = self._both(fused, params)
+        v_c, g_c = self._both(composed, params)
+        assert v_f == v_c
+        for name in params.names():
+            np.testing.assert_array_equal(g_f[name], g_c[name])
+        fd = numeric_grad_params(lambda p: float(fused(
+            {k: dm.constant(v) for k, v in p.items()}).value), params)
+        for name in params.names():
+            assert rel_err(g_f[name], fd[name]).max() < 1e-6
+
+    def test_dense_input_gradient_reaches_a_live_input(self):
+        rng = np.random.default_rng(32)
+        params = dm.ParamStore({"x": rng.standard_normal((3, 4)),
+                                "W": rng.standard_normal((4, 2)),
+                                "b": rng.standard_normal(2)})
+
+        def build(lv):
+            return dm.vsum(dm.square(dm.dense(lv["x"], lv["W"], lv["b"], 0.3)))
+
+        grads = dm.grad_scalar(build, params)
+        fd = numeric_grad_params(lambda p: float(build(p).value), params)
+        for name in params.names():
+            assert rel_err(grads[name], fd[name]).max() < 1e-6
+
+    def test_dense_input_grad_equals_mul_matmul_transpose(self):
+        rng = np.random.default_rng(33)
+        gate = np.where(rng.standard_normal((5, 3)) > 0.0, 1.0, 0.2)
+        params = dm.ParamStore({"g": rng.standard_normal((5, 3)),
+                                "W": rng.standard_normal((4, 3))})
+        weights = rng.standard_normal((5, 4))
+
+        def fused(lv):
+            out = dm.dense_input_grad(lv["g"], lv["W"], gate)
+            return dm.vsum(dm.mul(dm.square(out), dm.constant(weights)))
+
+        def composed(lv):
+            out = dm.matmul(dm.mul(lv["g"], dm.constant(gate)), dm.transpose(lv["W"]))
+            return dm.vsum(dm.mul(dm.square(out), dm.constant(weights)))
+
+        v_f, g_f = self._both(fused, params)
+        v_c, g_c = self._both(composed, params)
+        assert v_f == v_c
+        for name in params.names():
+            np.testing.assert_allclose(g_f[name], g_c[name], rtol=1e-14)
+        fd = numeric_grad_params(lambda p: float(fused(
+            {k: dm.constant(v) for k, v in p.items()}).value), params)
+        for name in params.names():
+            assert rel_err(g_f[name], fd[name]).max() < 1e-6
+
+    def test_row_slice(self):
+        rng = np.random.default_rng(34)
+        params = dm.ParamStore({"a": rng.standard_normal((6, 3))})
+        w1, w2 = rng.standard_normal((2, 3)), rng.standard_normal((3, 3))
+
+        def build(lv):
+            # overlapping slices accumulate into one gradient
+            top = dm.mul(dm.square(dm.row_slice(lv["a"], 1, 3)), dm.constant(w1))
+            low = dm.mul(dm.row_slice(lv["a"], 2, 5), dm.constant(w2))
+            return dm.add(dm.vsum(top), dm.vsum(low))
+
+        a = params["a"]
+        node = dm.row_slice(dm.constant(a), 1, 3)
+        np.testing.assert_array_equal(node.value, a[1:3])
+        whole = dm.constant(a)
+        assert dm.row_slice(whole, 0, 6) is whole
+        vector = dm.row_slice(dm.constant(a[:, 0]), 2, 4)
+        np.testing.assert_array_equal(vector.value, a[2:4, 0])
+
+        grads = dm.grad_scalar(build, params)
+        expected = np.zeros_like(a)
+        expected[1:3] += 2.0 * a[1:3] * w1
+        expected[2:5] += w2
+        np.testing.assert_allclose(grads["a"], expected, rtol=1e-15)
+        fd = numeric_grad_params(lambda p: float(build(
+            {k: dm.constant(v) for k, v in p.items()}).value), params)
+        assert rel_err(grads["a"], fd["a"]).max() < 1e-6
+
+    def test_gate_lookup_matches_branching_select(self):
+        z = np.random.default_rng(35).standard_normal((192, 64))
+        z[0, :3] = (0.0, -0.0, 1e-300)
+        node = dm.leaky_relu(dm.leaf(z), slope=0.2)
+        dm.backward(dm.vsum(node))
+        gate = np.where(z > 0.0, 1.0, 0.2)
+        np.testing.assert_array_equal(node.value, z * gate)
+        np.testing.assert_array_equal(node.parents[0].grad, gate)
+
+
 class TestInputGradient:
     def test_linear_critic_gradient_is_weight(self):
         w = np.array([[1.5], [-2.0], [0.5]])
-        layers = [(w, np.zeros(1), "linear")]
-        g = dm.affine_stack_with_input_gradient(np.zeros((4, 3)), layers)[1].value
+        g = dm.critic_input_gradient([w], [np.zeros((4, 3))]).value
         np.testing.assert_allclose(g, np.tile(w.T, (4, 1)))
 
     def test_constant_critic_gradient_is_zero(self):
-        layers = [(np.zeros((3, 1)), np.array([7.0]), "linear")]
-        g = dm.affine_stack_with_input_gradient(np.ones((2, 3)), layers)[1].value
+        g = dm.critic_input_gradient([np.zeros((3, 1))], [np.ones((2, 3))]).value
         np.testing.assert_array_equal(g, np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("acts", [("leaky", "leaky"), ("tanh", "leaky"), ("leaky", "tanh")])
+    def test_zero_pre_activation_takes_the_negative_slope_branch(self):
+        # the gate is read off the layer output, which is 0 exactly where the
+        # pre-activation is 0: that unit must pass the slope, not 1
+        W0, w1 = np.eye(2), np.array([[1.0], [1.0]])
+        x = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        hidden = affine_stack(dm.constant(x), [(W0, np.zeros(2), "leaky")]).value
+        g = dm.critic_input_gradient([W0, w1], [x, hidden], slope=0.2).value
+        np.testing.assert_array_equal(g, [[0.2, 1.0], [0.2, 0.2]])
+
+    @pytest.mark.parametrize("acts", [("leaky",), ("leaky", "leaky"), ("leaky", "leaky", "leaky")])
     def test_mlp_matches_finite_differences_over_input(self, acts):
         rng = np.random.default_rng(11)
-        widths = [5, 6, 4]
+        widths = [5, 6, 4, 3][:len(acts) + 1]
         layers = []
         w_in = widths[0]
         for w_out, act in zip(widths[1:], acts):
@@ -102,7 +245,13 @@ class TestInputGradient:
         layers.append((rng.standard_normal((w_in, 1)), np.zeros(1), "linear"))
         x = rng.standard_normal((3, widths[0]))
 
-        g = dm.affine_stack_with_input_gradient(x, layers)[1].value
+        params = {f"W{i}": W for i, (W, _, _) in enumerate(layers)}
+        params.update({f"b{i}": b for i, (_, b, _) in enumerate(layers)})
+        layout = [(f"W{i}", f"b{i}", act) for i, (_, _, act) in enumerate(layers)]
+        g = dm.critic_input_gradient([W for W, _, _ in layers],
+                                     _critic_forward(params, layout, x)).value
+        # the composed oracle computes the same expression bit for bit
+        np.testing.assert_array_equal(g, affine_stack_with_input_gradient(x, layers)[1].value)
 
         h = 1e-5
         for i in range(x.shape[0]):
@@ -110,8 +259,8 @@ class TestInputGradient:
                 up, dn = x.copy(), x.copy()
                 up[i, j] += h
                 dn[i, j] -= h
-                r_up = dm.affine_stack(dm.constant(up), layers).value[i, 0]
-                r_dn = dm.affine_stack(dm.constant(dn), layers).value[i, 0]
+                r_up = affine_stack(dm.constant(up), layers).value[i, 0]
+                r_dn = affine_stack(dm.constant(dn), layers).value[i, 0]
                 fd = (r_up - r_dn) / (2 * h)
                 assert rel_err(g[i, j], fd).max() < 1e-4
 
@@ -132,8 +281,9 @@ def _critic_store(rng, widths):
 
 
 def _penalty(params, layout, x_tilde):
-    layers = [(params[w], params[b], act) for w, b, act in layout]
-    return dm.lipschitz_penalty_node(dm.constant(x_tilde), layers)
+    weights = [params[w] for w, _, _ in layout]
+    plain = {k: getattr(v, "value", v) for k, v in params.items()}
+    return dm.lipschitz_penalty_node(weights, _critic_forward(plain, layout, x_tilde))
 
 
 def _penalty_value(params, layout, x_tilde):
@@ -175,6 +325,15 @@ class TestGradPenalty:
         fd = numeric_grad_params(lambda p: _penalty_value(p, layout, x), params)
         for name in params.names():
             assert rel_err(grads[name], fd[name]).max() < 1e-3
+
+        # the composed oracle gives the same penalty and gradients
+        def oracle(leaves):
+            return penalty_oracle(dm.constant(x), [(leaves[w], leaves[b], act)
+                                                   for w, b, act in layout])
+
+        assert _penalty_value(params, layout, x) == oracle(params).value
+        for name, g in dm.grad_scalar(oracle, params).items():
+            np.testing.assert_allclose(grads[name], g, rtol=1e-12, atol=1e-15)
 
     def test_degenerate_gradient_substitutes_zero_and_records(self):
         params = dm.ParamStore({"real.W": np.zeros((3, 1)), "real.b": np.zeros(1)})
@@ -288,13 +447,14 @@ class TestDirectionalChecks:
             "W2": rng.standard_normal((7, 4)) * 0.5,
             "b2": np.zeros(4),
         })
-        grads = dm.grad_scalar(lambda lv: mlp_loss(lv, x, y), params)
         direction = random_direction(params, rng)
-        analytic = sum((grads[k] * direction[k]).sum() for k in params.names())
+        for loss in (mlp_loss, mlp_loss_fused):
+            grads = dm.grad_scalar(lambda lv: loss(lv, x, y), params)
+            analytic = sum((grads[k] * direction[k]).sum() for k in params.names())
 
-        def value(p):
-            leaves = {k: dm.constant(v) for k, v in p.items()}
-            return float(mlp_loss(leaves, x, y).value)
+            def value(p):
+                leaves = {k: dm.constant(v) for k, v in p.items()}
+                return float(loss(leaves, x, y).value)
 
-        fd = directional_derivative(value, params, direction)
-        assert rel_err(analytic, fd).max() < 1e-4
+            fd = directional_derivative(value, params, direction)
+            assert rel_err(analytic, fd).max() < 1e-4

@@ -6,7 +6,8 @@ import genzsl.divergences as dv
 import genzsl.losses as ls
 import genzsl.model as mo
 from genzsl.errors import ValidationError
-from helpers import directional_derivative, random_direction, rel_err
+from helpers import (directional_derivative, discriminator_terms_multipass,
+                     generator_terms_multipass, random_direction, rel_err)
 
 
 def rng(seed=0):
@@ -55,9 +56,18 @@ def values(terms):
 
 
 def creativity_value(disc, gen, t_h, z, cfg):
-    x_h = dm.constant(mo.generate(gen, t_h, z))
-    return values(ls.creativity_terms(x_h, disc.store, cfg.divergence.unconstrained_init(),
-                                      gen.arch, disc, cfg))["total"]
+    """The summed creativity terms of the generator builder for the
+    hallucinated batch (t_h, z), beside a one-row seen batch."""
+    arch = gen.arch
+    seen = ls.SeenBatch(np.zeros((1, arch.semantic_dim)), np.zeros(1, dtype=int),
+                        np.zeros((1, arch.noise_dim)))
+    k_seen = disc.k_seen
+    pivot = ls.PivotInputs(np.zeros((k_seen, arch.semantic_dim)),
+                           np.zeros((k_seen, arch.visual_dim)),
+                           np.zeros((k_seen, 1, arch.noise_dim)))
+    terms = ls.generator_loss_node(gen.store, cfg.divergence.unconstrained_init(), disc,
+                                   seen, ls.HalluBatch(t_h, z), pivot, cfg)
+    return values({k: v for k, v in terms.items() if k.startswith("creativity_")})["total"]
 
 
 class FixedUniform:
@@ -71,18 +81,18 @@ class FixedUniform:
 
 
 class TestMinMaxNormalize:
+    @staticmethod
+    def minmax(values):
+        return dm.minmax_normalize_node(dm.constant(values)).value
+
     def test_basic(self):
-        np.testing.assert_allclose(ls.minmax_normalize([2.0, 4.0, 6.0]), [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(self.minmax([2.0, 4.0, 6.0]), [0.0, 0.5, 1.0])
 
     def test_constant_batch(self):
-        np.testing.assert_array_equal(ls.minmax_normalize([3.0, 3.0, 3.0]), np.zeros(3))
+        np.testing.assert_array_equal(self.minmax([3.0, 3.0, 3.0]), np.zeros(3))
 
     def test_single_element(self):
-        np.testing.assert_array_equal(ls.minmax_normalize([5.0]), [0.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            ls.minmax_normalize([])
+        np.testing.assert_array_equal(self.minmax([5.0]), [0.0])
 
 
 class TestLipschitzInterpolate:
@@ -408,6 +418,87 @@ class TestDiscriminatorLoss:
             assert a[key].value == b[key].value
 
 
+class TestStackedCriticPass:
+    """Each builder's one stacked critic pass equals the multi-pass tape
+    composition, term by term and gradient by gradient."""
+
+    HEADS = {
+        "classic": dict(),
+        "semantic-guided": dict(segc_active=True, segc_normalized=True, eta=2.0,
+                                u_categorization=True, k_unseen_cap=3),
+        "new-class": dict(entropy_term=False, new_class_ablation=True),
+    }
+
+    @staticmethod
+    def assert_close(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-300)
+
+    def check(self, build, oracle, params):
+        got, want = {}, {}
+        grads = dm.grad_scalar(lambda lv: ls.total(got.setdefault("t", build(lv))), params)
+        expect = dm.grad_scalar(lambda lv: ls.total(want.setdefault("t", oracle(lv))), params)
+        assert list(got["t"]) == list(want["t"])
+        for name in got["t"]:
+            self.assert_close(got["t"][name].value, want["t"][name].value)
+        for name in params.names():
+            self.assert_close(grads[name], expect[name])
+
+    def setup_case(self, preset, head):
+        flags = dict(rf_hallucinated=True, creativity_on_discriminator=True,
+                     lambda_creativity=0.6,
+                     divergence=dv.DivergenceSpec("sharma_mittal", 2.0, 2.5, True, True))
+        flags.update(self.HEADS[head])
+        cfg = ls.LossConfig(**flags)
+        arch = mo.ArchSpec(semantic_dim=5, visual_dim=6, noise_dim=2, hidden_dim=7,
+                           preset=preset)
+        gen, disc = mo.init_params(arch, 3, cfg.segc_active, rng(41),
+                                   extra_class=cfg.new_class_ablation)
+        seen, hallu, pivot, real_x, real_y = random_batches(arch, 3, b=5, seed=43)
+        g = rng(44)
+        t_u = g.standard_normal((3, arch.semantic_dim))
+        ucat = ls.UCatBatch(t_u, g.standard_normal((3, arch.noise_dim)))
+        reduced = {}
+        if cfg.segc_active:
+            reduced = dict(reduced_seen=mo.reduce_semantics(gen, pivot.semantics))
+        return cfg, gen, disc, seen, hallu, pivot, real_x, real_y, ucat, reduced
+
+    @pytest.mark.parametrize("preset", ["base", "doublenet"])
+    @pytest.mark.parametrize("head", list(HEADS))
+    def test_discriminator_terms_and_gradients(self, preset, head):
+        cfg, gen, disc, seen, hallu, pivot, real_x, real_y, _, reduced = \
+            self.setup_case(preset, head)
+        x_fake = mo.generate(gen, seen.t, seen.z)
+        x_t = ls.lipschitz_interpolate(real_x, x_fake, rng(45))
+        x_h = mo.generate(gen, hallu.t, hallu.z)
+        args = (disc, real_x, real_y, x_fake, seen.y, x_t, cfg, x_h,
+                reduced.get("reduced_seen"), (2.0, 2.5))
+        self.check(lambda lv: ls.discriminator_loss_node(lv, *args),
+                   lambda lv: discriminator_terms_multipass(lv, *args), disc.store)
+
+    @pytest.mark.parametrize("preset", ["base", "doublenet"])
+    @pytest.mark.parametrize("head", list(HEADS))
+    def test_generator_terms_and_gradients(self, preset, head):
+        cfg, gen, disc, seen, hallu, pivot, _, _, ucat, reduced = self.setup_case(preset, head)
+        if cfg.u_categorization:
+            reduced["reduced_ucat"] = mo.reduce_semantics(gen, ucat.t)
+        merged = dm.ParamStore(
+            [("gen." + k, v) for k, v in gen.store.items()]
+            + [("div." + k, np.asarray(v))
+               for k, v in cfg.divergence.unconstrained_init().items()])
+
+        def split(lv):
+            return ({k[4:]: v for k, v in lv.items() if k.startswith("gen.")},
+                    {k[4:]: v for k, v in lv.items() if k.startswith("div.")})
+
+        self.check(
+            lambda lv: ls.generator_loss_node(*split(lv), disc, seen, hallu, pivot, cfg,
+                                              ucat, **reduced),
+            lambda lv: generator_terms_multipass(*split(lv), disc, seen, hallu, pivot, cfg,
+                                                 ucat, **reduced),
+            merged)
+
+
 class TestSegcCategorizerLoss:
     """Cross-entropy of the semantic softmax over compatibility scores."""
 
@@ -495,13 +586,9 @@ class TestFinitenessAfterFlooring:
         assert np.isfinite(value)
 
     def test_gradient_penalty_is_nonnegative_and_zero_only_at_unit_norm(self):
-        layout = [("real.W", "real.b", "linear")]
         for scale, expect_zero in ((1.0, True), (0.5, False), (3.0, False)):
-            store = dm.ParamStore({"real.W": np.array([[scale], [0.0]]),
-                                   "real.b": np.zeros(1)})
-            layers = [(store["real.W"], store["real.b"], "linear")]
-            value = float(dm.lipschitz_penalty_node(
-                dm.constant(np.ones((3, 2))), layers).value)
+            w = np.array([[scale], [0.0]])
+            value = float(dm.lipschitz_penalty_node([w], [np.ones((3, 2))]).value)
             assert value >= 0.0
             assert (value < 1e-24) == expect_zero
 
