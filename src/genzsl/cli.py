@@ -12,7 +12,8 @@ Config files are JSON mirrors of the training configuration. Any key can
 also be overridden on the command line with repeated
 `--set dotted.key=json-value` flags; the handful of dedicated flags
 (--steps, --seed, --lambda, --policy, ...) take precedence over both.
-The fully merged snapshot is persisted in the run manifest.
+Every value must have the JSON type of its field. The fully merged
+snapshot is persisted in the run manifest.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ from . import training as tr
 from .errors import DataFormatError, NumericOverflowError, ValidationError
 
 ENV_OUT = "GENZSL_OUT"
+
+# the dedicated training flags: (argparse dest, dotted config key)
+_FLAG_KEYS = (("steps", "n_steps"), ("seed", "seed"), ("batch_size", "batch_size"),
+             ("policy", "policy"), ("lam", "loss.lambda_creativity"),
+             ("lambda_grid", "lambda_grid"))
 
 
 def _fmt(value):
@@ -61,7 +67,7 @@ def _set_by_path(tree: dict, dotted: str, value) -> None:
     for key in keys[:-1]:
         node = node.setdefault(key, {})
         if not isinstance(node, dict):
-            raise ValidationError(f"--set path {dotted!r} crosses a non-object key")
+            raise ValidationError(f"config path {dotted!r} crosses a non-object key")
     node[keys[-1]] = value
 
 
@@ -75,6 +81,8 @@ def _load_config(args) -> tr.TrainConfig:
             raise DataFormatError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{args.config}: malformed JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValidationError(f"{args.config}: config must be a JSON object")
     for item in getattr(args, "set", None) or []:
         key, _, raw = item.partition("=")
         if not _ or not key:
@@ -84,18 +92,9 @@ def _load_config(args) -> tr.TrainConfig:
         except json.JSONDecodeError:
             value = raw  # bare strings are taken literally
         _set_by_path(data, key.strip(), value)
-    if getattr(args, "steps", None) is not None:
-        data["n_steps"] = args.steps
-    if getattr(args, "seed", None) is not None:
-        data["seed"] = args.seed
-    if getattr(args, "batch_size", None) is not None:
-        data["batch_size"] = args.batch_size
-    if getattr(args, "policy", None) is not None:
-        data["policy"] = args.policy
-    if getattr(args, "lam", None) is not None:
-        data.setdefault("loss", {})["lambda_creativity"] = args.lam
-    if getattr(args, "lambda_grid", None):
-        data["lambda_grid"] = args.lambda_grid
+    for dest, key in _FLAG_KEYS:
+        if getattr(args, dest, None) is not None:
+            _set_by_path(data, key, getattr(args, dest))
     return tr.config_from_dict(data)
 
 
@@ -111,7 +110,6 @@ class RunContext:
         self.outputs: list[str] = []
         self.config_snapshot: dict = {}
         self.seeds: list[int] = []
-        self.extra: dict = {}
 
     def path(self, name: str) -> str:
         full = os.path.join(self.out_dir, name)
@@ -158,12 +156,33 @@ def cmd_synth(args, ctx: RunContext) -> None:
           f"unseen classes, {dataset.split_mode} split) to {ctx.out_dir}")
 
 
-def cmd_train(args, ctx: RunContext) -> None:
+def _training_inputs(args, ctx: RunContext):
+    """The merged config and the dataset of train, sweep and ablate."""
     cfg = _load_config(args)
     ctx.config_snapshot = asdict(cfg)
-    ctx.seeds = [cfg.seed]
+    ctx.seeds = list(getattr(args, "seeds", None) or [cfg.seed])
     ctx.inputs.append(args.data)
+    return cfg, io.load_dataset(args.data)
+
+
+def _checkpoint_inputs(args, ctx: RunContext):
+    """The dataset, the checkpoint's parameters and the seed of eval and
+    retrieve; the seed defaults to the one the checkpoint was trained with."""
+    ctx.inputs.extend([args.checkpoint, args.data])
     dataset = io.load_dataset(args.data)
+    params, snapshot = io.load_checkpoint(args.checkpoint)
+    if not isinstance(snapshot, dict):
+        raise DataFormatError(f"{args.checkpoint}: the config snapshot must be an object")
+    ctx.config_snapshot = snapshot
+    seed = snapshot.get("seed", 0) if args.seed is None else args.seed
+    if type(seed) is not int:
+        raise DataFormatError(f"{args.checkpoint}: the seed must be an integer, got {seed!r}")
+    ctx.seeds = [seed]
+    return dataset, params, seed
+
+
+def cmd_train(args, ctx: RunContext) -> None:
+    cfg, dataset = _training_inputs(args, ctx)
     params, history = tr.train(dataset, cfg)
 
     ckpt_dir = os.path.join(ctx.out_dir, "checkpoint")
@@ -188,12 +207,7 @@ def _report_rows(report: ev.EvalReport):
 
 
 def cmd_eval(args, ctx: RunContext) -> None:
-    ctx.inputs.extend([args.checkpoint, args.data])
-    dataset = io.load_dataset(args.data)
-    params, snapshot = io.load_checkpoint(args.checkpoint)
-    ctx.config_snapshot = snapshot
-    seed = args.seed if args.seed is not None else int(snapshot.get("seed", 0))
-    ctx.seeds = [seed]
+    dataset, params, seed = _checkpoint_inputs(args, ctx)
     report = ev.evaluate_model(
         params.generator, dataset, args.n_generate, io.philox(seed, tr.TAG_EVAL),
         metric=args.metric, retrieval_method=args.method)
@@ -205,14 +219,8 @@ def cmd_eval(args, ctx: RunContext) -> None:
 
 
 def cmd_sweep(args, ctx: RunContext) -> None:
-    cfg = _load_config(args)
-    seeds = args.seeds if args.seeds else [cfg.seed]
-    ctx.config_snapshot = asdict(cfg)
-    ctx.seeds = list(seeds)
-    ctx.inputs.append(args.data)
-    dataset = io.load_dataset(args.data)
-
-    jobs = [(dataset, cfg, seed) for seed in seeds]
+    cfg, dataset = _training_inputs(args, ctx)
+    jobs = [(dataset, cfg, seed) for seed in ctx.seeds]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_cross_validate_seed, jobs))
@@ -246,13 +254,8 @@ def _cross_validate_seed(job):
 
 
 def cmd_ablate(args, ctx: RunContext) -> None:
-    cfg = _load_config(args)
-    seeds = args.seeds if args.seeds else [cfg.seed]
-    ctx.config_snapshot = asdict(cfg)
-    ctx.seeds = list(seeds)
-    ctx.inputs.append(args.data)
-    dataset = io.load_dataset(args.data)
-    rows = tr.ablate(dataset, cfg, args.suite, seeds=seeds)
+    cfg, dataset = _training_inputs(args, ctx)
+    rows = tr.ablate(dataset, cfg, args.suite, seeds=ctx.seeds)
     _write_csv(ctx.path("ablation.csv"),
                ["row", "top1_mean", "top1_std", "auc_mean", "auc_std",
                 "hm_mean", "hm_std"],
@@ -264,12 +267,7 @@ def cmd_ablate(args, ctx: RunContext) -> None:
 
 
 def cmd_retrieve(args, ctx: RunContext) -> None:
-    ctx.inputs.extend([args.checkpoint, args.data])
-    dataset = io.load_dataset(args.data)
-    params, snapshot = io.load_checkpoint(args.checkpoint)
-    ctx.config_snapshot = snapshot
-    seed = args.seed if args.seed is not None else int(snapshot.get("seed", 0))
-    ctx.seeds = [seed]
+    dataset, params, seed = _checkpoint_inputs(args, ctx)
     unseen_ids = dataset.k_seen + np.arange(dataset.k_unseen)
     result = ev.retrieval_map(
         params.generator, dataset.unseen_semantics, dataset.unseen_test_features,
@@ -286,7 +284,9 @@ def cmd_retrieve(args, ctx: RunContext) -> None:
 # argument parsing
 
 
-def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_training_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", required=True)
+    p.add_argument("--out")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config key by dotted path (repeatable)")
@@ -296,6 +296,16 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--policy", help="hallucination policy preset name")
     p.add_argument("--lambda", type=float, dest="lam",
                    help="override the creativity weight")
+
+
+def _add_checkpoint_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--out")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--n-generate", type=int, default=60, dest="n_generate")
+    p.add_argument("--method", choices=("precision", "average_precision"),
+                   default="precision")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,49 +330,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train on a dataset directory")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out")
-    _add_common_train_flags(p)
+    _add_training_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-generate", type=int, default=60, dest="n_generate")
+    _add_checkpoint_flags(p)
     p.add_argument("--metric", choices=("euclidean", "cosine"), default="euclidean")
-    p.add_argument("--method", choices=("precision", "average_precision"),
-                   default="precision")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="cross-validate the creativity weight")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out")
-    _add_common_train_flags(p)
+    _add_training_flags(p)
     p.add_argument("--lambda-grid", type=float, nargs="+", dest="lambda_grid")
     p.add_argument("--seeds", type=int, nargs="+")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ablate", help="run a named ablation suite")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out")
-    _add_common_train_flags(p)
+    _add_training_flags(p)
     p.add_argument("--suite", required=True,
                    choices=sorted(tr.ABLATION_SUITES))
     p.add_argument("--seeds", type=int, nargs="+")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("retrieve", help="zero-shot retrieval scores")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
+    _add_checkpoint_flags(p)
     p.add_argument("--fractions", type=float, nargs="+", default=[0.25, 0.5, 1.0])
-    p.add_argument("--n-generate", type=int, default=60, dest="n_generate")
-    p.add_argument("--method", choices=("precision", "average_precision"),
-                   default="precision")
     p.set_defaults(func=cmd_retrieve)
 
     return parser

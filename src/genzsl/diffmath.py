@@ -58,31 +58,6 @@ class Node:
         self.grad = None
         self.const = const
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def constant(x) -> Node:
     return Node(as_tensor(x), const=True)

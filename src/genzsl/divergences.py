@@ -40,7 +40,16 @@ from .errors import ValidationError
 PROB_FLOOR = 1e-12
 SINGULAR_TOL = 1e-5
 
-FAMILIES = ("sharma_mittal", "renyi", "tsallis", "kl", "bhattacharyya")
+# the point of the (gamma, beta) plane at which each family sits, given the
+# free pair
+_PLANE_POINT = {
+    "sharma_mittal": lambda gamma, beta: (gamma, beta),
+    "renyi": lambda gamma, beta: (gamma, 1.0),
+    "tsallis": lambda gamma, beta: (gamma, gamma),
+    "kl": lambda gamma, beta: (1.0, 1.0),
+    "bhattacharyya": lambda gamma, beta: (0.5, 1.0),
+}
+FAMILIES = tuple(_PLANE_POINT)
 ORIENTATIONS = ("softmax_first", "uniform_first")
 
 
@@ -80,15 +89,7 @@ class DivergenceSpec:
 
     def effective_params(self) -> tuple[float, float]:
         """The (gamma, beta) pair actually evaluated for this family."""
-        if self.family == "kl":
-            return 1.0, 1.0
-        if self.family == "bhattacharyya":
-            return 0.5, 1.0
-        if self.family == "renyi":
-            return self.gamma, 1.0
-        if self.family == "tsallis":
-            return self.gamma, self.gamma
-        return self.gamma, self.beta
+        return _PLANE_POINT[self.family](self.gamma, self.beta)
 
     def unconstrained_init(self) -> dict[str, float]:
         """Initial unconstrained parameters, one entry per learnable knob."""
@@ -224,45 +225,34 @@ def _eval_family(P, Q, gamma, beta, family):
     Qp, mask_q = floor_renorm(Q)
     zeros = np.zeros(P.shape[0])
 
-    if family == "kl":
-        vals, dP, dQ = _kl_eval(Pp, Qp)
-        dg = db = zeros
-    elif family == "bhattacharyya":
+    if family not in _PLANE_POINT:
+        raise ValidationError(f"unknown divergence family {family!r}")
+    gamma, beta = _PLANE_POINT[family](gamma, beta)
+    near_g = abs(gamma - 1.0) < SINGULAR_TOL
+    near_b = abs(beta - 1.0) < SINGULAR_TOL
+    if family == "bhattacharyya":
+        # B is half the value of the plane at (0.5, 1), so it has its own formula
         vals, dP, dQ = _bhattacharyya_eval(Pp, Qp)
         dg = db = zeros
-    elif family == "renyi":
-        if abs(gamma - 1.0) < SINGULAR_TOL:
-            vals, dP, dQ = _kl_eval(Pp, Qp)
-            dg = db = zeros
-        else:
-            vals, dP, dQ, dg = _renyi_eval(Pp, Qp, gamma)
-            db = zeros
+    elif near_g and near_b:
+        vals, dP, dQ = _kl_eval(Pp, Qp)
+        dg = db = zeros
+    elif near_b:
+        vals, dP, dQ, dg = _renyi_eval(Pp, Qp, gamma)
+        db = zeros
+    elif near_g:
+        vals, dP, dQ, db = _exp_kl_eval(Pp, Qp, beta)
+        dg = zeros
     elif family == "tsallis":
-        if abs(gamma - 1.0) < SINGULAR_TOL:
-            vals, dP, dQ = _kl_eval(Pp, Qp)
-            dg = db = zeros
-        else:
-            vals, dP, dQ, dg = _tsallis_eval(Pp, Qp, gamma)
-            db = zeros
-    elif family == "sharma_mittal":
-        near_g = abs(gamma - 1.0) < SINGULAR_TOL
-        near_b = abs(beta - 1.0) < SINGULAR_TOL
-        if near_g and near_b:
-            vals, dP, dQ = _kl_eval(Pp, Qp)
-            dg = db = zeros
-        elif near_b:
-            vals, dP, dQ, dg = _renyi_eval(Pp, Qp, gamma)
-            db = zeros
-        elif near_g:
-            vals, dP, dQ, db = _exp_kl_eval(Pp, Qp, beta)
-            dg = zeros
-        else:
-            vals, dP, dQ, dg, db = _sm_eval(Pp, Qp, gamma, beta)
-            if abs(beta - gamma) < SINGULAR_TOL:
-                # snap to the exact limit value; the partials stay native
-                vals = _tsallis_eval(Pp, Qp, gamma)[0]
+        # the tied line has one free knob, so its slope is the total
+        # derivative along beta = gamma, not the plane's partials
+        vals, dP, dQ, dg = _tsallis_eval(Pp, Qp, gamma)
+        db = zeros
     else:
-        raise ValidationError(f"unknown divergence family {family!r}")
+        vals, dP, dQ, dg, db = _sm_eval(Pp, Qp, gamma, beta)
+        if abs(beta - gamma) < SINGULAR_TOL:
+            # snap to the exact limit value; the partials stay native
+            vals = _tsallis_eval(Pp, Qp, gamma)[0]
 
     dP_raw = _chain_through_renorm(dP, P, Pp, mask_p)
     dQ_raw = _chain_through_renorm(dQ, Q, Qp, mask_q)
@@ -307,11 +297,12 @@ def special_case(p, q, spec: DivergenceSpec) -> float:
     return float(vals[0])
 
 
-def _oriented(softmax, spec):
-    u = np.full(softmax.shape[-1], 1.0 / softmax.shape[-1])
-    if spec.orientation == "softmax_first":
-        return softmax, np.broadcast_to(u, softmax.shape)
-    return np.broadcast_to(u, softmax.shape), softmax
+def _entropy_batch(softmax, spec: DivergenceSpec):
+    softmax = np.asarray(softmax, dtype=np.float64)
+    _validate_pair(softmax, np.full(softmax.shape, 1.0 / softmax.size))
+    gamma, beta = spec.effective_params()
+    return divergence_to_uniform_batch(softmax[None, :], gamma, beta,
+                                       spec.family, spec.orientation)
 
 
 def entropy_loss(softmax, spec: DivergenceSpec) -> float:
@@ -320,23 +311,13 @@ def entropy_loss(softmax, spec: DivergenceSpec) -> float:
     Zero exactly when the softmax is uniform; grows as the distribution
     concentrates, for every family and valid parameter choice.
     """
-    softmax = np.asarray(softmax, dtype=np.float64)
-    _validate_pair(softmax, np.full(softmax.shape, 1.0 / softmax.size))
-    p, q = _oriented(softmax, spec)
-    gamma, beta = spec.effective_params()
-    vals, *_ = _eval_family(p, q, gamma, beta, spec.family)
-    return float(vals[0])
+    return float(_entropy_batch(softmax, spec)[0][0])
 
 
 def entropy_loss_grad(softmax, spec: DivergenceSpec):
     """Gradient of :func:`entropy_loss` w.r.t. the softmax vector and the
     (gamma, beta) parameters. Non-learnable knobs report zero."""
-    softmax = np.asarray(softmax, dtype=np.float64)
-    _validate_pair(softmax, np.full(softmax.shape, 1.0 / softmax.size))
-    gamma, beta = spec.effective_params()
-    vals, dsoft, dg, db = divergence_to_uniform_batch(
-        softmax[None, :], gamma, beta, spec.family, spec.orientation
-    )
+    _, dsoft, dg, db = _entropy_batch(softmax, spec)
     d_gamma = float(dg[0]) if spec.learn_gamma else 0.0
     d_beta = float(db[0]) if spec.learn_beta else 0.0
     return dsoft[0], d_gamma, d_beta

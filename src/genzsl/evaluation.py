@@ -174,10 +174,7 @@ def retrieval_map(gen: mo.GeneratorParams, unseen_semantics, test_features,
     if unseen_semantics.shape[0] != unseen_ids.size:
         raise ValidationError("one descriptor per unseen class id is required")
 
-    t = np.repeat(unseen_semantics, n_generate, axis=0)
-    z = rng.standard_normal((len(unseen_semantics) * n_generate, gen.arch.noise_dim))
-    pools = mo.generate(gen, t, z).reshape(len(unseen_semantics), n_generate, -1)
-    centers = pools.mean(axis=1)
+    centers = build_classifier(gen, unseen_semantics, n_generate, rng).pools.mean(axis=1)
 
     out = {}
     for frac in fractions:

@@ -13,8 +13,8 @@ on all seen classes with the winning (weight, step) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import get_args, get_type_hints
+from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -111,15 +111,10 @@ class TrainHistory:
     n_entropy_updates: int = 0
     degenerate_events: dict[str, int] = field(default_factory=dict)
 
-    CSV_HEADER = ("step", "loss_g", "loss_d", "wasserstein",
-                  "val_top1", "val_auc", "gamma", "beta")
+    CSV_HEADER = tuple(f.name for f in fields(HistoryRecord))
 
     def rows(self):
-        return [
-            (r.step, r.loss_g, r.loss_d, r.wasserstein,
-             r.val_top1, r.val_auc, r.gamma, r.beta)
-            for r in self.records
-        ]
+        return [astuple(r) for r in self.records]
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +125,15 @@ def config_from_dict(d: dict) -> TrainConfig:
     """The TrainConfig that a JSON mirror (`dataclasses.asdict` of one)
     describes. Missing keys take their defaults, unknown keys are rejected
     at every level, lists become tuples, and values follow the field
-    annotations (an integer given for a float field reads as a float). The
-    policy may also be a preset name or a list of [lo, hi] intervals."""
+    annotations: a bool field takes only true/false, an int field only an
+    integer, a float field an integer or a number (read as a float), an
+    `int | None` field also null. The policy may also be a preset name or a
+    list of [lo, hi] intervals."""
     return _from_json(TrainConfig, d, "config")
+
+
+# the JSON types each scalar annotation accepts; bool is not an int here
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 def _from_json(hint, value, where: str):
@@ -146,12 +147,18 @@ def _from_json(hint, value, where: str):
         if unknown:
             raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
         return hint(**{k: _from_json(hints[k], v, k) for k, v in value.items()})
-    if isinstance(value, list):
-        item = (get_args(hint) or (None,))[0]  # tuple[float, ...], tuple[float, float]
-        return tuple(_from_json(item, v, where) for v in value)
-    if hint is float and type(value) is int:
-        return float(value)
-    return value
+    args = get_args(hint)
+    if get_origin(hint) is tuple:  # tuple[float, ...], tuple[float, float]
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"{where} must be a list, got {value!r}")
+        return tuple(_from_json(args[0], v, where) for v in value)
+    if type(None) in args:  # int | None
+        if value is None:
+            return None
+        (hint,) = set(args) - {type(None)}
+    if type(value) not in _JSON_TYPES[hint]:
+        raise ValidationError(f"{where} must be a {hint.__name__}, got {value!r}")
+    return float(value) if hint is float else value
 
 
 # ---------------------------------------------------------------------------

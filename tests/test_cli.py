@@ -100,6 +100,29 @@ class TestTrainCommand:
         assert main(["train", "--data", ds, "--out", str(run), *SMALL_TRAIN]) == 4
         assert json.loads((run / "run_manifest.json").read_text())["status"] == "failed"
 
+    @pytest.mark.parametrize("config, extra, code", [
+        ({"n_steps": "x"}, [], 2),
+        ({"arch": {"hidden_dim": "8"}}, [], 2),
+        ({"batch_size": 1.5}, [], 2),
+        ({"class_balanced": 1}, [], 2),
+        ([], ["--steps", "4"], 2),
+        ({}, ["--set", "n_steps=true", "--set", "eval_every=1"], 2),
+        ({"lr": 1, "arch": {"reduced_dim": None}}, SMALL_TRAIN, 0),
+    ], ids=["string-for-int", "nested-string-for-int", "float-for-int", "int-for-bool",
+            "list-root", "bool-for-int", "int-for-float-and-null"])
+    def test_config_values_must_have_their_field_type(self, tmp_path, config, extra, code):
+        ds = synth(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        run = tmp_path / "run"
+        assert main(["train", "--data", ds, "--out", str(run),
+                     "--config", str(cfg_path), *extra]) == code
+        manifest = json.loads((run / "run_manifest.json").read_text())
+        assert manifest["status"] == ("ok" if code == 0 else "failed")
+        if code == 0:
+            assert manifest["config"]["lr"] == 1.0
+            assert manifest["config"]["arch"]["reduced_dim"] is None
+
     def test_missing_dataset_exits_4(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "run")]) == 4
@@ -138,7 +161,10 @@ class TestEvalAndRetrieve:
         lambda m: m["arch"].update(depth=3),
         lambda m: m["tensors"]["gen/h0.W"].update(shape=[6, 9]),
         lambda m: m["tensors"]["gen/h0.W"].update(shape=[10, 6]),
-    ], ids=["missing-arch", "unknown-arch-key", "size-mismatch", "shape-mismatch"])
+        lambda m: m.update(config=[]),
+        lambda m: m["config"].update(seed="x"),
+    ], ids=["missing-arch", "unknown-arch-key", "size-mismatch", "shape-mismatch",
+            "config-list", "seed-string"])
     def test_malformed_checkpoint_manifest_exits_4(self, tmp_path, trained, corrupt):
         ds, ckpt = trained
         path = os.path.join(ckpt, "manifest.json")

@@ -74,8 +74,20 @@ class TestBuildClassifier:
 class TestTop1:
     def test_oracle_pool_scores_one(self):
         protos = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-        clf = pool_classifier(protos)
-        assert ev.top1(clf, protos, [0, 1, 2]) == 1.0
+        for metric in ("euclidean", "cosine"):
+            clf = pool_classifier(protos, metric=metric)
+            assert ev.top1(clf, protos, [0, 1, 2]) == 1.0
+
+    def test_cosine_scores_are_the_best_cosine_and_scale_invariant(self):
+        g = io.philox(8, 8)
+        pools = g.standard_normal((4, 5, 3))
+        x = g.standard_normal((20, 3))
+        clf = ev.GeneratedPoolClassifier(np.arange(4), pools, "cosine")
+        cos = np.einsum("id,cnd->icn", x, pools) / (
+            np.linalg.norm(x, axis=1)[:, None, None] * np.linalg.norm(pools, axis=2)[None])
+        np.testing.assert_allclose(clf.scores(x), cos.max(axis=2), rtol=0, atol=1e-12)
+        scaled = ev.GeneratedPoolClassifier(np.arange(4), 0.3 * pools, "cosine")
+        np.testing.assert_allclose(scaled.scores(7.0 * x), clf.scores(x), rtol=0, atol=1e-12)
 
     def test_adversarial_shared_pool_breaks_ties_to_lowest_index(self):
         shared = np.tile(np.array([[1.0, 1.0]]), (4, 1))
