@@ -28,6 +28,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -423,18 +424,47 @@ def lipschitz_penalty_node(weights, activations, slope: float = 0.2) -> Node:
 
 
 class ParamStore:
-    """Named parameter tensors with deterministic (insertion) order."""
+    """Named parameter tensors with deterministic (insertion) order.
+
+    The tensors are views into one contiguous float64 vector, `flat`, laid
+    out in that order, so whole-store arithmetic (the Adam update) is one
+    vector operation. Values are copied in; `add` re-packs the vector, so
+    arrays read before an `add` no longer belong to the store.
+    """
 
     def __init__(self, items: Mapping[str, np.ndarray] | Iterable = ()):
+        pairs = [(name, as_tensor(value)) for name, value in
+                 (items.items() if isinstance(items, Mapping) else items)]
+        names = set()
+        for name, _ in pairs:
+            if name in names:
+                raise ValidationError(f"duplicate parameter name {name!r}")
+            names.add(name)
+        flat = np.concatenate([v.ravel() for _, v in pairs]) if pairs else np.zeros(0)
+        self._bind(flat, [(name, v.shape) for name, v in pairs])
+
+    def _bind(self, flat: np.ndarray, layout: list) -> None:
+        self.flat = flat
+        self._layout = layout
         self._data: dict[str, np.ndarray] = {}
-        pairs = items.items() if isinstance(items, Mapping) else items
-        for name, value in pairs:
-            self.add(name, value)
+        offset = 0
+        for name, shape in layout:
+            size = math.prod(shape)
+            self._data[name] = flat[offset:offset + size].reshape(shape)
+            offset += size
+
+    def _like(self, flat: np.ndarray) -> "ParamStore":
+        """A store with this one's names and shapes over the vector `flat`."""
+        out = ParamStore.__new__(ParamStore)
+        out._bind(flat, self._layout)
+        return out
 
     def add(self, name: str, value) -> None:
         if name in self._data:
             raise ValidationError(f"duplicate parameter name {name!r}")
-        self._data[name] = as_tensor(value)
+        value = as_tensor(value)
+        self._bind(np.concatenate((self.flat, value.ravel())),
+                   self._layout + [(name, value.shape)])
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._data[name]
@@ -455,19 +485,21 @@ class ParamStore:
         return self._data.items()
 
     def copy(self) -> "ParamStore":
-        return ParamStore((k, v.copy()) for k, v in self._data.items())
+        return self._like(self.flat.copy())
 
     def size(self) -> int:
-        return sum(v.size for v in self._data.values())
+        return self.flat.size
 
 
 class AdamState:
-    """First/second moment estimates plus the shared step counter; zero
-    moments for every parameter of `params`, or none without it."""
+    """First/second moment estimates over a store's flat vector plus the
+    shared step counter; zero moments for every parameter of `params`, or
+    none without it."""
 
     def __init__(self, params: ParamStore | None = None):
-        self.m = {k: np.zeros_like(v) for k, v in (params or {}).items()}
-        self.v = {k: np.zeros_like(v) for k, v in (params or {}).items()}
+        size = 0 if params is None else params.size()
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.step = 0
 
 
@@ -480,8 +512,8 @@ def adam_step(
     beta2: float = 0.9,
     eps: float = 1e-8,
 ) -> tuple[ParamStore, AdamState]:
-    """One bias-corrected Adam update. Returns fresh params and state; the
-    inputs are left untouched."""
+    """One bias-corrected Adam update, elementwise over the store's flat
+    vector. Returns fresh params and state; the inputs are left untouched."""
     if lr <= 0:
         raise ValidationError("lr must be positive")
     if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
@@ -490,31 +522,29 @@ def adam_step(
         g = grads.get(name)
         if g is None or g.shape != p.shape:
             raise DimensionError(f"gradient missing or mis-shaped for {name!r}")
+    if state.m.shape != params.flat.shape:
+        raise DimensionError("the Adam state does not fit the parameter store")
+    g = np.concatenate([grads[name].ravel() for name in params]) if len(params) \
+        else np.zeros(0)
 
     new = AdamState()
     new.step = state.step + 1
     t = new.step
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    out = ParamStore()
-    for name, p in params.items():
-        # in place on fresh temporaries (0-d parameters rebind instead): the
-        # same operations, bit for bit, as p - lr * (m / c1) / (sqrt(v / c2) + eps)
-        g = grads[name]
-        m = beta1 * state.m[name]
-        m += (1.0 - beta1) * g
-        v = g * g
-        v *= 1.0 - beta2
-        v += beta2 * state.v[name]
-        new.m[name] = m
-        new.v[name] = v
-        denom = np.sqrt(v / c2)
-        denom += eps
-        step = m / c1
-        step *= lr
-        step /= denom
-        out.add(name, p - step)
-    return out, new
+    # in place on fresh temporaries: the same operations, bit for bit, as
+    # p - lr * (m / c1) / (sqrt(v / c2) + eps)
+    new.m = beta1 * state.m
+    new.m += (1.0 - beta1) * g
+    new.v = g * g
+    new.v *= 1.0 - beta2
+    new.v += beta2 * state.v
+    denom = np.sqrt(new.v / c2)
+    denom += eps
+    step = new.m / c1
+    step *= lr
+    step /= denom
+    return params._like(params.flat - step), new
 
 
 def grad_scalar(

@@ -393,6 +393,71 @@ class TestAdam:
             assert state.step == expected
 
 
+    @staticmethod
+    def _mixed_rank_store(rng):
+        # the divergence store holds 0-d tensors next to the layers' 1-d and 2-d ones
+        return dm.ParamStore({"u_gamma": np.array(0.54), "W": rng.standard_normal((3, 2)),
+                              "b": rng.standard_normal(2), "u_beta": np.array(-0.3)})
+
+    def test_output_tensors_are_views_of_one_contiguous_vector(self):
+        rng = np.random.default_rng(51)
+        params = self._mixed_rank_store(rng)
+        grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        out, state = dm.adam_step(params, grads, dm.AdamState(params))
+        assert out.flat.flags.c_contiguous and out.flat.size == params.size() == 10
+        offset = 0
+        for name in params.names():
+            view = out[name]
+            assert view.shape == params[name].shape and view.base is out.flat
+            np.testing.assert_array_equal(view.ravel(), out.flat[offset:offset + view.size])
+            offset += view.size
+        assert state.m.shape == state.v.shape == (10,)
+
+    def test_inputs_are_left_untouched(self):
+        rng = np.random.default_rng(52)
+        params = self._mixed_rank_store(rng)
+        grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        state = dm.AdamState(params)
+        state.m += rng.standard_normal(10)
+        state.v += rng.uniform(size=10)
+        state.step = 3
+        before = (params.flat.copy(), state.m.copy(), state.v.copy())
+        snapshots = {k: v.copy() for k, v in params.items()}
+        out, new = dm.adam_step(params, grads, state)
+        for a, b in zip(before, (params.flat, state.m, state.v)):
+            np.testing.assert_array_equal(a, b)
+        assert state.step == 3 and new.step == 4
+        for name, value in snapshots.items():
+            np.testing.assert_array_equal(params[name], value)
+        assert not np.shares_memory(out.flat, params.flat)
+        assert not np.shares_memory(new.m, state.m) and not np.shares_memory(new.v, state.v)
+
+    def test_bit_identical_to_the_per_tensor_formula_on_mixed_ranks(self):
+        lr, b1, b2, eps = 0.001, 0.5, 0.9, 1e-8
+        rng = np.random.default_rng(53)
+        params = self._mixed_rank_store(rng)
+        state = dm.AdamState(params)
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v2 = {k: np.zeros_like(v) for k, v in ref.items()}
+        for t in range(1, 5):
+            grads = {k: rng.standard_normal(v.shape) for k, v in ref.items()}
+            params, state = dm.adam_step(params, grads, state, lr, b1, b2, eps)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v2[k] = b2 * v2[k] + (1.0 - b2) * (g * g)
+                ref[k] = ref[k] - lr * (m[k] / (1.0 - b1**t)) / (
+                    np.sqrt(v2[k] / (1.0 - b2**t)) + eps)
+            for k, value in ref.items():
+                assert params[k].shape == value.shape
+                np.testing.assert_array_equal(params[k], value)
+
+    def test_state_of_another_store_rejected(self):
+        params = dm.ParamStore({"w": np.ones(3)})
+        with pytest.raises(DimensionError):
+            dm.adam_step(params, {"w": np.ones(3)}, dm.AdamState(dm.ParamStore({"w": np.ones(2)})))
+
+
 class TestMinMaxNode:
     def test_forward_values(self):
         out = dm.minmax_normalize_node(dm.constant([2.0, 4.0, 6.0]))
