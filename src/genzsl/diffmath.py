@@ -12,11 +12,11 @@ terms read goes through the network once, each term reading its rows
 
 Second-order support is deliberately narrow. The only place a derivative of
 a derivative is needed is the critic's Lipschitz penalty, and there the
-input gradient of a leaky-rectifier stack has a closed form that can itself
-be written with first-order tape operations
-(:func:`critic_input_gradient`). One ordinary reverse sweep over that
-expression yields the penalty's parameter gradients, so no general
-higher-order machinery exists here.
+input gradient of a leaky-rectifier stack has a closed form
+(:func:`critic_input_gradient`), whose reverse map onto the weights is
+written out by hand. The penalty is one node over the weights
+(:func:`lipschitz_penalty_node`), so one ordinary reverse sweep yields its
+parameter gradients and no general higher-order machinery exists here.
 
 Conventions:
   * every value is a float64 ndarray (scalars are 0-d arrays);
@@ -156,20 +156,6 @@ def mul(a, b) -> Node:
     )
 
 
-def matmul(a, b) -> Node:
-    a, b = _lift(a), _lift(b)
-    return Node(
-        a.value @ b.value,
-        (a, b),
-        lambda g: (g @ b.value.T, a.value.T @ g),
-    )
-
-
-def transpose(a) -> Node:
-    a = _lift(a)
-    return Node(a.value.T, (a,), lambda g: (g.T,))
-
-
 def reshape(a, shape) -> Node:
     a = _lift(a)
     old = a.value.shape
@@ -216,11 +202,6 @@ def square(a) -> Node:
     return Node(a.value * a.value, (a,), lambda g: (2.0 * a.value * g,))
 
 
-def log(a) -> Node:
-    a = _lift(a)
-    return Node(np.log(a.value), (a,), lambda g: (g / a.value,))
-
-
 def softplus(a) -> Node:
     a = _lift(a)
     out = np.logaddexp(0.0, a.value)
@@ -228,16 +209,14 @@ def softplus(a) -> Node:
     return Node(out, (a,), lambda g: (g * sig,))
 
 
-def _gate(positive: np.ndarray, slope: float) -> np.ndarray:
+def leaky_gate(positive: np.ndarray, slope: float) -> np.ndarray:
     """The leaky rectifier's derivative factor: 1 where `positive`, else
-    `slope`. A table lookup, which beats a branchy `np.where` here."""
+    `slope`. For a slope in [0, 1] that is max(positive, slope), exactly;
+    otherwise a table lookup. Both beat a branchy `np.where` here."""
+    if 0.0 <= slope <= 1.0:
+        gate = positive.astype(np.float64)
+        return np.maximum(gate, slope, out=gate)
     return np.array((slope, 1.0)).take(positive.view(np.uint8))
-
-
-def leaky_relu(a, slope: float = 0.2) -> Node:
-    a = _lift(a)
-    gate = _gate(a.value > 0.0, slope)
-    return Node(a.value * gate, (a,), lambda g: (g * gate,))
 
 
 def softmax_rows(logits) -> Node:
@@ -256,33 +235,15 @@ def cross_entropy_rows(logits, onehot) -> Node:
     """Per-row negative log-likelihood of the one-hot targets, fused with the
     softmax for stability. Returns a length-B vector."""
     logits, onehot = _lift(logits), _lift(onehot)
-    z = logits.value - logits.value.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1)) + logits.value.max(axis=1)
+    top = logits.value.max(axis=1)
+    lse = np.log(np.exp(logits.value - top[:, None]).sum(axis=1)) + top
     nll = lse - (logits.value * onehot.value).sum(axis=1)
-    soft = np.exp(logits.value - lse[:, None])
 
     def vjp(g):
+        soft = np.exp(logits.value - lse[:, None])
         return ((soft - onehot.value) * g[:, None], None)
 
     return Node(nll, (logits, onehot), vjp)
-
-
-def row_norm(a) -> Node:
-    """Euclidean norm of each row. Rows with norm below 1e-12 get a zero
-    gradient (the norm is not differentiable at 0) and raise a degenerate
-    event; their forward value passes through unchanged."""
-    a = _lift(a)
-    n = np.sqrt((a.value * a.value).sum(axis=1))
-    degenerate = n < NORM_EPS
-    if degenerate.any():
-        events.record("degenerate_gradient_penalty")
-    safe = np.where(degenerate, 1.0, n)
-
-    def vjp(g):
-        scale = np.where(degenerate, 0.0, g / safe)
-        return (scale[:, None] * a.value,)
-
-    return Node(n, (a,), vjp)
 
 
 def row_norm_inv(a) -> Node:
@@ -329,7 +290,7 @@ def minmax_normalize_node(values) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# fused dense layers and the Lipschitz penalty
+# fused nodes: dense layers, the Lipschitz penalty, vector entries
 
 
 def dense(x, W, b=None, slope=None) -> Node:
@@ -343,7 +304,7 @@ def dense(x, W, b=None, slope=None) -> Node:
         b = _lift(b)
         z = z + b.value
         parents = (x, W, b)
-    gate = None if slope is None else _gate(z > 0.0, slope)
+    gate = None if slope is None else leaky_gate(z > 0.0, slope)
     out = z if gate is None else z * gate
 
     def vjp(g):
@@ -354,24 +315,6 @@ def dense(x, W, b=None, slope=None) -> Node:
         return grads if b is None else grads + (g.sum(axis=0),)
 
     return Node(out, parents, vjp)
-
-
-def dense_input_grad(g, W, gate=None) -> Node:
-    """`(g * gate) @ W.T`, the reverse map of a dense layer onto its input,
-    as one tape node that is itself differentiable in `g` and `W` (the gate
-    is a constant array of the shape of `g`)."""
-    g, W = _lift(g), _lift(W)
-    gg = g.value if gate is None else g.value * gate
-
-    def vjp(u):
-        gu = None
-        if not g.const:
-            gu = u @ W.value
-            if gate is not None:
-                gu = gu * gate
-        return (gu, None if W.const else u.T @ gg)
-
-    return Node(gg @ W.value.T, (g, W), vjp)
 
 
 def row_slice(a, start: int, stop: int) -> Node:
@@ -390,33 +333,73 @@ def row_slice(a, start: int, stop: int) -> Node:
 
 def critic_input_gradient(weights, activations, slope: float = 0.2) -> Node:
     """Input gradient of a scalar critic made of leaky-rectified dense layers
-    and a linear head, as a tape expression.
+    and a linear head, as one tape node over the weights.
 
     `weights` are the weight matrices from the input to the head, and
     `activations` the input rows followed by each hidden layer's output at
     those rows, as plain arrays. A rectifier with a non-negative slope keeps
     the sign of its input, so each layer's gate is read off its output; the
-    gate is piecewise constant, so it enters the expression as a constant.
-    A reverse sweep over anything derived from the result (such as the
-    Lipschitz penalty) yields its gradients with respect to the weights.
+    gate is piecewise constant, so the reverse map treats it as a constant.
+    With a_L = 1 w^T and a_(i-1) = (a_i * gate_i) W_i^T, the value is a_0,
+    and the reverse map takes an upstream gradient on a_0 onto every weight
+    matrix in closed form.
     """
     if len(weights) != len(activations):
         raise DimensionError(f"{len(weights)} weight matrices for "
                              f"{len(activations)} layer inputs")
-    head = _lift(weights[-1])
-    if head.value.ndim != 2 or head.value.shape[1] != 1:
-        raise DimensionError(f"critic head must have output width 1, got {head.value.shape}")
-    g = dense_input_grad(constant(np.ones((len(activations[0]), 1))), head)
+    weights = [_lift(W) for W in weights]
+    head = weights[-1].value
+    if head.ndim != 2 or head.shape[1] != 1:
+        raise DimensionError(f"critic head must have output width 1, got {head.shape}")
+    a = np.repeat(head.T, len(activations[0]), axis=0)  # 1 w^T, exactly
+    gated, gates = [], []  # each layer's (a_i * gate_i) and gate_i, head side first
     for W, h in zip(reversed(weights[:-1]), reversed(activations[1:])):
-        g = dense_input_grad(g, W, _gate(h > 0.0, slope))
-    return g
+        gates.append(leaky_gate(h > 0.0, slope))
+        gated.append(a * gates[-1])
+        a = gated[-1] @ W.value.T
+
+    def vjp(u):
+        grads = []
+        for W, c, gate in zip(weights[:-1], reversed(gated), reversed(gates)):
+            grads.append(u.T @ c)
+            u = (u @ W.value) * gate
+        return tuple(grads) + (u.sum(axis=0)[:, None],)
+
+    return Node(a, tuple(weights), vjp)
 
 
 def lipschitz_penalty_node(weights, activations, slope: float = 0.2) -> Node:
-    """Mean squared deviation of the critic's input-gradient norm from 1;
-    the arguments are those of :func:`critic_input_gradient`."""
+    """Mean squared deviation of the critic's input-gradient norm from 1, as
+    one tape node over the weights. The arguments are those of
+    :func:`critic_input_gradient`, and the reverse map runs that node's.
+    Rows whose input gradient has norm below 1e-12 keep their value but get
+    a zero gradient (the norm is not differentiable at 0) and raise a
+    degenerate event."""
     g = critic_input_gradient(weights, activations, slope)
-    return vmean(square(sub(row_norm(g), 1.0)))
+    rows = g.value
+    norm = np.sqrt((rows * rows).sum(axis=1))
+    degenerate = norm < NORM_EPS
+    if degenerate.any():
+        events.record("degenerate_gradient_penalty")
+    dev = norm - 1.0
+    scale = np.where(degenerate, 0.0, 2.0 * dev / (len(rows) * np.where(degenerate, 1.0, norm)))
+    return Node(np.asarray((dev * dev).mean()), g.parents,
+                lambda u: g.vjp((u * scale)[:, None] * rows))
+
+
+def entries(vector: Node) -> list[Node]:
+    """One scalar node per entry of a vector node; the upstream gradient of
+    entry i lands on position i of the vector's gradient."""
+    size = len(vector.value)
+
+    def pick(i):
+        def vjp(g):
+            out = np.zeros(size)
+            out[i] = g
+            return (out,)
+        return Node(np.asarray(vector.value[i]), (vector,), vjp)
+
+    return [pick(i) for i in range(size)]
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +547,10 @@ def grad_scalar(
     if not np.isfinite(out.value):
         raise NumericOverflowError("loss evaluated to a non-finite value")
     backward(out)
-    grads = {}
-    for name, node in leaves.items():
-        g = node.grad if node.grad is not None else np.zeros_like(node.value)
-        if not np.all(np.isfinite(g)):
-            raise NumericOverflowError(f"non-finite gradient for parameter {name!r}")
-        grads[name] = g
+    grads = {name: node.grad if node.grad is not None else np.zeros_like(node.value)
+             for name, node in leaves.items()}
+    # one check over every entry; the per-parameter scan only names the culprit
+    if grads and not np.isfinite(np.concatenate([g.ravel() for g in grads.values()])).all():
+        name = next(k for k, g in grads.items() if not np.isfinite(g).all())
+        raise NumericOverflowError(f"non-finite gradient for parameter {name!r}")
     return grads

@@ -1,4 +1,4 @@
-"""Every training objective, as tape expressions.
+"""Every training objective, as named terms on the tape.
 
 Generator side:
     L_G = creativity
@@ -26,10 +26,12 @@ semantic-guided scores; the critic terms are identical either way. A
 builder stacks the batches that its critic and head terms read, runs the
 critic's trunk once on them, and each term reads its own rows. Each
 builder returns a dictionary of named term Nodes, and :func:`total` sums
-them into the scalar that training differentiates. Builders accept parameter
-maps whose values are tape Nodes (live) or plain arrays (frozen), so the same
-code serves generator steps, discriminator steps, gradient checks, and plain
-evaluation (read `.value` off each term).
+them into the scalar that training differentiates. The generator's terms
+are tape expressions; the discriminator's are computed in closed form,
+gradients included, and enter the tape as the entries of one node.
+Builders accept parameter maps whose values are tape Nodes (live) or plain
+arrays (frozen), so the same code serves generator steps, discriminator
+steps, gradient checks, and plain evaluation (read `.value` off each term).
 """
 
 from __future__ import annotations
@@ -287,7 +289,8 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
                             x_fake, fake_y, x_tilde, cfg: LossConfig, x_h=None,
                             reduced_seen=None,
                             div_values: tuple[float, float] | None = None) -> dict[str, dm.Node]:
-    """All discriminator-side terms.
+    """All discriminator-side terms, computed in closed form and entered on
+    the tape as one node.
 
     The generations enter frozen: `x_fake` with its labels `fake_y`, the
     interpolates `x_tilde`, and, when a hallucinated term is on, `x_h`.
@@ -297,7 +300,11 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
     The rows [real; fake; (x_h); interpolates] go through the trunk in one
     pass. The critic score and the active head read row slices of the
     shared features, and the gradient penalty reads the trunk's layer
-    outputs at the interpolate rows.
+    outputs at the interpolate rows. The node's value is the vector of term
+    values and its parents are the critic's parameters; its reverse map
+    runs one hand-written backward pass through the heads, the score and
+    the trunk for any weighting of the terms. Each returned term is one
+    entry of that node.
     """
     arch = disc.arch
     n_real, n_fake = len(real_x), len(x_fake)
@@ -312,33 +319,109 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
     lo_h = n_real + n_fake        # first hallucinated row
     lo_t = sum(map(len, blocks))  # first interpolate row
     rows = np.vstack(blocks + [x_tilde])
+    leaves = {k: dm._lift(v) for k, v in disc_map.items()}
+    p = {k: v.value for k, v in leaves.items()}
 
-    hidden = mo.trunk_features(disc_map, arch, dm.constant(rows))
+    hidden, gates = [rows], []
+    for i in range(arch.n_hidden):
+        z = hidden[-1] @ p[f"trunk{i}.W"] + p[f"trunk{i}.b"]
+        gates.append(dm.leaky_gate(z > 0.0, arch.leak))
+        hidden.append(z * gates[-1])
     feat = hidden[-1]
-    score = mo.real_score(disc_map, feat)
+    score = feat @ p["real.W"] + p["real.b"]
     n_head = lo_t if cfg.creativity_on_discriminator else lo_h
-    head = _head_scores(disc_map, dm.row_slice(feat, 0, n_head), disc.segc, cfg, reduced_seen)
-
-    terms: dict[str, dm.Node] = {}
-    terms["critic_fake"] = dm.vmean(dm.row_slice(score, n_real, lo_h))
-    terms["critic_real"] = dm.neg(dm.vmean(dm.row_slice(score, 0, n_real)))
-    terms["gradient_penalty"] = dm.lipschitz_penalty_node(
-        mo.critic_weights(disc_map, arch),
-        [rows[lo_t:]] + [h.value[lo_t:] for h in hidden], arch.leak)
-
+    head, head_vjp = _head_closed_form(p, feat[:n_head], disc.segc, cfg, reduced_seen)
+    weight_names = mo.critic_weight_names(arch)
+    penalty = dm.lipschitz_penalty_node([p[k] for k in weight_names],
+                                        [h[lo_t:] for h in hidden], arch.leak)
     onehot = _onehot(np.concatenate((real_y, fake_y)), disc.n_logits, disc.k_seen)
-    ce = dm.cross_entropy_rows(dm.row_slice(head, 0, lo_h), dm.constant(onehot))
-    terms["cls_real"] = dm.mul(0.5, dm.vmean(dm.row_slice(ce, 0, n_real)))
-    terms["cls_fake"] = dm.mul(0.5, dm.vmean(dm.row_slice(ce, n_real, lo_h)))
+    ce = dm.cross_entropy_rows(dm.constant(head[:lo_h]), dm.constant(onehot))
 
+    values = {
+        "critic_fake": score[n_real:lo_h].mean(),
+        "critic_real": -score[:n_real].mean(),
+        "gradient_penalty": penalty.value,
+        "cls_real": 0.5 * ce.value[:n_real].mean(),
+        "cls_fake": 0.5 * ce.value[n_real:lo_h].mean(),
+    }
     if cfg.rf_hallucinated:
         # hallucinated generations are pushed down as fakes
-        terms["critic_hallucinated"] = dm.vmean(dm.row_slice(score, lo_h, lo_t))
+        values["critic_hallucinated"] = score[lo_h:lo_t].mean()
     if cfg.creativity_on_discriminator:
-        gamma, beta = dm.constant(div_values[0]), dm.constant(div_values[1])
-        terms["entropy_on_disc"] = _entropy_term(dm.row_slice(head, lo_h, lo_t), cfg,
-                                                 gamma, beta)
-    return terms
+        # the tape's own nodes on constants; their reverse maps are called below
+        probs = dm.softmax_rows(dm.constant(head[lo_h:lo_t]))
+        div_rows = divergence_rows_node(probs, dm.constant(div_values[0]),
+                                        dm.constant(div_values[1]), cfg.divergence)
+        normalized = dm.minmax_normalize_node(div_rows)
+        values["entropy_on_disc"] = cfg.lambda_creativity * normalized.value.mean()
+
+    def vjp(u):
+        w = dict(zip(values, u))
+        d_score = np.zeros_like(score)
+        d_score[:n_real] = -w["critic_real"] / n_real
+        d_score[n_real:lo_h] = w["critic_fake"] / n_fake
+        d_ce = np.empty(lo_h)
+        d_ce[:n_real] = 0.5 * w["cls_real"] / n_real
+        d_ce[n_real:] = 0.5 * w["cls_fake"] / n_fake
+        d_head = np.zeros_like(head)
+        d_head[:lo_h] = ce.vjp(d_ce)[0]
+        if cfg.rf_hallucinated:
+            d_score[lo_h:lo_t] = w["critic_hallucinated"] / (lo_t - lo_h)
+        if cfg.creativity_on_discriminator:
+            d = np.full(lo_t - lo_h, cfg.lambda_creativity * w["entropy_on_disc"] / (lo_t - lo_h))
+            d_head[lo_h:lo_t] = probs.vjp(div_rows.vjp(normalized.vjp(d)[0])[0])[0]
+
+        d_feat_head, grads = head_vjp(d_head)
+        d_feat = d_score * p["real.W"][:, 0]  # an outer product, not a matmul
+        d_feat[:n_head] += d_feat_head
+        grads["real.W"] = feat.T @ d_score
+        grads["real.b"] = d_score.sum(axis=0)
+        for i in reversed(range(arch.n_hidden)):
+            dz = d_feat * gates[i]
+            grads[f"trunk{i}.W"] = hidden[i].T @ dz
+            grads[f"trunk{i}.b"] = dz.sum(axis=0)
+            if i:  # the input rows are data
+                d_feat = dz @ p[f"trunk{i}.W"].T
+        for name, g in zip(weight_names, penalty.vjp(w["gradient_penalty"])):
+            grads[name] += g
+        return tuple(grads.get(k) for k in leaves)
+
+    node = dm.Node(np.array(list(values.values())), tuple(leaves.values()), vjp)
+    return dict(zip(values, dm.entries(node)))
+
+
+def _head_closed_form(p, feat, segc, cfg, reduced_seen):
+    """Scores of the active head on plain trunk features, and the map from
+    an upstream gradient on the scores to (feature gradient, {head parameter:
+    gradient}); the closed form of :func:`_head_scores`."""
+    if not segc:
+        W = p["cls.W"]
+
+        def cls_vjp(d):
+            return d @ W.T, {"cls.W": feat.T @ d, "cls.b": d.sum(axis=0)}
+
+        return feat @ W + p["cls.b"], cls_vjp
+    if reduced_seen is None:
+        raise ValidationError("semantic-guided scoring needs the reduced class table")
+    T = dm.as_tensor(reduced_seen)
+    W = p["segc.W"]
+    proj = feat @ W
+    raw = proj @ T.T
+    scores = raw
+    if cfg.segc_normalized:
+        inv_rows = dm.row_norm_inv(dm.constant(proj))
+        col = mo.descriptor_scale(T, cfg.eta)
+        scores = raw * inv_rows.value[:, None] * col[None, :]
+
+    def segc_vjp(d):
+        if not cfg.segc_normalized:
+            d_proj = d @ T
+        else:
+            d_proj = (d * inv_rows.value[:, None] * col[None, :]) @ T
+            d_proj += inv_rows.vjp((d * raw * col[None, :]).sum(axis=1))[0]
+        return d_proj @ W.T, {"segc.W": feat.T @ d_proj}
+
+    return scores, segc_vjp
 
 
 # ---------------------------------------------------------------------------

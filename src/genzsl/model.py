@@ -160,10 +160,10 @@ def trunk_features(params, arch: ArchSpec, x) -> list[dm.Node]:
     return hidden
 
 
-def critic_weights(params, arch: ArchSpec) -> list:
-    """The critic's weight matrices from the input to the score head, in
-    the order :func:`diffmath.critic_input_gradient` takes them."""
-    return [params[f"trunk{i}.W"] for i in range(arch.n_hidden)] + [params["real.W"]]
+def critic_weight_names(arch: ArchSpec) -> list[str]:
+    """Names of the critic's weight matrices from the input to the score
+    head, in the order :func:`diffmath.critic_input_gradient` takes them."""
+    return [f"trunk{i}.W" for i in range(arch.n_hidden)] + ["real.W"]
 
 
 def real_score(params, feat) -> dm.Node:
@@ -188,13 +188,19 @@ def segc_score_node(W, feat, reduced_T, normalized: bool = False, eta: float = 1
         return scores
     if eta <= 0:
         raise ValidationError("eta must be positive under normalization")
+    inv_rows = dm.reshape(dm.row_norm_inv(proj), (-1, 1))
+    return dm.mul(dm.mul(scores, inv_rows), dm.constant(descriptor_scale(T, eta)[None, :]))
+
+
+def descriptor_scale(T, eta: float) -> np.ndarray:
+    """eta^2 / ||t_c|| per class descriptor row of `T`: the column factor of
+    the normalized semantic-guided scores. Zero-norm descriptors get 0 and
+    raise a degenerate event."""
     t_norms = np.sqrt((T * T).sum(axis=1))
     degenerate = t_norms < dm.NORM_EPS
     if degenerate.any():
         events.record("degenerate_zero_norm")
-    inv_t = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, t_norms))
-    inv_rows = dm.reshape(dm.row_norm_inv(proj), (-1, 1))
-    return dm.mul(dm.mul(scores, inv_rows), dm.constant(eta * eta * inv_t[None, :]))
+    return eta * eta * np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, t_norms))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Shared oracles: finite differences for gradient checks, and the
-multi-pass critic composition that the program's stacked critic pass must
-reproduce.
+"""Shared oracles: finite differences for gradient checks, the tape
+operations that only the oracles compose, the tape composition of the
+critic step that the program computes in closed form, and the multi-pass
+critic composition that the program's stacked critic pass must reproduce.
 
 Central differences at h=1e-5 on float64 keep the truncation and roundoff
 error orders of magnitude below the tolerances asserted in the tests, so a
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 import genzsl.diffmath as dm
+from genzsl import events
 import genzsl.losses as ls
 import genzsl.model as mo
 from genzsl.diffmath import ParamStore
@@ -80,6 +82,129 @@ def random_direction(params: ParamStore, rng) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# tape operations that only the oracles compose
+
+
+def matmul(a, b):
+    a, b = dm._lift(a), dm._lift(b)
+    return dm.Node(a.value @ b.value, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
+
+
+def transpose(a):
+    a = dm._lift(a)
+    return dm.Node(a.value.T, (a,), lambda g: (g.T,))
+
+
+def log(a):
+    a = dm._lift(a)
+    return dm.Node(np.log(a.value), (a,), lambda g: (g / a.value,))
+
+
+def leaky_relu(a, slope=0.2):
+    a = dm._lift(a)
+    gate = dm.leaky_gate(a.value > 0.0, slope)
+    return dm.Node(a.value * gate, (a,), lambda g: (g * gate,))
+
+
+def row_norm(a):
+    """Euclidean norm of each row. Rows with norm below 1e-12 get a zero
+    gradient and raise a degenerate event; their value passes through."""
+    a = dm._lift(a)
+    n = np.sqrt((a.value * a.value).sum(axis=1))
+    degenerate = n < dm.NORM_EPS
+    if degenerate.any():
+        events.record("degenerate_gradient_penalty")
+    safe = np.where(degenerate, 1.0, n)
+
+    def vjp(g):
+        scale = np.where(degenerate, 0.0, g / safe)
+        return (scale[:, None] * a.value,)
+
+    return dm.Node(n, (a,), vjp)
+
+
+def dense_input_grad(g, W, gate=None):
+    """`(g * gate) @ W.T`, the reverse map of a dense layer onto its input,
+    as one tape node that is itself differentiable in `g` and `W` (the gate
+    is a constant array of the shape of `g`)."""
+    g, W = dm._lift(g), dm._lift(W)
+    gg = g.value if gate is None else g.value * gate
+
+    def vjp(u):
+        gu = None
+        if not g.const:
+            gu = u @ W.value
+            if gate is not None:
+                gu = gu * gate
+        return (gu, None if W.const else u.T @ gg)
+
+    return dm.Node(gg @ W.value.T, (g, W), vjp)
+
+
+# ---------------------------------------------------------------------------
+# the critic step as a tape expression
+#
+# The program computes the discriminator terms in closed form and enters
+# them on the tape as one node. This oracle keeps the tape composition it
+# replaced: the stacked trunk pass on fused dense nodes, the heads and
+# cross-entropies as tape nodes, and the penalty built from the input
+# gradient's tape expression.
+
+
+def critic_input_gradient_tape(weights, activations, slope=0.2):
+    """The input gradient of `diffmath.critic_input_gradient`, composed from
+    `dense_input_grad` nodes."""
+    g = dense_input_grad(dm.constant(np.ones((len(activations[0]), 1))), weights[-1])
+    for W, h in zip(reversed(weights[:-1]), reversed(activations[1:])):
+        g = dense_input_grad(g, W, dm.leaky_gate(h > 0.0, slope))
+    return g
+
+
+def penalty_tape(weights, activations, slope=0.2):
+    g = critic_input_gradient_tape(weights, activations, slope)
+    return dm.vmean(dm.square(dm.sub(row_norm(g), 1.0)))
+
+
+def discriminator_terms_tape(disc_map, disc, real_x, real_y, x_fake, fake_y, x_tilde, cfg,
+                             x_h=None, reduced_seen=None, div_values=None):
+    """The discriminator terms with one stacked critic pass on the tape."""
+    arch = disc.arch
+    n_real, n_fake = len(real_x), len(x_fake)
+    hallu = cfg.rf_hallucinated or cfg.creativity_on_discriminator
+    blocks = [real_x, x_fake] + ([x_h] if hallu else [])
+    lo_h = n_real + n_fake
+    lo_t = sum(map(len, blocks))
+    rows = np.vstack(blocks + [x_tilde])
+
+    hidden = mo.trunk_features(disc_map, arch, dm.constant(rows))
+    feat = hidden[-1]
+    score = mo.real_score(disc_map, feat)
+    n_head = lo_t if cfg.creativity_on_discriminator else lo_h
+    head = ls._head_scores(disc_map, dm.row_slice(feat, 0, n_head), disc.segc, cfg,
+                           reduced_seen)
+
+    terms = {}
+    terms["critic_fake"] = dm.vmean(dm.row_slice(score, n_real, lo_h))
+    terms["critic_real"] = dm.neg(dm.vmean(dm.row_slice(score, 0, n_real)))
+    terms["gradient_penalty"] = penalty_tape(
+        [disc_map[k] for k in mo.critic_weight_names(arch)],
+        [rows[lo_t:]] + [h.value[lo_t:] for h in hidden], arch.leak)
+
+    onehot = np.eye(disc.n_logits)[np.concatenate((real_y, fake_y))]
+    ce = dm.cross_entropy_rows(dm.row_slice(head, 0, lo_h), dm.constant(onehot))
+    terms["cls_real"] = dm.mul(0.5, dm.vmean(dm.row_slice(ce, 0, n_real)))
+    terms["cls_fake"] = dm.mul(0.5, dm.vmean(dm.row_slice(ce, n_real, lo_h)))
+
+    if cfg.rf_hallucinated:
+        terms["critic_hallucinated"] = dm.vmean(dm.row_slice(score, lo_h, lo_t))
+    if cfg.creativity_on_discriminator:
+        gamma, beta = dm.constant(div_values[0]), dm.constant(div_values[1])
+        terms["entropy_on_disc"] = _entropy_oracle(dm.row_slice(head, lo_h, lo_t), cfg,
+                                                   gamma, beta)
+    return terms
+
+
+# ---------------------------------------------------------------------------
 # the multi-pass critic, composed from primitive tape operations
 #
 # The program runs the critic once per batch on fused dense nodes. These
@@ -92,8 +217,8 @@ def affine_stack(x, layers, slope=0.2):
     """Forward pass of (W, b, "leaky" | "linear") layers."""
     h = dm._lift(x)
     for W, b, act in layers:
-        z = dm.add(dm.matmul(h, dm._lift(W)), dm._lift(b))
-        h = dm.leaky_relu(z, slope) if act == "leaky" else z
+        z = dm.add(matmul(h, dm._lift(W)), dm._lift(b))
+        h = leaky_relu(z, slope) if act == "leaky" else z
     return h
 
 
@@ -103,20 +228,20 @@ def affine_stack_with_input_gradient(x, layers, slope=0.2):
     h = dm._lift(x)
     pre = []
     for W, b, act in layers:
-        z = dm.add(dm.matmul(h, dm._lift(W)), dm._lift(b))
-        h = dm.leaky_relu(z, slope) if act == "leaky" else z
+        z = dm.add(matmul(h, dm._lift(W)), dm._lift(b))
+        h = leaky_relu(z, slope) if act == "leaky" else z
         pre.append((z, dm._lift(W), act))
     g = dm.constant(np.ones((len(h.value), 1)))
     for z, W, act in reversed(pre):
         if act == "leaky":
             g = dm.mul(g, dm.constant(np.where(z.value > 0.0, 1.0, slope)))
-        g = dm.matmul(g, dm.transpose(W))
+        g = matmul(g, transpose(W))
     return h, g
 
 
 def penalty_oracle(x, layers, slope=0.2):
     _, g = affine_stack_with_input_gradient(x, layers, slope)
-    return dm.vmean(dm.square(dm.sub(dm.row_norm(g), 1.0)))
+    return dm.vmean(dm.square(dm.sub(row_norm(g), 1.0)))
 
 
 def critic_layers(params, arch):
@@ -128,19 +253,19 @@ def critic_layers(params, arch):
 
 def generator_oracle(params, arch, t, z):
     def affine(h, name):
-        return dm.add(dm.matmul(h, params[f"{name}.W"]), params[f"{name}.b"])
+        return dm.add(matmul(h, params[f"{name}.W"]), params[f"{name}.b"])
 
-    h = dm.concat_cols(dm.leaky_relu(affine(dm.constant(t), "reduce"), arch.leak),
+    h = dm.concat_cols(leaky_relu(affine(dm.constant(t), "reduce"), arch.leak),
                        dm.constant(z))
     for i in range(arch.n_hidden):
-        h = dm.leaky_relu(affine(h, f"h{i}"), arch.leak)
+        h = leaky_relu(affine(h, f"h{i}"), arch.leak)
     return affine(h, "out")
 
 
 def _head_oracle(disc_map, disc, x, cfg, table):
     feat = affine_stack(x, critic_layers(disc_map, disc.arch)[:-1], disc.arch.leak)
     if not disc.segc:
-        return dm.add(dm.matmul(feat, disc_map["cls.W"]), disc_map["cls.b"])
+        return dm.add(matmul(feat, disc_map["cls.W"]), disc_map["cls.b"])
     return mo.segc_score_node(disc_map["segc.W"], feat, table, cfg.segc_normalized, cfg.eta)
 
 

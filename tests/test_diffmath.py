@@ -4,14 +4,15 @@ import pytest
 import genzsl.diffmath as dm
 from genzsl import events
 from genzsl.errors import DimensionError, NumericOverflowError, ValidationError
-from helpers import (affine_stack, affine_stack_with_input_gradient, directional_derivative,
-                     numeric_grad_params, penalty_oracle, random_direction, rel_err)
+from helpers import (affine_stack, affine_stack_with_input_gradient, dense_input_grad,
+                     directional_derivative, leaky_relu, log, matmul, numeric_grad_params,
+                     penalty_oracle, random_direction, rel_err, transpose)
 
 
 def mlp_loss(leaves, x, y):
     """Tiny two-layer perceptron with a softmax head, as one tape expression."""
-    h = dm.leaky_relu(dm.add(dm.matmul(dm.constant(x), leaves["W1"]), leaves["b1"]))
-    logits = dm.add(dm.matmul(h, leaves["W2"]), leaves["b2"])
+    h = leaky_relu(dm.add(matmul(dm.constant(x), leaves["W1"]), leaves["b1"]))
+    logits = dm.add(matmul(h, leaves["W2"]), leaves["b2"])
     return dm.vmean(dm.cross_entropy_rows(logits, dm.constant(y)))
 
 
@@ -62,7 +63,17 @@ class TestGradScalar:
     def test_nonfinite_loss_raises(self):
         params = dm.ParamStore({"w": np.array([-1.0])})
         with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError):
-            dm.grad_scalar(lambda lv: dm.vsum(dm.log(lv["w"])), params)
+            dm.grad_scalar(lambda lv: dm.vsum(log(lv["w"])), params)
+
+    def test_nonfinite_gradient_names_its_parameter(self):
+        params = dm.ParamStore({"a": np.ones(2), "b": np.ones(3), "c": np.ones(1)})
+
+        def build(lv):
+            bad = dm.Node(np.asarray(1.0), (lv["b"],), lambda g: (np.array([0.0, np.nan, 1.0]),))
+            return dm.add(dm.vsum(lv["a"]), bad)
+
+        with pytest.raises(NumericOverflowError, match="parameter 'b'"):
+            dm.grad_scalar(build, params)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -82,7 +93,7 @@ class TestGradScalar:
 
 class TestLeakyRectifier:
     def test_negative_slope_branch_at_zero(self):
-        node = dm.leaky_relu(dm.leaf(np.array([[0.0, -1.0, 2.0]])), slope=0.2)
+        node = leaky_relu(dm.leaf(np.array([[0.0, -1.0, 2.0]])), slope=0.2)
         dm.backward(dm.vsum(node))
         np.testing.assert_allclose(node.parents[0].grad, [[0.2, 0.2, 1.0]])
 
@@ -120,11 +131,11 @@ class TestFusedNodes:
             return dm.vsum(dm.mul(out, dm.constant(weights)))
 
         def composed(lv):
-            out = dm.matmul(dm.constant(x), lv["W"])
+            out = matmul(dm.constant(x), lv["W"])
             if bias:
                 out = dm.add(out, lv["b"])
             if slope is not None:
-                out = dm.leaky_relu(out, slope)
+                out = leaky_relu(out, slope)
             return dm.vsum(dm.mul(out, dm.constant(weights)))
 
         v_f, g_f = self._both(fused, params)
@@ -159,11 +170,11 @@ class TestFusedNodes:
         weights = rng.standard_normal((5, 4))
 
         def fused(lv):
-            out = dm.dense_input_grad(lv["g"], lv["W"], gate)
+            out = dense_input_grad(lv["g"], lv["W"], gate)
             return dm.vsum(dm.mul(dm.square(out), dm.constant(weights)))
 
         def composed(lv):
-            out = dm.matmul(dm.mul(lv["g"], dm.constant(gate)), dm.transpose(lv["W"]))
+            out = matmul(dm.mul(lv["g"], dm.constant(gate)), transpose(lv["W"]))
             return dm.vsum(dm.mul(dm.square(out), dm.constant(weights)))
 
         v_f, g_f = self._both(fused, params)
@@ -207,7 +218,7 @@ class TestFusedNodes:
     def test_gate_lookup_matches_branching_select(self):
         z = np.random.default_rng(35).standard_normal((192, 64))
         z[0, :3] = (0.0, -0.0, 1e-300)
-        node = dm.leaky_relu(dm.leaf(z), slope=0.2)
+        node = leaky_relu(dm.leaf(z), slope=0.2)
         dm.backward(dm.vsum(node))
         gate = np.where(z > 0.0, 1.0, 0.2)
         np.testing.assert_array_equal(node.value, z * gate)
