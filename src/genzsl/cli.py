@@ -308,15 +308,7 @@ def _add_checkpoint_flags(p: argparse.ArgumentParser) -> None:
                    default="precision")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="genzsl",
-        description="Generative zero-shot learning toolkit (synthesis, training, "
-                    "evaluation, sweeps, ablations, retrieval)")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="write a synthetic benchmark dataset")
+def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory (becomes the dataset directory)")
     p.add_argument("--k-seen", type=int, default=8, dest="k_seen")
     p.add_argument("--k-unseen", type=int, default=4, dest="k_unseen")
@@ -327,41 +319,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semantic-noise", type=float, default=0.0, dest="semantic_noise")
     p.add_argument("--split", choices=("easy", "hard"), default="easy")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train on a dataset directory")
-    _add_training_flags(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
+def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     _add_checkpoint_flags(p)
     p.add_argument("--metric", choices=("euclidean", "cosine"), default="euclidean")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="cross-validate the creativity weight")
+
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     _add_training_flags(p)
     p.add_argument("--lambda-grid", type=float, nargs="+", dest="lambda_grid")
     p.add_argument("--seeds", type=int, nargs="+")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("ablate", help="run a named ablation suite")
+
+def _add_ablate_flags(p: argparse.ArgumentParser) -> None:
     _add_training_flags(p)
-    p.add_argument("--suite", required=True,
-                   choices=sorted(tr.ABLATION_SUITES))
+    p.add_argument("--suite", required=True, choices=sorted(tr.ABLATION_SUITES))
     p.add_argument("--seeds", type=int, nargs="+")
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("retrieve", help="zero-shot retrieval scores")
+
+def _add_retrieve_flags(p: argparse.ArgumentParser) -> None:
     _add_checkpoint_flags(p)
     p.add_argument("--fractions", type=float, nargs="+", default=[0.25, 0.5, 1.0])
-    p.set_defaults(func=cmd_retrieve)
 
+
+# name: (help line, flag builder, handler)
+COMMANDS = {
+    "synth": ("write a synthetic benchmark dataset", _add_synth_flags, cmd_synth),
+    "train": ("train on a dataset directory", _add_training_flags, cmd_train),
+    "eval": ("evaluate a checkpoint on a dataset", _add_eval_flags, cmd_eval),
+    "sweep": ("cross-validate the creativity weight", _add_sweep_flags, cmd_sweep),
+    "ablate": ("run a named ablation suite", _add_ablate_flags, cmd_ablate),
+    "retrieve": ("zero-shot retrieval scores", _add_retrieve_flags, cmd_retrieve),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `genzsl`. Every command is listed, but only the flags
+    of `command` are built: building all six commands' flags would cost
+    about a third of a short command's run time."""
+    parser = argparse.ArgumentParser(
+        prog="genzsl",
+        description="Generative zero-shot learning toolkit (synthesis, training, "
+                    "evaluation, sweeps, ablations, retrieval)")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level options take no value, so the first other word is the command
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     ctx = RunContext(args, args.command)
     try:
         args.func(args, ctx)

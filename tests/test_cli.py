@@ -6,6 +6,7 @@ import pytest
 
 import genzsl.dataio as io
 import genzsl.training as tr
+from genzsl import cli
 from genzsl.cli import main
 
 SMALL_DS = ["--k-seen", "5", "--k-unseen", "2", "--visual-dim", "8",
@@ -263,3 +264,69 @@ class TestOutDirDiscipline:
         monkeypatch.setenv("GENZSL_OUT", str(target))
         assert main(["train", "--data", ds, *SMALL_TRAIN]) == 0
         assert (target / "history.csv").exists()
+
+
+TRAINING_DEFAULTS = dict(out=None, config=None, set=None, steps=None, seed=None,
+                         batch_size=None, policy=None, lam=None)
+
+# one representative command line per subcommand, and the namespace it parsed
+# to when the parser built every subcommand's flags
+PARSED = [
+    (["synth", "--out", "d", "--k-seen", "5", "--split", "hard", "--cluster-spread", "0.3"],
+     dict(command="synth", func="cmd_synth", out="d", k_seen=5, k_unseen=4, visual_dim=32,
+          semantic_dim=16, samples_per_class=200, cluster_spread=0.3, semantic_noise=0.0,
+          split="hard", seed=0)),
+    (["train", "--data", "d", "--out", "o", "--config", "c.json", "--set", "a=1", "--set",
+      "b=2", "--steps", "4", "--seed", "7", "--batch-size", "8", "--policy", "all",
+      "--lambda", "0.5"],
+     dict(command="train", func="cmd_train", data="d", out="o", config="c.json",
+          set=["a=1", "b=2"], steps=4, seed=7, batch_size=8, policy="all", lam=0.5)),
+    (["eval", "--checkpoint", "k", "--data", "d", "--metric", "cosine", "--method",
+      "average_precision"],
+     dict(command="eval", func="cmd_eval", checkpoint="k", data="d", out=None, seed=None,
+          n_generate=60, method="average_precision", metric="cosine")),
+    (["sweep", "--data", "d", "--lambda-grid", "0.1", "1", "--seeds", "1", "2",
+      "--workers", "2"],
+     dict(TRAINING_DEFAULTS, command="sweep", func="cmd_sweep", data="d",
+          lambda_grid=[0.1, 1.0], seeds=[1, 2], workers=2)),
+    (["ablate", "--data", "d", "--suite", "semantic-categorizer", "--seeds", "3"],
+     dict(TRAINING_DEFAULTS, command="ablate", func="cmd_ablate", data="d",
+          suite="semantic-categorizer", seeds=[3])),
+    (["retrieve", "--checkpoint", "k", "--data", "d", "--fractions", "0.5",
+      "--n-generate", "9", "--seed", "4"],
+     dict(command="retrieve", func="cmd_retrieve", checkpoint="k", data="d", out=None,
+          seed=4, n_generate=9, method="precision", fractions=[0.5])),
+]
+
+
+class TestArgumentParsing:
+    """The parser builds only the invoked command's flags."""
+
+    @pytest.mark.parametrize("argv,expected", PARSED, ids=[a[0] for a, _ in PARSED])
+    def test_each_command_parses_to_its_namespace(self, argv, expected):
+        ns = vars(cli.build_parser(argv[0]).parse_args(argv))
+        ns["func"] = ns["func"].__name__
+        assert ns == expected
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listing = capsys.readouterr().out
+        for name, (help_line, _, _) in cli.COMMANDS.items():
+            assert f"{name}" in listing and help_line in listing
+
+    def test_command_help_lists_its_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert "--lambda-grid" in text and "--workers" in text and "--data" in text
+
+    @pytest.mark.parametrize("argv", [["bogus"], ["train", "--data", "d", "--bogus"],
+                                      ["train"], []])
+    def test_unknown_commands_and_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
