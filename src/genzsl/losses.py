@@ -360,13 +360,13 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
         d_score = np.zeros_like(score)
         d_score[:n_real] = -w["critic_real"] / n_real
         d_score[n_real:lo_h] = w["critic_fake"] / n_fake
+        if cfg.rf_hallucinated:
+            d_score[lo_h:lo_t] = w["critic_hallucinated"] / (lo_t - lo_h)
         d_ce = np.empty(lo_h)
         d_ce[:n_real] = 0.5 * w["cls_real"] / n_real
         d_ce[n_real:] = 0.5 * w["cls_fake"] / n_fake
         d_head = np.zeros_like(head)
         d_head[:lo_h] = ce.vjp(d_ce)[0]
-        if cfg.rf_hallucinated:
-            d_score[lo_h:lo_t] = w["critic_hallucinated"] / (lo_t - lo_h)
         if cfg.creativity_on_discriminator:
             d = np.full(lo_t - lo_h, cfg.lambda_creativity * w["entropy_on_disc"] / (lo_t - lo_h))
             d_head[lo_h:lo_t] = probs.vjp(div_rows.vjp(normalized.vjp(d)[0])[0])[0]

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 import genzsl.diffmath as dm
-from genzsl import events
 import genzsl.losses as ls
 import genzsl.model as mo
+from genzsl import events
 from genzsl.diffmath import ParamStore
 
 

@@ -225,6 +225,14 @@ class TestFusedNodes:
         np.testing.assert_array_equal(node.parents[0].grad, gate)
 
 
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 1.5, 3.0])
+    def test_gate_equals_branching_select_for_slopes_below_and_above_1(self, slope):
+        z = np.random.default_rng(36).standard_normal((9, 5))
+        z[0, :3] = (0.0, -0.0, 1e-300)
+        np.testing.assert_array_equal(dm.leaky_gate(z > 0.0, slope),
+                                      np.where(z > 0.0, 1.0, slope))
+
+
 class TestInputGradient:
     def test_linear_critic_gradient_is_weight(self):
         w = np.array([[1.5], [-2.0], [0.5]])
