@@ -355,7 +355,7 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser of `genzsl`. Every command is listed, but only the flags
     of `command` are built: building all six commands' flags would cost
     about a third of a short command's run time."""
