@@ -1,7 +1,7 @@
 """Shared oracles: finite differences for gradient checks, the tape
-operations that only the oracles compose, the tape composition of the
-critic step that the program computes in closed form, and the multi-pass
-critic composition that the program's stacked critic pass must reproduce.
+operations that only the oracles compose, and the multi-pass critic
+composition on the tape that the program's stacked, closed-form critic
+step and its stacked generator pass must reproduce.
 
 Central differences at h=1e-5 on float64 keep the truncation and roundoff
 error orders of magnitude below the tolerances asserted in the tests, so a
@@ -139,69 +139,6 @@ def dense_input_grad(g, W, gate=None):
         return (gu, None if W.const else u.T @ gg)
 
     return dm.Node(gg @ W.value.T, (g, W), vjp)
-
-
-# ---------------------------------------------------------------------------
-# the critic step as a tape expression
-#
-# The program computes the discriminator terms in closed form and enters
-# them on the tape as one node. This oracle keeps the tape composition it
-# replaced: the stacked trunk pass on fused dense nodes, the heads and
-# cross-entropies as tape nodes, and the penalty built from the input
-# gradient's tape expression.
-
-
-def critic_input_gradient_tape(weights, activations, slope=0.2):
-    """The input gradient of `diffmath.critic_input_gradient`, composed from
-    `dense_input_grad` nodes."""
-    g = dense_input_grad(dm.constant(np.ones((len(activations[0]), 1))), weights[-1])
-    for W, h in zip(reversed(weights[:-1]), reversed(activations[1:])):
-        g = dense_input_grad(g, W, dm.leaky_gate(h > 0.0, slope))
-    return g
-
-
-def penalty_tape(weights, activations, slope=0.2):
-    g = critic_input_gradient_tape(weights, activations, slope)
-    return dm.vmean(dm.square(dm.sub(row_norm(g), 1.0)))
-
-
-def discriminator_terms_tape(disc_map, disc, real_x, real_y, x_fake, fake_y, x_tilde, cfg,
-                             x_h=None, reduced_seen=None, div_values=None):
-    """The discriminator terms with one stacked critic pass on the tape."""
-    arch = disc.arch
-    n_real, n_fake = len(real_x), len(x_fake)
-    hallu = cfg.rf_hallucinated or cfg.creativity_on_discriminator
-    blocks = [real_x, x_fake] + ([x_h] if hallu else [])
-    lo_h = n_real + n_fake
-    lo_t = sum(map(len, blocks))
-    rows = np.vstack(blocks + [x_tilde])
-
-    hidden = mo.trunk_features(disc_map, arch, dm.constant(rows))
-    feat = hidden[-1]
-    score = mo.real_score(disc_map, feat)
-    n_head = lo_t if cfg.creativity_on_discriminator else lo_h
-    head = ls._head_scores(disc_map, dm.row_slice(feat, 0, n_head), disc.segc, cfg,
-                           reduced_seen)
-
-    terms = {}
-    terms["critic_fake"] = dm.vmean(dm.row_slice(score, n_real, lo_h))
-    terms["critic_real"] = dm.neg(dm.vmean(dm.row_slice(score, 0, n_real)))
-    terms["gradient_penalty"] = penalty_tape(
-        [disc_map[k] for k in mo.critic_weight_names(arch)],
-        [rows[lo_t:]] + [h.value[lo_t:] for h in hidden], arch.leak)
-
-    onehot = np.eye(disc.n_logits)[np.concatenate((real_y, fake_y))]
-    ce = dm.cross_entropy_rows(dm.row_slice(head, 0, lo_h), dm.constant(onehot))
-    terms["cls_real"] = dm.mul(0.5, dm.vmean(dm.row_slice(ce, 0, n_real)))
-    terms["cls_fake"] = dm.mul(0.5, dm.vmean(dm.row_slice(ce, n_real, lo_h)))
-
-    if cfg.rf_hallucinated:
-        terms["critic_hallucinated"] = dm.vmean(dm.row_slice(score, lo_h, lo_t))
-    if cfg.creativity_on_discriminator:
-        gamma, beta = dm.constant(div_values[0]), dm.constant(div_values[1])
-        terms["entropy_on_disc"] = _entropy_oracle(dm.row_slice(head, lo_h, lo_t), cfg,
-                                                   gamma, beta)
-    return terms
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ def bench(monkeypatch):
 def test_every_hook_finds_its_function_and_uninstall_restores_it(bench):
     tracer, workloads = bench
     t = tracer.Tracer()
-    workloads.instrument(t)  # a missing attribute raises AttributeError here
-    hooked = list(t._originals)
     try:
+        workloads.instrument(t)  # a missing attribute raises AttributeError here
+        hooked = list(t._originals)
         assert hooked
         for owner, attr, original in hooked:
             assert getattr(owner, attr).__wrapped__ is original
@@ -36,8 +36,10 @@ def test_every_hook_finds_its_function_and_uninstall_restores_it(bench):
 def test_every_timed_layer_metric_has_a_hook(bench):
     tracer, workloads = bench
     t = tracer.Tracer()
-    workloads.instrument(t)
-    t.uninstall()
+    try:
+        workloads.instrument(t)
+    finally:
+        t.uninstall()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     for metric in spec["per_layer"]:
         span, _, kind = metric["name"].rpartition(".")

@@ -224,7 +224,6 @@ class TestFusedNodes:
         np.testing.assert_array_equal(node.value, z * gate)
         np.testing.assert_array_equal(node.parents[0].grad, gate)
 
-
     @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 1.5, 3.0])
     def test_gate_equals_branching_select_for_slopes_below_and_above_1(self, slope):
         z = np.random.default_rng(36).standard_normal((9, 5))
