@@ -6,9 +6,9 @@ per class and score a test point by its (negative) distance to the nearest
 pool member. On top of that scorer:
 
   * Top-1 restricts the label space to unseen classes;
-  * the seen-unseen curve sweeps a bias added to every unseen-class score,
-    tracing (seen accuracy, unseen accuracy) pairs whose area summarizes
-    generalized performance;
+  * the seen-unseen curve follows a bias added to every unseen-class score
+    through every (seen accuracy, unseen accuracy) pair it can produce,
+    and its area summarizes generalized performance;
   * retrieval ranks all test images by distance to a class's generated
     center (the mean of 60 generations by default) and measures precision
     at a per-class depth.
@@ -25,7 +25,9 @@ from . import model as mo
 from .errors import ValidationError
 
 DEFAULT_FRACTIONS = (0.25, 0.5, 1.0)
-DEFAULT_BIAS_POINTS = 201
+# Size of one row block's (rows, C * n_generate) distance matrix. Scoring
+# holds about two such temporaries at a time, however many points it scores.
+SCORE_BLOCK_BYTES = 2 << 20
 
 
 @dataclass
@@ -46,21 +48,34 @@ class GeneratedPoolClassifier:
     metric: str = "euclidean"
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        """Score matrix (len(x), C); larger is closer."""
+        """Score matrix (len(x), C); larger is closer.
+
+        Rows are scored in blocks of at most SCORE_BLOCK_BYTES of pool
+        distances each, so the temporaries do not grow with len(x).
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         c, n, d = self.pools.shape
         flat = self.pools.reshape(c * n, d)
         if self.metric == "euclidean":
-            d2 = (x * x).sum(axis=1)[:, None] + (flat * flat).sum(axis=1)[None, :] \
-                - 2.0 * x @ flat.T
-            d2 = np.maximum(d2, 0.0).reshape(len(x), c, n)
-            return -np.sqrt(d2.min(axis=2))
-        if self.metric == "cosine":
-            xn = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
+            flat_sq = (flat * flat).sum(axis=1)
+
+            def block(xb):
+                d2 = (xb * xb).sum(axis=1)[:, None] + flat_sq[None, :] - 2.0 * xb @ flat.T
+                d2 = np.maximum(d2, 0.0).reshape(len(xb), c, n)
+                return -np.sqrt(d2.min(axis=2))
+        elif self.metric == "cosine":
             fn = flat / np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
-            sim = (xn @ fn.T).reshape(len(x), c, n)
-            return sim.max(axis=2)
-        raise ValidationError(f"unknown metric {self.metric!r}")
+
+            def block(xb):
+                xn = xb / np.maximum(np.linalg.norm(xb, axis=1, keepdims=True), 1e-12)
+                return (xn @ fn.T).reshape(len(xb), c, n).max(axis=2)
+        else:
+            raise ValidationError(f"unknown metric {self.metric!r}")
+        out = np.empty((len(x), c))
+        rows = max(1, SCORE_BLOCK_BYTES // (8 * c * n))
+        for lo in range(0, len(x), rows):
+            out[lo:lo + rows] = block(x[lo:lo + rows])
+        return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.class_ids[np.argmax(self.scores(x), axis=1)]
@@ -102,14 +117,17 @@ def su_curve_auc(classifier: GeneratedPoolClassifier, features, labels,
                  unseen_ids, bias_grid=None):
     """Seen-unseen curve and its area.
 
-    For each bias b the unseen-class scores are shifted by b before the
-    argmax; accuracies are measured separately over the seen-labeled and
-    unseen-labeled test points. The default grid spans three score standard
-    deviations each way (201 points) plus two extreme proxies that force
-    all-seen and all-unseen predictions, pinning the curve's endpoints at
-    zero unseen and zero seen accuracy respectively. The area integrates
-    the curve over seen accuracy by the trapezoidal rule after extending it
-    to the axes.
+    A bias b added to every unseen-class score moves each test point from
+    its best seen column to its best unseen column once b passes the margin
+    between their scores; at b equal to the margin the lower column wins,
+    as in `argmax`. Accuracies are measured separately over the
+    seen-labeled and unseen-labeled test points, so the curve is piecewise
+    constant in b and one sort of the margins gives all of it. The default
+    curve holds one (seen_acc, unseen_acc) pair per change, in ascending
+    bias: from the all-seen end (unseen accuracy 0) to the all-unseen end
+    (seen accuracy 0). An explicit `bias_grid` reads the pairs at those
+    biases instead, between the same two ends. The area integrates the
+    curve over seen accuracy by the trapezoidal rule.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels)
@@ -118,31 +136,46 @@ def su_curve_auc(classifier: GeneratedPoolClassifier, features, labels,
     test_unseen = np.isin(labels, unseen_ids)
     if not test_unseen.any() or test_unseen.all():
         raise ValidationError("the mixed test set needs both seen and unseen examples")
+    if not unseen_cols.any() or unseen_cols.all():
+        raise ValidationError("the classifier needs both seen and unseen classes")
+    if bias_grid is not None:
+        bias_grid = np.sort(np.asarray(bias_grid, dtype=np.float64))
+        if bias_grid.size == 0:
+            raise ValidationError("bias grid is empty")
 
     scores = classifier.scores(features)
+    rows = np.arange(len(labels))
+    seen_idx, unseen_idx = np.flatnonzero(~unseen_cols), np.flatnonzero(unseen_cols)
+    best_seen = seen_idx[np.argmax(scores[:, seen_idx], axis=1)]
+    best_unseen = unseen_idx[np.argmax(scores[:, unseen_idx], axis=1)]
+    margin = scores[rows, best_seen] - scores[rows, best_unseen]
+    late = best_unseen > best_seen       # at b == margin the seen column still wins
+    order = np.lexsort((late, margin))
+    margin, late = margin[order], late[order]
+    # at a bias that has moved the first k sorted points, the seen-labeled
+    # hits are those of the unmoved points, the unseen-labeled hits those of
+    # the moved ones; a point never hits through the other side's column
+    seen_hit = (classifier.class_ids[best_seen] == labels) & ~test_unseen
+    unseen_hit = (classifier.class_ids[best_unseen] == labels) & test_unseen
+    lost = np.concatenate([[0], np.cumsum(seen_hit[order])])
+    gained = np.concatenate([[0], np.cumsum(unseen_hit[order])])
+
     if bias_grid is None:
-        sigma = float(scores.std())
-        span = 3.0 * sigma if sigma > 0 else 1.0
-        bias_grid = np.linspace(-span, span, DEFAULT_BIAS_POINTS)
-    bias_grid = np.asarray(bias_grid, dtype=np.float64)
-    if bias_grid.size == 0:
-        raise ValidationError("bias grid is empty")
-    extreme = float(scores.max() - scores.min()) + 1.0
-    grid = np.sort(np.concatenate([bias_grid, [-extreme, extreme]]))
+        steps = np.flatnonzero((margin[1:] != margin[:-1]) | (late[1:] != late[:-1])) + 1
+    else:
+        hi = np.searchsorted(margin, bias_grid, side="right")
+        lo = np.searchsorted(margin, bias_grid, side="left")
+        late_before = np.concatenate([[0], np.cumsum(late)])
+        steps = hi - (late_before[hi] - late_before[lo])
+    moved = np.concatenate([[0], steps, [len(margin)]])
+    seen_hits = lost[-1] - lost[moved]
+    unseen_hits = gained[moved]
+    change = np.concatenate([[True], (seen_hits[1:] != seen_hits[:-1])
+                             | (unseen_hits[1:] != unseen_hits[:-1])])
+    curve = list(zip((seen_hits[change] / (~test_unseen).sum()).tolist(),
+                     (unseen_hits[change] / test_unseen.sum()).tolist()))
 
-    curve = []
-    for b in grid:
-        shifted = scores + b * unseen_cols[None, :]
-        pred = classifier.class_ids[np.argmax(shifted, axis=1)]
-        hits = pred == labels
-        a_s = float(hits[~test_unseen].mean())
-        a_u = float(hits[test_unseen].mean())
-        curve.append((a_s, a_u))
-
-    pts = list(curve)
-    pts.append((0.0, curve[-1][1]))   # beyond the largest bias no seen wins
-    pts.append((curve[0][0], 0.0))    # beyond the smallest no unseen wins
-    arr = np.array(pts)
+    arr = np.array(curve)
     # ascending seen accuracy; ties resolved along the sweep direction
     # (higher unseen accuracy first) so corner points are not cut off
     order = np.lexsort((-arr[:, 1], arr[:, 0]))
@@ -174,21 +207,27 @@ def retrieval_map(gen: mo.GeneratorParams, unseen_semantics, test_features,
     if unseen_semantics.shape[0] != unseen_ids.size:
         raise ValidationError("one descriptor per unseen class id is required")
 
+    fractions = tuple(fractions)
+    if not all(0.0 < frac <= 1.0 for frac in fractions):
+        raise ValidationError("fractions must lie in (0, 1]")
+
     centers = build_classifier(gen, unseen_semantics, n_generate, rng).pools.mean(axis=1)
+    # one ranking per class, sliced at every fraction's depth
+    rankings = []
+    for c, center in zip(unseen_ids, centers):
+        n_c = int((test_labels == c).sum())
+        if n_c == 0:
+            raise ValidationError(f"unseen class {c} has no test images")
+        dist = np.linalg.norm(test_features - center[None, :], axis=1)
+        order = np.argsort(dist, kind="stable")
+        rankings.append((n_c, (test_labels[order] == c).astype(np.float64)))
 
     out = {}
     for frac in fractions:
-        if not 0.0 < frac <= 1.0:
-            raise ValidationError("fractions must lie in (0, 1]")
         per_class = []
-        for c, center in zip(unseen_ids, centers):
-            n_c = int((test_labels == c).sum())
-            if n_c == 0:
-                raise ValidationError(f"unseen class {c} has no test images")
-            dist = np.linalg.norm(test_features - center[None, :], axis=1)
-            order = np.argsort(dist, kind="stable")
+        for n_c, relevant in rankings:
             k = math.ceil(frac * n_c)
-            rel = (test_labels[order[:k]] == c).astype(np.float64)
+            rel = relevant[:k]
             if method == "precision":
                 per_class.append(rel.mean())
             else:

@@ -1,7 +1,8 @@
 """Shared oracles: finite differences for gradient checks, the tape
-operations that only the oracles compose, and the multi-pass critic
+operations that only the oracles compose, the multi-pass critic
 composition on the tape that the program's stacked, closed-form critic
-step and its stacked generator pass must reproduce.
+step and its stacked generator pass must reproduce, and the unblocked
+pool scorer that the row-blocked one must reproduce.
 
 Central differences at h=1e-5 on float64 keep the truncation and roundoff
 error orders of magnitude below the tolerances asserted in the tests, so a
@@ -281,3 +282,18 @@ def generator_terms_multipass(gen_map, div_map, disc, seen, hallu, pivot, cfg,
         terms["u_categorization"] = _mean_ce_oracle(
             _head_oracle(disc.store, disc, x_u, cfg, reduced_ucat), np.eye(len(ucat.t)))
     return terms
+
+
+def pool_scores_unblocked(pools, x, metric):
+    """Nearest-pool-member scores from one (len(x), C * n_generate) matrix."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    c, n, d = pools.shape
+    flat = pools.reshape(c * n, d)
+    if metric == "euclidean":
+        d2 = (x * x).sum(axis=1)[:, None] + (flat * flat).sum(axis=1)[None, :] \
+            - 2.0 * x @ flat.T
+        d2 = np.maximum(d2, 0.0).reshape(len(x), c, n)
+        return -np.sqrt(d2.min(axis=2))
+    xn = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
+    fn = flat / np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
+    return (xn @ fn.T).reshape(len(x), c, n).max(axis=2)

@@ -147,6 +147,11 @@ class TestEvalAndRetrieve:
         curve = (out / "su_curve.csv").read_text().splitlines()
         assert curve[0] == "seen_acc,unseen_acc"
         assert all(len(line.split(",")) == 2 for line in curve[1:])
+        seen, unseen = np.array([[float(v) for v in line.split(",")]
+                                 for line in curve[1:]]).T
+        assert np.isfinite(seen).all() and np.isfinite(unseen).all()
+        assert unseen[0] == 0.0 and seen[-1] == 0.0
+        assert (np.diff(seen) <= 0).all() and (np.diff(unseen) >= 0).all()
 
     def test_retrieve_writes_fraction_rows(self, tmp_path, trained):
         ds, ckpt = trained

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import genzsl.dataio as io
 import genzsl.evaluation as ev
 import genzsl.model as mo
 from genzsl.errors import ValidationError
+from helpers import pool_scores_unblocked
 
 
 def pool_classifier(points, ids=None, metric="euclidean"):
@@ -41,6 +44,40 @@ class ShiftedScores:
 
     def predict(self, x):
         return self.class_ids[np.argmax(self.scores(x), axis=1)]
+
+
+class ScoreTable:
+    """A scorer that returns a fixed score matrix, whatever it is given."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=np.float64)
+        self.class_ids = np.arange(self.table.shape[1])
+
+    def scores(self, x):
+        return self.table
+
+
+def argmax_sweep(table, labels, unseen_ids, biases):
+    """(seen_acc, unseen_acc) by argmax at each bias, repeats dropped."""
+    labels = np.asarray(labels)
+    unseen_cols = np.isin(np.arange(table.shape[1]), unseen_ids)
+    test_unseen = np.isin(labels, unseen_ids)
+    curve = []
+    for b in biases:
+        hits = np.argmax(table + b * unseen_cols, axis=1) == labels
+        pair = (hits[~test_unseen].mean(), hits[test_unseen].mean())
+        if not curve or curve[-1] != pair:
+            curve.append(pair)
+    return curve
+
+
+def unit_rows(g, n, d):
+    """Rows with four entries of +-1: every norm is 2, so the unit rows and
+    all their products are exact in float64."""
+    x = np.zeros((n, d))
+    for row in x:
+        row[g.choice(d, 4, replace=False)] = g.choice([-1.0, 1.0], 4)
+    return x
 
 
 class TestBuildClassifier:
@@ -201,6 +238,121 @@ class TestSuCurveAuc:
             ev.su_curve_auc(clf, np.eye(2), [0, 0], unseen_ids=[1])
         with pytest.raises(ValidationError):
             ev.su_curve_auc(clf, np.eye(2), [0, 1], unseen_ids=[1], bias_grid=[])
+
+
+class TestExactSuCurve:
+    # columns 0 and 3 are unseen, so an unseen column can sit below or above
+    # the seen column it ties with; rows are labeled 1, 2, 1 (seen) and
+    # 0, 3, 3 (unseen)
+    TABLE = np.array([
+        [0.0, 3.0, 1.0, 2.0],   # seen hit; margin 1, tie goes to seen col 1
+        [2.0, 0.0, 2.0, 0.0],   # seen hit; margin 0, tie goes to unseen col 0
+        [0.0, 1.0, 2.0, 0.0],   # seen miss; moves at 2 without changing a count
+        [1.0, 2.0, 0.0, 1.0],   # unseen hit via col 0; margin 1, tie to col 0
+        [0.0, 1.0, 1.0, 0.0],   # unseen miss; margin 1, tie to col 0
+        [0.0, 0.0, 0.0, 3.0],   # unseen hit via col 3; margin -3, tie to col 1
+    ])
+    LABELS = [1, 2, 1, 0, 3, 3]
+
+    def test_hand_built_margins_and_ties(self):
+        third = 1.0 / 3.0
+        curve, auc = ev.su_curve_auc(ScoreTable(self.TABLE), None, self.LABELS, [0, 3])
+        assert curve == [(2 * third, 0.0), (2 * third, third), (third, third),
+                         (third, 2 * third), (0.0, 2 * third)]
+        assert auc == pytest.approx(third, abs=1e-12)
+
+    @pytest.mark.parametrize("bias,inner", [
+        (-3.0, []),                   # tie: seen col 1 sits below unseen col 3
+        (0.0, [(1 / 3, 1 / 3)]),      # tie: unseen col 0 sits below seen col 2
+        (1.0, [(1 / 3, 2 / 3)]),      # two ties won by col 0, one lost by col 3
+        (1.5, []),                    # already the all-unseen pair
+    ])
+    def test_a_tie_goes_to_the_lower_column(self, bias, inner):
+        curve, _ = ev.su_curve_auc(ScoreTable(self.TABLE), None, self.LABELS, [0, 3],
+                                   bias_grid=[bias])
+        assert curve == [(2 / 3, 0.0), *inner, (0.0, 2 / 3)]
+        assert curve == argmax_sweep(self.TABLE, self.LABELS, [0, 3],
+                                     [-100.0, bias, 100.0])
+
+    def test_matches_an_argmax_sweep_through_every_breakpoint(self):
+        # integer scores and half-integer biases keep every shifted score
+        # exact, so argmax is the ground truth at and between the margins
+        for seed in range(20):
+            g = io.philox(seed, 17)
+            table = g.integers(-4, 5, size=(60, 7)).astype(np.float64)
+            labels = np.concatenate([[0, 6], g.integers(0, 7, size=58)])
+            curve, _ = ev.su_curve_auc(ScoreTable(table), None, labels, [1, 4, 6])
+            biases = np.arange(-10.0, 10.5, 0.5)
+            assert curve == argmax_sweep(table, labels, [1, 4, 6], biases)
+
+    def test_every_grid_pair_lies_on_the_exact_curve(self):
+        for seed in range(10):
+            g = io.philox(seed, 23)
+            clf = ev.GeneratedPoolClassifier(
+                np.arange(8), g.standard_normal((8, 5, 4)), "euclidean")
+            x = g.standard_normal((120, 4))
+            labels = g.integers(0, 8, size=120)
+            labels[:2] = [0, 7]
+            exact, _ = ev.su_curve_auc(clf, x, labels, np.arange(4, 8))
+            sigma = clf.scores(x).std()
+            grid = np.concatenate([np.linspace(-3 * sigma, 3 * sigma, 201),
+                                   g.uniform(-5 * sigma, 5 * sigma, 50)])
+            sampled, _ = ev.su_curve_auc(clf, x, labels, np.arange(4, 8), grid)
+            assert set(sampled) <= set(exact)
+
+    def test_exact_curve_is_monotone_between_the_axes(self):
+        g = io.philox(3, 29)
+        clf = ev.GeneratedPoolClassifier(np.arange(6), g.standard_normal((6, 4, 3)), "cosine")
+        x = g.standard_normal((90, 3))
+        labels = np.repeat(np.arange(6), 15)
+        curve, _ = ev.su_curve_auc(clf, x, labels, [1, 3, 5])
+        seen, unseen = np.array(curve).T
+        assert unseen[0] == 0.0 and seen[-1] == 0.0
+        assert (np.diff(seen) <= 0).all() and (np.diff(unseen) >= 0).all()
+        assert len(set(curve)) == len(curve)
+
+    def test_needs_both_column_kinds(self):
+        with pytest.raises(ValidationError):
+            ev.su_curve_auc(ScoreTable(np.zeros((2, 2))), None, [0, 1], unseen_ids=[0, 1])
+
+
+class TestBlockedScores:
+    def _pool_and_points(self, g, points):
+        c, n, d = 20, 30, 16
+        rows = ev.SCORE_BLOCK_BYTES // (8 * c * n)
+        n_x = 3 * rows + 5          # three full blocks and a remainder
+        return points(g, c * n, d).reshape(c, n, d), points(g, n_x, d), rows
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_exact_products_match_the_unblocked_formula_bit_for_bit(self, metric):
+        pools, x, rows = self._pool_and_points(io.philox(4, 31), unit_rows)
+        assert len(x) > 3 * rows and len(x) % rows
+        clf = ev.GeneratedPoolClassifier(np.arange(len(pools)), pools, metric)
+        assert np.array_equal(clf.scores(x), pool_scores_unblocked(pools, x, metric))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_random_inputs_agree_with_the_unblocked_formula(self, metric):
+        # BLAS picks its kernel by matrix size, so a block's products may
+        # round differently in the last bit from the same rows of one product
+        pools, x, _ = self._pool_and_points(
+            io.philox(5, 31), lambda g, n, d: g.standard_normal((n, d)))
+        clf = ev.GeneratedPoolClassifier(np.arange(len(pools)), pools, metric)
+        np.testing.assert_allclose(clf.scores(x), pool_scores_unblocked(pools, x, metric),
+                                   rtol=0, atol=1e-12)
+
+    def test_peak_memory_stays_within_the_block_budget(self):
+        g = io.philox(6, 31)
+        pools = g.standard_normal((20, 30, 16))
+        x = g.standard_normal((8 * (ev.SCORE_BLOCK_BYTES // (8 * 600)) + 7, 16))
+        clf = ev.GeneratedPoolClassifier(np.arange(20), pools, "euclidean")
+        tracemalloc.start()
+        try:
+            out = clf.scores(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one unblocked distance matrix alone would be 8 budgets
+        assert peak < out.nbytes + 3 * ev.SCORE_BLOCK_BYTES
 
 
 class TestRetrievalMap:
