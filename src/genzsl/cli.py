@@ -44,6 +44,8 @@ _FLAG_KEYS = (("steps", "n_steps"), ("seed", "seed"), ("batch_size", "batch_size
 
 
 def _fmt(value):
+    if type(value) is float:  # most cells, e.g. every su_curve.csv value
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (int, np.integer)):

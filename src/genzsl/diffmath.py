@@ -292,20 +292,27 @@ def minmax_normalize_node(values) -> Node:
 def dense(x, W, b=None, slope=None) -> Node:
     """`x @ W + b`, through the leaky rectifier when `slope` is given, as one
     tape node. Its value and gradients are bit-identical to the composed
-    matmul/add/leaky_relu; the reverse map skips constant operands."""
+    matmul/add/leaky_relu wherever the pre-activation is finite; the reverse
+    map skips constant operands.
+
+    For a slope in [0, 1] the rectifier is max(z, slope * z), and its output
+    keeps the sign of z, so the reverse map reads the gate off the output
+    and a forward-only pass builds no gate at all."""
+    if slope is not None and not 0.0 <= slope <= 1.0:
+        raise ValidationError(f"rectifier slope must lie in [0, 1], got {slope}")
     x, W = _lift(x), _lift(W)
-    z = x.value @ W.value
+    out = x.value @ W.value
     parents = (x, W)
     if b is not None:
         b = _lift(b)
-        z = z + b.value
+        out += b.value
         parents = (x, W, b)
-    gate = None if slope is None else leaky_gate(z > 0.0, slope)
-    out = z if gate is None else z * gate
+    if slope is not None:
+        np.maximum(out, slope * out, out=out)
 
     def vjp(g):
-        if gate is not None:
-            g = g * gate
+        if slope is not None:
+            g = g * leaky_gate(out > 0.0, slope)
         grads = (None if x.const else g @ W.value.T,
                  None if W.const else x.value.T @ g)
         return grads if b is None else grads + (g.sum(axis=0),)

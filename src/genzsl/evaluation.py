@@ -26,8 +26,10 @@ from .errors import ValidationError
 
 DEFAULT_FRACTIONS = (0.25, 0.5, 1.0)
 # Size of one row block's (rows, C * n_generate) distance matrix. Scoring
-# holds about two such temporaries at a time, however many points it scores.
+# holds one such temporary at a time, however many points it scores.
 SCORE_BLOCK_BYTES = 2 << 20
+# A squared distance below this fraction of |x|^2 is recomputed from x - p.
+NEAR_SQ_FRACTION = 1e-4
 
 
 @dataclass
@@ -52,17 +54,40 @@ class GeneratedPoolClassifier:
 
         Rows are scored in blocks of at most SCORE_BLOCK_BYTES of pool
         distances each, so the temporaries do not grow with len(x).
+
+        Euclidean scores use |x - p|^2 = |x|^2 + (|p|^2 - 2 x.p): one product
+        of the block, with a ones column appended, and [-2 p^T; |p|^2] gives
+        the bracket for every pool member, each class keeps its smallest,
+        and only those (rows, C) values get |x|^2, the clip at 0 and the
+        square root. All three are monotone, so taking the minimum first
+        changes nothing.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         c, n, d = self.pools.shape
         flat = self.pools.reshape(c * n, d)
+        rows = max(1, SCORE_BLOCK_BYTES // (8 * c * n))
         if self.metric == "euclidean":
-            flat_sq = (flat * flat).sum(axis=1)
+            rhs = np.empty((d + 1, c * n))
+            np.multiply(flat.T, -2.0, out=rhs[:d])
+            rhs[d] = (flat * flat).sum(axis=1)
+            lhs = np.ones((min(len(x), rows), d + 1))
 
             def block(xb):
-                d2 = (xb * xb).sum(axis=1)[:, None] + flat_sq[None, :] - 2.0 * xb @ flat.T
-                d2 = np.maximum(d2, 0.0).reshape(len(xb), c, n)
-                return -np.sqrt(d2.min(axis=2))
+                ext = lhs[:len(xb)]
+                ext[:, :d] = xb
+                m = (ext @ rhs).reshape(len(xb), c, n).min(axis=2)
+                x_sq = (xb * xb).sum(axis=1)[:, None]
+                m += x_sq
+                # the expansion loses the digits of a distance far below |x|,
+                # and the square root magnifies the loss: a class with a
+                # member that near is measured again directly
+                near = m < NEAR_SQ_FRACTION * x_sq
+                for k in np.flatnonzero(near.any(axis=0)):
+                    r = np.flatnonzero(near[:, k])
+                    diff = xb[r, None, :] - self.pools[k]
+                    m[r, k] = (diff * diff).sum(axis=2).min(axis=1)
+                np.maximum(m, 0.0, out=m)
+                return -np.sqrt(m, out=m)
         elif self.metric == "cosine":
             fn = flat / np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
 
@@ -72,7 +97,6 @@ class GeneratedPoolClassifier:
         else:
             raise ValidationError(f"unknown metric {self.metric!r}")
         out = np.empty((len(x), c))
-        rows = max(1, SCORE_BLOCK_BYTES // (8 * c * n))
         for lo in range(0, len(x), rows):
             out[lo:lo + rows] = block(x[lo:lo + rows])
         return out

@@ -50,8 +50,8 @@ class ArchSpec:
                 raise ValidationError(f"{name} must be positive")
         if self.reduced_dim > self.semantic_dim:
             raise ValidationError("reduced_dim cannot exceed semantic_dim")
-        if not self.leak >= 0:
-            raise ValidationError("leak must be non-negative")
+        if not 0.0 <= self.leak <= 1.0:
+            raise ValidationError(f"leak must lie in [0, 1], got {self.leak}")
 
     @property
     def n_hidden(self) -> int:

@@ -124,6 +124,17 @@ class TestTrainCommand:
             assert manifest["config"]["lr"] == 1.0
             assert manifest["config"]["arch"]["reduced_dim"] is None
 
+    def test_leak_outside_the_unit_interval_exits_2_with_a_manifest(self, tmp_path):
+        ds = synth(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"arch": {"leak": 1.5}}))
+        run = tmp_path / "run"
+        assert main(["train", "--data", ds, "--out", str(run),
+                     "--config", str(cfg_path), *SMALL_TRAIN]) == 2
+        manifest = json.loads((run / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "leak" in manifest["error"]
+
     def test_missing_dataset_exits_4(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "run")]) == 4
@@ -269,6 +280,20 @@ class TestOutDirDiscipline:
         monkeypatch.setenv("GENZSL_OUT", str(target))
         assert main(["train", "--data", ds, *SMALL_TRAIN]) == 0
         assert (target / "history.csv").exists()
+
+
+def test_write_csv_spells_each_value_type_exactly(tmp_path):
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), ["a", "b", "c", "d", "e"], [
+        [True, np.bool_(False), 3, np.int64(-7), np.float64(1 / 3)],
+        [0.1, 1e-20, float("nan"), np.float32(0.1), "a,b"],
+        [2.0, -0.0, float("inf"), np.float64(5.0), "plain"],
+    ])
+    assert path.read_bytes() == (
+        b"a,b,c,d,e\r\n"
+        b"True,False,3,-7,0.3333333333333333\r\n"
+        b'0.1,1e-20,nan,0.10000000149011612,"a,b"\r\n'
+        b"2.0,-0.0,inf,5.0,plain\r\n")
 
 
 TRAINING_DEFAULTS = dict(out=None, config=None, set=None, steps=None, seed=None,

@@ -118,7 +118,8 @@ class TestFusedNodes:
         return build({k: dm.constant(v) for k, v in params.items()}).value, grads
 
     @pytest.mark.parametrize("bias,slope", [(True, 0.2), (True, None), (False, 0.2),
-                                            (False, None)])
+                                            (False, None), (True, 0.0), (True, 1.0),
+                                            (False, 0.0), (False, 1.0)])
     def test_dense_equals_matmul_add_leaky_relu(self, bias, slope):
         rng = np.random.default_rng(31)
         x = rng.standard_normal((7, 4))
@@ -147,6 +148,11 @@ class TestFusedNodes:
             {k: dm.constant(v) for k, v in p.items()}).value), params)
         for name in params.names():
             assert rel_err(g_f[name], fd[name]).max() < 1e-6
+
+    @pytest.mark.parametrize("slope", [1.5, -0.1, float("nan")])
+    def test_dense_rejects_a_slope_outside_the_unit_interval(self, slope):
+        with pytest.raises(ValidationError):
+            dm.dense(np.ones((2, 3)), np.ones((3, 4)), None, slope)
 
     def test_dense_input_gradient_reaches_a_live_input(self):
         rng = np.random.default_rng(32)

@@ -355,6 +355,22 @@ class TestBlockedScores:
         assert peak < out.nbytes + 3 * ev.SCORE_BLOCK_BYTES
 
 
+class TestScoresAgainstBruteForce:
+    @pytest.mark.parametrize("c,n", [(20, 30), (600, 1)], ids=["pools", "n_generate-1"])
+    def test_euclidean_scores_are_minus_the_nearest_member_distance(self, c, n):
+        g = io.philox(7, 31)
+        d = 8
+        rows = ev.SCORE_BLOCK_BYTES // (8 * c * n)
+        pools = g.standard_normal((c, n, d))
+        x = g.standard_normal((2 * rows + 5, d))   # two full blocks and a remainder
+        x[rows + 3] = pools[c // 2, n - 1]         # a test point on a pool member
+        got = ev.GeneratedPoolClassifier(np.arange(c), pools).scores(x)
+        want = np.stack([-np.linalg.norm(x[:, None, :] - pool, axis=2).min(axis=1)
+                         for pool in pools], axis=1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert got[rows + 3, c // 2] == 0.0
+
+
 class TestRetrievalMap:
     def test_true_centers_on_separated_clusters_are_perfect(self):
         gen = identity_generator()

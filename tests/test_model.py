@@ -37,6 +37,16 @@ class TestArchSpec:
         with pytest.raises(ValidationError):
             small_arch(hidden_dim=0)
 
+    @pytest.mark.parametrize("leak", [0.0, 1.0])
+    def test_leak_may_take_either_end_of_the_unit_interval(self, leak):
+        assert small_arch(leak=leak).leak == leak
+
+    @pytest.mark.parametrize("leak", [1.5, -0.1, float("nan")])
+    def test_leak_outside_the_unit_interval_is_rejected(self, leak):
+        # max(z, leak * z) is the leaky rectifier only for leaks in [0, 1]
+        with pytest.raises(ValidationError):
+            small_arch(leak=leak)
+
 
 class TestInitParams:
     def test_same_seed_identical(self):
