@@ -388,6 +388,13 @@ def save_checkpoint(params: mo.ModelParams, config_snapshot: dict, directory: st
     _write_json_atomic(os.path.join(directory, "manifest.json"), manifest)
 
 
+def _typed(value, kind: type, where: str):
+    """`value`, if JSON gave it exactly the type `kind` (no bool is an int)."""
+    if type(value) is not kind:
+        raise TypeError(f"{where} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def load_checkpoint(directory: str, expect_arch: mo.ArchSpec | None = None):
     """Returns (ModelParams, config snapshot dict). Rejects version drift, a
     malformed manifest, tensors that do not fit the architecture and, when
@@ -396,10 +403,15 @@ def load_checkpoint(directory: str, expect_arch: mo.ArchSpec | None = None):
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise DataFormatError(f"unsupported checkpoint version {manifest.get('version')}")
     try:
+        for name in mo.WIDTHS:
+            if manifest["arch"].get(name) is not None:
+                _typed(manifest["arch"][name], int, f"arch.{name}")
         arch = mo.ArchSpec(**manifest["arch"])
-        k_seen, segc = int(manifest["k_seen"]), bool(manifest["segc"])
-        extra_class = bool(manifest["extra_class"])
-        tensors = [(key, entry["file"], tuple(entry["shape"]))
+        k_seen = _typed(manifest["k_seen"], int, "k_seen")
+        segc = _typed(manifest["segc"], bool, "segc")
+        extra_class = _typed(manifest["extra_class"], bool, "extra_class")
+        tensors = [(key, entry["file"], tuple(_typed(n, int, f"{key} shape")
+                                              for n in entry["shape"]))
                    for key, entry in manifest["tensors"].items()]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataFormatError(f"{directory}: malformed checkpoint manifest "

@@ -286,7 +286,7 @@ def minmax_normalize_node(values) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# fused nodes: dense layers, the Lipschitz penalty, vector entries
+# fused nodes: dense layers, row slices, the Lipschitz penalty
 
 
 def dense(x, W, b=None, slope=None) -> Node:
@@ -388,21 +388,6 @@ def lipschitz_penalty_node(weights, activations, slope: float = 0.2) -> Node:
     scale = np.where(degenerate, 0.0, 2.0 * dev / (len(rows) * np.where(degenerate, 1.0, norm)))
     return Node(np.asarray((dev * dev).mean()), g.parents,
                 lambda u: g.vjp((u * scale)[:, None] * rows))
-
-
-def entries(vector: Node) -> list[Node]:
-    """One scalar node per entry of a vector node; the upstream gradient of
-    entry i lands on position i of the vector's gradient."""
-    size = len(vector.value)
-
-    def pick(i):
-        def vjp(g):
-            out = np.zeros(size)
-            out[i] = g
-            return (out,)
-        return Node(np.asarray(vector.value[i]), (vector,), vjp)
-
-    return [pick(i) for i in range(size)]
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +518,19 @@ def adam_step(
     return params._like(params.flat - step), new
 
 
+def finite_grads(loss, gradient: Callable[[], dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """`gradient()`, once the scalar `loss` and then each gradient it returns
+    are found finite; otherwise NumericOverflowError, which names the first
+    non-finite parameter, and `gradient` does not run on a non-finite loss."""
+    if not np.isfinite(loss):
+        raise NumericOverflowError("loss evaluated to a non-finite value")
+    grads = gradient()
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise NumericOverflowError(f"non-finite gradient for parameter {name!r}")
+    return grads
+
+
 def grad_scalar(
     loss_fn: Callable[[dict[str, Node]], Node], params: ParamStore
 ) -> dict[str, np.ndarray]:
@@ -540,20 +538,17 @@ def grad_scalar(
 
     `loss_fn` receives one leaf Node per parameter (keyed by name) and must
     return a scalar Node. Parameters the expression never touches map to
-    zero tensors. Non-finite results raise NumericOverflowError naming the
-    offending parameter where one can be identified.
+    zero tensors. Non-finite results raise NumericOverflowError (see
+    :func:`finite_grads`).
     """
     leaves = {name: leaf(value) for name, value in params.items()}
     out = loss_fn(leaves)
     if out.value.size != 1:
         raise ValidationError(f"loss must be scalar, got shape {out.value.shape}")
-    if not np.isfinite(out.value):
-        raise NumericOverflowError("loss evaluated to a non-finite value")
-    backward(out)
-    grads = {}
-    for name, node in leaves.items():
-        g = node.grad if node.grad is not None else np.zeros_like(node.value)
-        if not np.all(np.isfinite(g)):
-            raise NumericOverflowError(f"non-finite gradient for parameter {name!r}")
-        grads[name] = g
-    return grads
+
+    def gradient():
+        backward(out)
+        return {name: node.grad if node.grad is not None else np.zeros_like(node.value)
+                for name, node in leaves.items()}
+
+    return finite_grads(out.value, gradient)

@@ -24,20 +24,20 @@ Discriminator side:
 Classification terms use either the classic softmax head or the softmax over
 semantic-guided scores; the critic terms are identical either way. A
 builder stacks the batches that its critic and head terms read, runs the
-critic's trunk once on them, and each term reads its own rows. Each
-builder returns a dictionary of named term Nodes, and :func:`total` sums
-them into the scalar that training differentiates. The generator's terms
-are tape expressions; the discriminator's are computed in closed form,
-gradients included, and enter the tape as the entries of one node.
-Builders accept parameter maps whose values are tape Nodes (live) or plain
-arrays (frozen), so the same code serves generator steps, discriminator
-steps, gradient checks, and plain evaluation (read `.value` off each term).
+critic's trunk once on them, and each term reads its own rows. The
+generator builders return a dictionary of named term Nodes, and
+:func:`total` sums them into the scalar that training differentiates; they
+accept parameter maps whose values are tape Nodes (live) or plain arrays
+(frozen), so the same code serves generator steps, gradient checks, and
+plain evaluation (read `.value` off each term). The discriminator's terms
+are computed in closed form on plain arrays, with their own backward map
+in place of a tape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -142,9 +142,10 @@ def divergence_param_nodes(spec: dv.DivergenceSpec, div_map) -> tuple[dm.Node, d
     return gamma, beta
 
 
-def current_divergence_params(spec: dv.DivergenceSpec, div_store) -> tuple[float, float]:
-    """The (gamma, beta) currently in effect, given the unconstrained store."""
-    gamma, beta = divergence_param_nodes(spec, {k: np.asarray(v) for k, v in div_store.items()})
+def current_divergence_params(spec: dv.DivergenceSpec, store) -> tuple[float, float]:
+    """The (gamma, beta) currently in effect, given a store that holds the
+    unconstrained parameters."""
+    gamma, beta = divergence_param_nodes(spec, store)
     return float(gamma.value), float(beta.value)
 
 
@@ -230,7 +231,8 @@ def generator_loss_node(gen_map, div_map, disc: mo.DiscriminatorParams,
 
     The hallucinated and seen rows are generated in one pass and go through
     the critic's trunk together, hallucinated rows first. `div_map` holds
-    the unconstrained entropy parameters (empty when none are learned); the
+    the unconstrained entropy parameters that are learned, if any; it may be
+    `gen_map` itself, as each reads only its own names. The
     semantic-guided head needs `reduced_seen`, the reduced descriptors of
     the seen classes, and u-categorization `reduced_ucat`.
     """
@@ -287,10 +289,13 @@ def generator_loss_node(gen_map, div_map, disc: mo.DiscriminatorParams,
 
 def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real_y,
                             x_fake, fake_y, x_tilde, cfg: LossConfig, x_h=None,
-                            reduced_seen=None,
-                            div_values: tuple[float, float] | None = None) -> dict[str, dm.Node]:
-    """All discriminator-side terms, computed in closed form and entered on
-    the tape as one node.
+                            reduced_seen=None, div_values: tuple[float, float] | None = None
+                            ) -> tuple[dict[str, float], Callable[[dict], dict[str, np.ndarray]]]:
+    """All discriminator-side terms in closed form: returns
+    `({term: value}, backward)`, where `backward({term: weight})` gives
+    `{critic parameter: gradient}` of the weighted sum of the terms. No tape
+    node is returned, as the critic step needs no tape; the name matches the
+    other loss builders, and the benchmark's tracer times the step under it.
 
     The generations enter frozen: `x_fake` with its labels `fake_y`, the
     interpolates `x_tilde`, and, when a hallucinated term is on, `x_h`.
@@ -300,11 +305,10 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
     The rows [real; fake; (x_h); interpolates] go through the trunk in one
     pass. The critic score and the active head read row slices of the
     shared features, and the gradient penalty reads the trunk's layer
-    outputs at the interpolate rows. The node's value is the vector of term
-    values and its parents are the critic's parameters; its reverse map
-    runs one hand-written backward pass through the heads, the score and
-    the trunk for any weighting of the terms. Each returned term is one
-    entry of that node.
+    outputs at the interpolate rows. `backward` runs one hand-written pass
+    back through the heads, the score and the trunk, reading each
+    rectifier's gate off its layer output as :func:`dm.critic_input_gradient`
+    does, for any weighting of the terms.
     """
     arch = disc.arch
     n_real, n_fake = len(real_x), len(x_fake)
@@ -318,17 +322,12 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
         blocks.append(x_h)
     lo_h = n_real + n_fake        # first hallucinated row
     lo_t = sum(map(len, blocks))  # first interpolate row
-    rows = np.vstack(blocks + [x_tilde])
-    leaves = {k: dm._lift(v) for k, v in disc_map.items()}
-    p = {k: v.value for k, v in leaves.items()}
+    p = disc_map
 
-    hidden, gates = [rows], []
-    for i in range(arch.n_hidden):
-        z = hidden[-1] @ p[f"trunk{i}.W"] + p[f"trunk{i}.b"]
-        gates.append(dm.leaky_gate(z > 0.0, arch.leak))
-        hidden.append(z * gates[-1])
+    hidden = [np.vstack(blocks + [x_tilde])]
+    hidden += [h.value for h in mo.trunk_features(p, arch, hidden[0])]
     feat = hidden[-1]
-    score = feat @ p["real.W"] + p["real.b"]
+    score = mo.real_score(p, feat).value
     n_head = lo_t if cfg.creativity_on_discriminator else lo_h
     head, head_vjp = _head_closed_form(p, feat[:n_head], disc.segc, cfg, reduced_seen)
     weight_names = mo.critic_weight_names(arch)
@@ -355,8 +354,7 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
         normalized = dm.minmax_normalize_node(div_rows)
         values["entropy_on_disc"] = cfg.lambda_creativity * normalized.value.mean()
 
-    def vjp(u):
-        w = dict(zip(values, u))
+    def backward(w):
         d_score = np.zeros_like(score)
         d_score[:n_real] = -w["critic_real"] / n_real
         d_score[n_real:lo_h] = w["critic_fake"] / n_fake
@@ -377,17 +375,16 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
         grads["real.W"] = feat.T @ d_score
         grads["real.b"] = d_score.sum(axis=0)
         for i in reversed(range(arch.n_hidden)):
-            dz = d_feat * gates[i]
+            dz = d_feat * dm.leaky_gate(hidden[i + 1] > 0.0, arch.leak)
             grads[f"trunk{i}.W"] = hidden[i].T @ dz
             grads[f"trunk{i}.b"] = dz.sum(axis=0)
             if i:  # the input rows are data
                 d_feat = dz @ p[f"trunk{i}.W"].T
         for name, g in zip(weight_names, penalty.vjp(w["gradient_penalty"])):
             grads[name] += g
-        return tuple(grads.get(k) for k in leaves)
+        return {k: grads[k] for k in p}
 
-    node = dm.Node(np.array(list(values.values())), tuple(leaves.values()), vjp)
-    return dict(zip(values, dm.entries(node)))
+    return {k: float(v) for k, v in values.items()}, backward
 
 
 def _head_closed_form(p, feat, segc, cfg, reduced_seen):

@@ -28,6 +28,8 @@ from . import events
 from .errors import DimensionError, ValidationError
 
 PRESETS = ("base", "doublenet", "doublenet_reduced")
+# the integer widths of an ArchSpec
+WIDTHS = ("semantic_dim", "visual_dim", "noise_dim", "hidden_dim", "reduced_dim")
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class ArchSpec:
             raise ValidationError(f"unknown preset {self.preset!r}")
         if self.reduced_dim is None:
             object.__setattr__(self, "reduced_dim", math.ceil(self.semantic_dim / 2))
-        for name in ("semantic_dim", "visual_dim", "noise_dim", "hidden_dim", "reduced_dim"):
+        for name in WIDTHS:
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be positive")
         if self.reduced_dim > self.semantic_dim:

@@ -1,9 +1,9 @@
 """Alternating adversarial training, cross-validation, and ablation runs.
 
 One outer step draws a fresh hallucinated minibatch, runs `n_d` Adam updates
-of the discriminator, then one Adam update of the generator and, when the
-entropy loss has learnable parameters, one Adam update of those from the
-same generator-loss gradients. All randomness is drawn from purpose-keyed
+of the discriminator, then one Adam update of the generator together with
+the entropy loss's learnable parameters, if any, from one gradient of the
+generator loss. All randomness is drawn from purpose-keyed
 Philox streams, so a (dataset, config) pair reproduces its run bit for bit.
 
 Cross-validation splits the seen classes 80/20, treats the held-out classes
@@ -13,6 +13,7 @@ on all seen classes with the winning (weight, step) pair.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -180,20 +181,13 @@ def _sample_indices(dataset: ZslDataset, size: int, rng, class_balanced: bool,
 # the training loop
 
 
-def _loss_grads(build_terms, params: dm.ParamStore, where: str):
-    """Gradients over `params` of the summed terms that `build_terms(leaves)`
-    returns, and the float value of each term."""
-    terms: dict[str, dm.Node] = {}
-
-    def loss(leaves):
-        terms.update(build_terms(leaves))
-        return ls.total(terms)
-
+@contextmanager
+def _failing_at(where: str):
+    """Prefix `where` to a NumericOverflowError raised inside."""
     try:
-        grads = dm.grad_scalar(loss, params)
+        yield
     except NumericOverflowError as exc:
         raise NumericOverflowError(f"{where}: {exc}") from exc
-    return grads, {k: float(v.value) for k, v in terms.items()}
 
 
 def train(dataset: ZslDataset, cfg: TrainConfig):
@@ -213,12 +207,14 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
     gen, disc = mo.init_params(arch, dataset.k_seen, cfg.loss.segc_active,
                                philox(cfg.seed, TAG_INIT),
                                extra_class=cfg.loss.new_class_ablation)
-    div_store = dm.ParamStore(
-        {k: np.asarray(v) for k, v in spec.unconstrained_init().items()})
+    # while training, the generator's store also holds the unconstrained
+    # entropy parameters after its own tensors, so that one gradient and one
+    # Adam update serve both; every reader takes only the names it uses
+    div_init = spec.unconstrained_init()
+    gen.store = dm.ParamStore([*gen.store.items(), *div_init.items()])
 
     state_d = dm.AdamState(disc.store)
     state_g = dm.AdamState(gen.store)
-    state_e = dm.AdamState(div_store) if len(div_store) else None
 
     rng_hallu = philox(cfg.seed, TAG_HALLU)
     rng_batch = philox(cfg.seed, TAG_BATCH)
@@ -240,7 +236,7 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
         t_h = hl.sample_hallucinated_text(dataset.seen_semantics, cfg.policy, m, rng_hallu)
         z_h = rng_noise.standard_normal((m, arch.noise_dim))
         hallu = ls.HalluBatch(t_h, z_h)
-        div_values = ls.current_divergence_params(spec, div_store)
+        div_values = ls.current_divergence_params(spec, gen.store)
         # the generator is frozen until its own update at the end of the step,
         # so every generation of the critic phase comes from one pass
         reduced_seen = mo.reduce_semantics(gen, dataset.seen_semantics) \
@@ -259,15 +255,15 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
             y = dataset.seen_labels[idx[k]]
             x_fake = x_fakes[k * m:(k + 1) * m]
             x_tilde = ls.lipschitz_interpolate(x, x_fake, rng_interp)
-
-            def build_d(leaves):
-                return ls.discriminator_loss_node(
-                    leaves, disc, x, y, x_fake, y, x_tilde, cfg.loss, x_h,
-                    reduced_seen, div_values)
-
-            grads, terms_d = _loss_grads(build_d, disc.store, f"step {step}, discriminator")
-            disc.store, state_d = dm.adam_step(disc.store, grads, state_d, **adam_kw)
+            terms_d, backward = ls.discriminator_loss_node(
+                disc.store, disc, x, y, x_fake, y, x_tilde, cfg.loss, x_h,
+                reduced_seen, div_values)
             loss_d_val = sum(terms_d.values())
+            with _failing_at(f"step {step}, discriminator"):
+                grads = dm.finite_grads(loss_d_val,
+                                        lambda: backward(dict.fromkeys(terms_d, 1.0)))
+            del backward  # it holds the critic step's whole forward pass
+            disc.store, state_d = dm.adam_step(disc.store, grads, state_d, **adam_kw)
             w_est = -terms_d["critic_real"] - terms_d["critic_fake"]
 
         idx = _sample_indices(dataset, m, rng_batch, cfg.class_balanced, per_class)
@@ -286,44 +282,39 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
                 (cfg.loss.k_unseen_cap, arch.noise_dim)))
             reduced_ucat = mo.reduce_semantics(gen, t_u)
 
-        merged = dm.ParamStore(
-            [("gen." + k, v) for k, v in gen.store.items()]
-            + [("div." + k, v) for k, v in div_store.items()])
+        terms_g: dict[str, float] = {}  # plain values, so the tape dies with grad_scalar
 
-        def build_g(leaves):
-            gen_map = {k[4:]: v for k, v in leaves.items() if k.startswith("gen.")}
-            div_map = {k[4:]: v for k, v in leaves.items() if k.startswith("div.")}
-            return ls.generator_loss_node(gen_map, div_map, disc, seen, hallu,
-                                          pivot, cfg.loss, ucat, reduced_seen,
-                                          reduced_ucat)
+        def loss_g(leaves):
+            terms = ls.generator_loss_node(leaves, leaves, disc, seen, hallu, pivot,
+                                           cfg.loss, ucat, reduced_seen, reduced_ucat)
+            terms_g.update((name, float(t.value)) for name, t in terms.items())
+            return ls.total(terms)
 
-        grads, terms_g = _loss_grads(build_g, merged, f"step {step}, generator")
-        gen_grads = {k[4:]: v for k, v in grads.items() if k.startswith("gen.")}
-        gen.store, state_g = dm.adam_step(gen.store, gen_grads, state_g, **adam_kw)
-        if state_e is not None:
-            div_grads = {k[4:]: v for k, v in grads.items() if k.startswith("div.")}
-            div_store, state_e = dm.adam_step(div_store, div_grads, state_e, **adam_kw)
+        with _failing_at(f"step {step}, generator"):
+            grads = dm.grad_scalar(loss_g, gen.store)
+        gen.store, state_g = dm.adam_step(gen.store, grads, state_g, **adam_kw)
         loss_g_val = sum(terms_g.values())
 
         if step % cfg.eval_every == 0:
             report = ev.evaluate_model(gen, dataset, cfg.n_generate_eval,
                                        philox(cfg.seed, TAG_EVAL, step),
                                        with_retrieval=False)
-            gamma, beta = ls.current_divergence_params(spec, div_store)
+            gamma, beta = ls.current_divergence_params(spec, gen.store)
             history.records.append(HistoryRecord(
                 step, loss_g_val, loss_d_val, w_est,
                 report.top1_unseen, report.su_auc, gamma, beta))
 
     history.n_disc_updates = state_d.step
     history.n_gen_updates = state_g.step
-    history.n_entropy_updates = state_e.step if state_e is not None else 0
+    history.n_entropy_updates = state_g.step if div_init else 0
     start = history.degenerate_events
     history.degenerate_events = {
         k: v - start.get(k, 0) for k, v in events.counts().items()
         if v - start.get(k, 0) > 0
     }
-    params = mo.ModelParams(gen, disc, div_store)
-    return params, history
+    div_store = dm.ParamStore((k, gen.store[k]) for k in div_init)
+    gen.store = dm.ParamStore((k, v) for k, v in gen.store.items() if k not in div_store)
+    return mo.ModelParams(gen, disc, div_store), history
 
 
 # ---------------------------------------------------------------------------

@@ -119,8 +119,7 @@ def _loss_instance(rng, segc=False, extra=False):
     return arch, gen, disc, seen, hallu, pivot, real_x, real_y
 
 
-def _check_directional(build, value, params, rng, tol):
-    grads = dm.grad_scalar(build, params)
+def _check_directional(grads, value, params, rng, tol):
     direction = random_direction(params, rng)
     analytic = sum((grads[k] * direction[k]).sum() for k in params.names())
     fd = directional_derivative(value, params, direction)
@@ -168,7 +167,8 @@ class TestCriterion2Gradients:
             def value(p):
                 return float(build({k: dm.constant(v) for k, v in p.items()}).value)
 
-            worst = max(worst, _check_directional(build, value, merged, rng, 1e-4))
+            grads = dm.grad_scalar(build, merged)
+            worst = max(worst, _check_directional(grads, value, merged, rng, 1e-4))
         report("2a generator loss gradients (100 instances)", worst < 1e-4,
                f"max rel err {worst:.2e}")
 
@@ -191,15 +191,17 @@ class TestCriterion2Gradients:
             x_h = mo.generate(gen, hallu.t, hallu.z)
             reduced_seen = mo.reduce_semantics(gen, pivot.semantics) if segc else None
 
-            def build(leaves):
-                return ls.total(ls.discriminator_loss_node(
-                    leaves, disc, real_x, real_y, x_fake, seen.y, x_t, loss_cfg, x_h,
-                    reduced_seen, loss_cfg.divergence.effective_params()))
+            def build(p):
+                return ls.discriminator_loss_node(
+                    p, disc, real_x, real_y, x_fake, seen.y, x_t, loss_cfg, x_h,
+                    reduced_seen, loss_cfg.divergence.effective_params())
 
             def value(p):
-                return float(build({k: dm.constant(v) for k, v in p.items()}).value)
+                return sum(build(p)[0].values())
 
-            worst = max(worst, _check_directional(build, value, disc.store, rng, 1e-3))
+            terms, backward = build(disc.store)
+            grads = backward(dict.fromkeys(terms, 1.0))
+            worst = max(worst, _check_directional(grads, value, disc.store, rng, 1e-3))
         report("2b discriminator loss gradients incl. penalty (100 instances)",
                worst < 1e-3, f"max rel err {worst:.2e}")
 
@@ -223,7 +225,8 @@ class TestCriterion2Gradients:
             def value(p):
                 return float(build({k: dm.constant(v) for k, v in p.items()}).value)
 
-            worst = max(worst, _check_directional(build, value, merged, rng, 1e-4))
+            grads = dm.grad_scalar(build, merged)
+            worst = max(worst, _check_directional(grads, value, merged, rng, 1e-4))
         report("2c creativity loss gradients (100 instances)", worst < 1e-4,
                f"max rel err {worst:.2e}")
 
@@ -249,7 +252,8 @@ class TestCriterion2Gradients:
             def value(p):
                 return float(build({k: dm.constant(v) for k, v in p.items()}).value)
 
-            worst = max(worst, _check_directional(build, value, store, rng, 1e-4))
+            grads = dm.grad_scalar(build, store)
+            worst = max(worst, _check_directional(grads, value, store, rng, 1e-4))
         report("2d semantic categorizer gradients (100 instances)", worst < 1e-4,
                f"max rel err {worst:.2e}")
 
@@ -261,15 +265,16 @@ class TestCriterion2Gradients:
             x_h = mo.generate(gen, hallu.t, hallu.z)
             x_fake = mo.generate(gen, seen.t, seen.z)
 
-            def build(leaves):
+            def build(p):
                 return ls.discriminator_loss_node(
-                    leaves, disc, real_x, real_y, x_fake, seen.y, x_fake, rf_cfg,
-                    x_h)["critic_hallucinated"]
+                    p, disc, real_x, real_y, x_fake, seen.y, x_fake, rf_cfg, x_h)
 
             def value(p):
-                return float(build({k: dm.constant(v) for k, v in p.items()}).value)
+                return build(p)[0]["critic_hallucinated"]
 
-            worst = max(worst, _check_directional(build, value, disc.store, rng, 1e-4))
+            terms, backward = build(disc.store)
+            grads = backward({k: float(k == "critic_hallucinated") for k in terms})
+            worst = max(worst, _check_directional(grads, value, disc.store, rng, 1e-4))
         report("2e hallucinated real/fake gradients (100 instances)", worst < 1e-4,
                f"max rel err {worst:.2e}")
 
@@ -292,7 +297,8 @@ class TestCriterion2Gradients:
             def value(p):
                 return float(build({k: dm.constant(v) for k, v in p.items()}).value)
 
-            worst = max(worst, _check_directional(build, value, gen.store, rng, 1e-4))
+            grads = dm.grad_scalar(build, gen.store)
+            worst = max(worst, _check_directional(grads, value, gen.store, rng, 1e-4))
         report("2f hallucinated-class categorization gradients (100 instances)",
                worst < 1e-4, f"max rel err {worst:.2e}")
 

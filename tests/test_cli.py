@@ -135,6 +135,17 @@ class TestTrainCommand:
         assert manifest["status"] == "failed"
         assert "leak" in manifest["error"]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_numeric_overflow_exits_3_naming_the_step_and_player(self, tmp_path):
+        ds = synth(tmp_path)
+        run = tmp_path / "run"
+        assert main(["train", "--data", ds, "--out", str(run), *SMALL_TRAIN,
+                     "--set", "lr=1e300"]) == 3
+        manifest = json.loads((run / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "step 1, discriminator" in manifest["error"]
+
     def test_missing_dataset_exits_4(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "run")]) == 4
@@ -180,8 +191,12 @@ class TestEvalAndRetrieve:
         lambda m: m["tensors"]["gen/h0.W"].update(shape=[10, 6]),
         lambda m: m.update(config=[]),
         lambda m: m["config"].update(seed="x"),
+        lambda m: m["tensors"]["gen/h0.W"].update(
+            shape=[float(n) for n in m["tensors"]["gen/h0.W"]["shape"]]),
+        lambda m: m["arch"].update(hidden_dim=m["arch"]["hidden_dim"] + 0.5),
+        lambda m: m.update(k_seen=m["k_seen"] + 0.5),
     ], ids=["missing-arch", "unknown-arch-key", "size-mismatch", "shape-mismatch",
-            "config-list", "seed-string"])
+            "config-list", "seed-string", "float-shape", "float-width", "float-k-seen"])
     def test_malformed_checkpoint_manifest_exits_4(self, tmp_path, trained, corrupt):
         ds, ckpt = trained
         path = os.path.join(ckpt, "manifest.json")

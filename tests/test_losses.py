@@ -331,9 +331,9 @@ class TestDiscriminatorLoss:
         hallu = ls.HalluBatch(g.standard_normal((b, 2)), g.standard_normal((b, 1)))
         x_fake = mo.generate(gen, seen.t, seen.z)
         x_t = ls.lipschitz_interpolate(real_x, x_fake, rng(2))
-        terms = ls.discriminator_loss_node(disc.store, disc, real_x, real_y, x_fake, seen.y,
-                                           x_t, base_cfg(lambda_creativity=0.0))
-        assert abs(ls.total(terms).value) < 1e-6
+        terms, _ = ls.discriminator_loss_node(disc.store, disc, real_x, real_y, x_fake, seen.y,
+                                              x_t, base_cfg(lambda_creativity=0.0))
+        assert abs(sum(terms.values())) < 1e-6
 
     def test_gradient_norm_three_contributes_four(self):
         arch = mo.ArchSpec(semantic_dim=2, visual_dim=2, noise_dim=1, hidden_dim=2)
@@ -352,9 +352,9 @@ class TestDiscriminatorLoss:
         hallu = ls.HalluBatch(g.standard_normal((4, 2)), g.standard_normal((4, 1)))
         x_fake = mo.generate(gen, seen.t, seen.z)
         x_t = ls.lipschitz_interpolate(real_x, x_fake, rng(2))
-        terms = ls.discriminator_loss_node(disc.store, disc, real_x, seen.y, x_fake, seen.y,
-                                           x_t, base_cfg())
-        assert terms["gradient_penalty"].value == pytest.approx(4.0, abs=1e-9)
+        terms, _ = ls.discriminator_loss_node(disc.store, disc, real_x, seen.y, x_fake, seen.y,
+                                              x_t, base_cfg())
+        assert terms["gradient_penalty"] == pytest.approx(4.0, abs=1e-9)
 
     def test_hallucinated_real_fake_term(self):
         arch, gen, disc = small_setup(seed=3)
@@ -362,14 +362,14 @@ class TestDiscriminatorLoss:
         x_fake = mo.generate(gen, seen.t, seen.z)
         x_t = ls.lipschitz_interpolate(real_x, x_fake, rng(6))
         x_h = mo.generate(gen, hallu.t, hallu.z)
-        plain = values(ls.discriminator_loss_node(disc.store, disc, real_x, real_y, x_fake,
-                                                  seen.y, x_t, base_cfg()))
-        with_h = values(ls.discriminator_loss_node(disc.store, disc, real_x, real_y, x_fake,
-                                                   seen.y, x_t, base_cfg(rf_hallucinated=True),
-                                                   x_h))
+        plain, _ = ls.discriminator_loss_node(disc.store, disc, real_x, real_y, x_fake,
+                                              seen.y, x_t, base_cfg())
+        with_h, _ = ls.discriminator_loss_node(disc.store, disc, real_x, real_y, x_fake,
+                                               seen.y, x_t, base_cfg(rf_hallucinated=True),
+                                               x_h)
         expected = mo.discriminate(disc, x_h)["r"].mean()
         assert with_h["critic_hallucinated"] == pytest.approx(expected, abs=1e-10)
-        assert with_h["total"] - plain["total"] == pytest.approx(expected, abs=1e-9)
+        assert sum(with_h.values()) - sum(plain.values()) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("segc,flags", [
         (False, {}),
@@ -386,15 +386,16 @@ class TestDiscriminatorLoss:
         x_h = mo.generate(gen, hallu.t, hallu.z)
         reduced_seen = mo.reduce_semantics(gen, pivot.semantics) if segc else None
 
-        def build(leaves):
-            return ls.total(ls.discriminator_loss_node(
-                leaves, disc, real_x, real_y, x_fake, seen.y, x_t, cfg, x_h, reduced_seen,
-                cfg.divergence.effective_params()))
+        def build(p):
+            return ls.discriminator_loss_node(
+                p, disc, real_x, real_y, x_fake, seen.y, x_t, cfg, x_h, reduced_seen,
+                cfg.divergence.effective_params())
 
-        grads = dm.grad_scalar(build, disc.store)
+        terms, backward = build(disc.store)
+        grads = backward(dict.fromkeys(terms, 1.0))
 
         def value(p):
-            return float(build(p).value)
+            return sum(build(p)[0].values())
 
         for trial in range(3):
             direction = random_direction(disc.store, rng(200 + trial))
@@ -411,13 +412,13 @@ class TestDiscriminatorLoss:
         seen, hallu, pivot, real_x, real_y = random_batches(arch, 3, seed=23)
         x_fake = mo.generate(gen, seen.t, seen.z)
         x_t = ls.lipschitz_interpolate(real_x, x_fake, rng(3))
-        a = ls.discriminator_loss_node(disc_c.store, disc_c, real_x, real_y, x_fake, seen.y,
-                                       x_t, base_cfg())
-        b = ls.discriminator_loss_node(disc_s.store, disc_s, real_x, real_y, x_fake, seen.y,
-                                       x_t, base_cfg(segc_active=True),
-                                       reduced_seen=mo.reduce_semantics(gen, pivot.semantics))
+        a, _ = ls.discriminator_loss_node(disc_c.store, disc_c, real_x, real_y, x_fake, seen.y,
+                                          x_t, base_cfg())
+        b, _ = ls.discriminator_loss_node(disc_s.store, disc_s, real_x, real_y, x_fake, seen.y,
+                                          x_t, base_cfg(segc_active=True),
+                                          reduced_seen=mo.reduce_semantics(gen, pivot.semantics))
         for key in ("critic_fake", "critic_real", "gradient_penalty"):
-            assert a[key].value == b[key].value
+            assert a[key] == b[key]
 
 
 class TestStackedCriticPass:
@@ -481,17 +482,24 @@ class TestStackedCriticPass:
                 out = dm.add(out, dm.mul(w, t))
             return out
 
-        # the hallucinated terms on and off; the closed-form node's reverse
-        # map must also take any weighting of the terms
+        # the hallucinated terms on and off; the closed form's backward map
+        # must also take any weighting of the terms
         for hallucinated in (True, False):
             flags = replace(cfg, rf_hallucinated=hallucinated,
                             creativity_on_discriminator=hallucinated)
             args = (disc, real_x, real_y, x_fake, seen.y, x_t, flags, x_h,
                     reduced.get("reduced_seen"), (2.0, 2.5))
-            self.check(lambda lv: ls.discriminator_loss_node(lv, *args),
-                       lambda lv: discriminator_terms_multipass(lv, *args), disc.store)
-            got = dm.grad_scalar(lambda lv: weighted(ls.discriminator_loss_node(lv, *args)),
-                                 disc.store)
+            terms, backward = ls.discriminator_loss_node(disc.store, *args)
+            oracle = {}
+            expect = dm.grad_scalar(lambda lv: ls.total(
+                oracle.setdefault("t", discriminator_terms_multipass(lv, *args))), disc.store)
+            assert list(terms) == list(oracle["t"])
+            for name in terms:
+                self.assert_close(terms[name], oracle["t"][name].value)
+            grads = backward(dict.fromkeys(terms, 1.0))
+            for name in disc.store.names():
+                self.assert_close(grads[name], expect[name])
+            got = backward(dict(zip(terms, weights)))
             want = dm.grad_scalar(lambda lv: weighted(discriminator_terms_multipass(lv, *args)),
                                   disc.store)
             for name in disc.store.names():
