@@ -421,16 +421,17 @@ def load_checkpoint(directory: str, expect_arch: mo.ArchSpec | None = None):
             f"checkpoint was trained with {arch.preset!r} architecture "
             f"({arch}), refusing to load into {expect_arch.preset!r} ({expect_arch})"
         )
-    stores = {"gen": dm.ParamStore(), "disc": dm.ParamStore(), "div": dm.ParamStore()}
+    pairs = {"gen": [], "disc": [], "div": []}
     for key, fname, shape in tensors:
         prefix, _, name = key.partition("/")
-        if prefix not in stores:
+        if prefix not in pairs:
             raise DataFormatError(f"unknown tensor group {prefix!r}")
         arr = read_matrix(os.path.join(directory, fname))
         if arr.size != math.prod(shape):
             raise DataFormatError(f"{key}: {fname} holds {arr.size} values, "
                                   f"not the declared shape {list(shape)}")
-        stores[prefix].add(name, arr.reshape(shape))
+        pairs[prefix].append((name, arr.reshape(shape)))
+    stores = {prefix: dm.ParamStore(items) for prefix, items in pairs.items()}
     # the tensors must be exactly those the architecture and heads define
     layout = mo.init_params(arch, k_seen, segc, np.random.default_rng(0), extra_class)
     for prefix, ref in zip(("gen", "disc"), layout):

@@ -242,22 +242,6 @@ def cross_entropy_rows(logits, onehot) -> Node:
     return Node(nll, (logits, onehot), vjp)
 
 
-def row_norm_inv(a) -> Node:
-    """1 / row norm, with degenerate rows mapped to 0 (and logged)."""
-    a = _lift(a)
-    n = np.sqrt((a.value * a.value).sum(axis=1))
-    degenerate = n < NORM_EPS
-    if degenerate.any():
-        events.record("degenerate_zero_norm")
-    inv = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, n))
-
-    def vjp(g):
-        scale = np.where(degenerate, 0.0, g * inv**3)
-        return (-scale[:, None] * a.value,)
-
-    return Node(inv, (a,), vjp)
-
-
 def minmax_normalize_node(values) -> Node:
     """Batch min-max rescaling to [0, 1]; a constant batch maps to zeros.
 
@@ -399,8 +383,9 @@ class ParamStore:
 
     The tensors are views into one contiguous float64 vector, `flat`, laid
     out in that order, so whole-store arithmetic (the Adam update) is one
-    vector operation. Values are copied in; `add` re-packs the vector, so
-    arrays read before an `add` no longer belong to the store.
+    vector operation. Values are copied in, and the layout is fixed when the
+    store is built: a store is made from all of its (name, array) pairs at
+    once.
     """
 
     def __init__(self, items: Mapping[str, np.ndarray] | Iterable = ()):
@@ -429,13 +414,6 @@ class ParamStore:
         out = ParamStore.__new__(ParamStore)
         out._bind(flat, self._layout)
         return out
-
-    def add(self, name: str, value) -> None:
-        if name in self._data:
-            raise ValidationError(f"duplicate parameter name {name!r}")
-        value = as_tensor(value)
-        self._bind(np.concatenate((self.flat, value.ravel())),
-                   self._layout + [(name, value.shape)])
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._data[name]
@@ -485,8 +463,8 @@ def adam_step(
 ) -> tuple[ParamStore, AdamState]:
     """One bias-corrected Adam update, elementwise over the store's flat
     vector. Returns fresh params and state; the inputs are left untouched."""
-    if lr <= 0:
-        raise ValidationError("lr must be positive")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValidationError("lr must be finite and positive")
     if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
         raise ValidationError("beta1 and beta2 must lie in [0, 1)")
     for name, p in params.items():

@@ -76,6 +76,9 @@ class DivergenceSpec:
             raise ValidationError(f"unknown divergence family {self.family!r}")
         if self.orientation not in ORIENTATIONS:
             raise ValidationError(f"unknown orientation {self.orientation!r}")
+        for name in ("gamma", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.family not in ("kl", "bhattacharyya") and self.gamma <= 0:
             raise ValidationError("gamma must be positive")
         if self.family in ("kl", "bhattacharyya") and (self.learn_gamma or self.learn_beta):

@@ -29,9 +29,10 @@ generator builders return a dictionary of named term Nodes, and
 :func:`total` sums them into the scalar that training differentiates; they
 accept parameter maps whose values are tape Nodes (live) or plain arrays
 (frozen), so the same code serves generator steps, gradient checks, and
-plain evaluation (read `.value` off each term). The discriminator's terms
-are computed in closed form on plain arrays, with their own backward map
-in place of a tape.
+plain evaluation (read `.value` off each term). The discriminator builder
+makes the same trunk, score and head nodes over leaf nodes of the critic's
+parameters and returns plain term values with a backward map that calls
+those nodes' reverse maps directly, in place of a tape sweep.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class LossConfig:
                                   "semantic-guided head; enable segc_active")
         if self.k_unseen_cap < 2:
             raise ValidationError("k_unseen_cap must be at least 2")
-        if self.segc_normalized and self.eta <= 0:
-            raise ValidationError("eta must be positive")
+        if not np.isfinite(self.eta) or (self.segc_normalized and self.eta <= 0):
+            raise ValidationError("eta must be finite, and positive under normalization")
 
 
 class SeenBatch(NamedTuple):
@@ -291,10 +292,10 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
                             x_fake, fake_y, x_tilde, cfg: LossConfig, x_h=None,
                             reduced_seen=None, div_values: tuple[float, float] | None = None
                             ) -> tuple[dict[str, float], Callable[[dict], dict[str, np.ndarray]]]:
-    """All discriminator-side terms in closed form: returns
-    `({term: value}, backward)`, where `backward({term: weight})` gives
-    `{critic parameter: gradient}` of the weighted sum of the terms. No tape
-    node is returned, as the critic step needs no tape; the name matches the
+    """All discriminator-side terms: returns `({term: value}, backward)`,
+    where `backward({term: weight})` gives `{critic parameter: gradient}` of
+    the weighted sum of the terms. No tape node is returned and no tape
+    sweep runs, as the critic step needs neither; the name matches the
     other loss builders, and the benchmark's tracer times the step under it.
 
     The generations enter frozen: `x_fake` with its labels `fake_y`, the
@@ -303,12 +304,13 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
     as `div_values`; those parameters only learn through the generator loss.
 
     The rows [real; fake; (x_h); interpolates] go through the trunk in one
-    pass. The critic score and the active head read row slices of the
-    shared features, and the gradient penalty reads the trunk's layer
-    outputs at the interpolate rows. `backward` runs one hand-written pass
-    back through the heads, the score and the trunk, reading each
-    rectifier's gate off its layer output as :func:`dm.critic_input_gradient`
-    does, for any weighting of the terms.
+    pass. The trunk, the critic score and the active head are the nodes the
+    generator step builds, here over leaf nodes of the critic's parameters;
+    the score and the head read row slices of the shared features, and the
+    gradient penalty reads the trunk's layer outputs at the interpolate
+    rows. `backward` runs those nodes' own reverse maps, the score's, the
+    head's, then each trunk layer's from the last, for any weighting of the
+    terms.
     """
     arch = disc.arch
     n_real, n_fake = len(real_x), len(x_fake)
@@ -322,40 +324,42 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
         blocks.append(x_h)
     lo_h = n_real + n_fake        # first hallucinated row
     lo_t = sum(map(len, blocks))  # first interpolate row
-    p = disc_map
+    leaves = {name: dm.leaf(value) for name, value in disc_map.items()}
+    names = {node: name for name, node in leaves.items()}
 
-    hidden = [np.vstack(blocks + [x_tilde])]
-    hidden += [h.value for h in mo.trunk_features(p, arch, hidden[0])]
-    feat = hidden[-1]
-    score = mo.real_score(p, feat).value
+    x = np.vstack(blocks + [x_tilde])
+    layers = mo.trunk_features(leaves, arch, x)
+    feat = layers[-1]
+    score = mo.real_score(leaves, feat)
     n_head = lo_t if cfg.creativity_on_discriminator else lo_h
-    head, head_vjp = _head_closed_form(p, feat[:n_head], disc.segc, cfg, reduced_seen)
-    weight_names = mo.critic_weight_names(arch)
-    penalty = dm.lipschitz_penalty_node([p[k] for k in weight_names],
-                                        [h[lo_t:] for h in hidden], arch.leak)
+    head = _head_scores(leaves, dm.row_slice(feat, 0, n_head), disc.segc, cfg, reduced_seen)
+    penalty = dm.lipschitz_penalty_node([leaves[k] for k in mo.critic_weight_names(arch)],
+                                        [x[lo_t:]] + [h.value[lo_t:] for h in layers],
+                                        arch.leak)
     onehot = _onehot(np.concatenate((real_y, fake_y)), disc.n_logits, disc.k_seen)
-    ce = dm.cross_entropy_rows(dm.constant(head[:lo_h]), dm.constant(onehot))
+    ce = dm.cross_entropy_rows(dm.constant(head.value[:lo_h]), dm.constant(onehot))
 
+    s = score.value
     values = {
-        "critic_fake": score[n_real:lo_h].mean(),
-        "critic_real": -score[:n_real].mean(),
+        "critic_fake": s[n_real:lo_h].mean(),
+        "critic_real": -s[:n_real].mean(),
         "gradient_penalty": penalty.value,
         "cls_real": 0.5 * ce.value[:n_real].mean(),
         "cls_fake": 0.5 * ce.value[n_real:lo_h].mean(),
     }
     if cfg.rf_hallucinated:
         # hallucinated generations are pushed down as fakes
-        values["critic_hallucinated"] = score[lo_h:lo_t].mean()
+        values["critic_hallucinated"] = s[lo_h:lo_t].mean()
     if cfg.creativity_on_discriminator:
         # the tape's own nodes on constants; their reverse maps are called below
-        probs = dm.softmax_rows(dm.constant(head[lo_h:lo_t]))
+        probs = dm.softmax_rows(dm.constant(head.value[lo_h:lo_t]))
         div_rows = divergence_rows_node(probs, dm.constant(div_values[0]),
                                         dm.constant(div_values[1]), cfg.divergence)
         normalized = dm.minmax_normalize_node(div_rows)
         values["entropy_on_disc"] = cfg.lambda_creativity * normalized.value.mean()
 
     def backward(w):
-        d_score = np.zeros_like(score)
+        d_score = np.zeros_like(s)
         d_score[:n_real] = -w["critic_real"] / n_real
         d_score[n_real:lo_h] = w["critic_fake"] / n_fake
         if cfg.rf_hallucinated:
@@ -363,62 +367,31 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
         d_ce = np.empty(lo_h)
         d_ce[:n_real] = 0.5 * w["cls_real"] / n_real
         d_ce[n_real:] = 0.5 * w["cls_fake"] / n_fake
-        d_head = np.zeros_like(head)
+        d_head = np.zeros_like(head.value)
         d_head[:lo_h] = ce.vjp(d_ce)[0]
         if cfg.creativity_on_discriminator:
             d = np.full(lo_t - lo_h, cfg.lambda_creativity * w["entropy_on_disc"] / (lo_t - lo_h))
             d_head[lo_h:lo_t] = probs.vjp(div_rows.vjp(normalized.vjp(d)[0])[0])[0]
 
-        d_feat_head, grads = head_vjp(d_head)
-        d_feat = d_score * p["real.W"][:, 0]  # an outer product, not a matmul
-        d_feat[:n_head] += d_feat_head
-        grads["real.W"] = feat.T @ d_score
-        grads["real.b"] = d_score.sum(axis=0)
-        for i in reversed(range(arch.n_hidden)):
-            dz = d_feat * dm.leaky_gate(hidden[i + 1] > 0.0, arch.leak)
-            grads[f"trunk{i}.W"] = hidden[i].T @ dz
-            grads[f"trunk{i}.b"] = dz.sum(axis=0)
-            if i:  # the input rows are data
-                d_feat = dz @ p[f"trunk{i}.W"].T
-        for name, g in zip(weight_names, penalty.vjp(w["gradient_penalty"])):
-            grads[name] += g
-        return {k: grads[k] for k in p}
+        grads = {}
+
+        def pull(node, g):
+            """`g` through the reverse map of a layer node whose first operand
+            is its input: the parameter gradients go to `grads`, and the
+            input's gradient is returned."""
+            d_in, *d_params = node.vjp(g)
+            grads.update((names[p], d) for p, d in zip(node.parents[1:], d_params))
+            return d_in
+
+        d_feat = pull(score, d_score)
+        d_feat[:n_head] += pull(head, d_head)
+        for layer in reversed(layers):  # the first layer's input rows are data
+            d_feat = pull(layer, d_feat)
+        for p, g in zip(penalty.parents, penalty.vjp(w["gradient_penalty"])):
+            grads[names[p]] += g
+        return {k: grads[k] for k in disc_map}
 
     return {k: float(v) for k, v in values.items()}, backward
-
-
-def _head_closed_form(p, feat, segc, cfg, reduced_seen):
-    """Scores of the active head on plain trunk features, and the map from
-    an upstream gradient on the scores to (feature gradient, {head parameter:
-    gradient}); the closed form of :func:`_head_scores`."""
-    if not segc:
-        W = p["cls.W"]
-
-        def cls_vjp(d):
-            return d @ W.T, {"cls.W": feat.T @ d, "cls.b": d.sum(axis=0)}
-
-        return feat @ W + p["cls.b"], cls_vjp
-    if reduced_seen is None:
-        raise ValidationError("semantic-guided scoring needs the reduced class table")
-    T = dm.as_tensor(reduced_seen)
-    W = p["segc.W"]
-    proj = feat @ W
-    raw = proj @ T.T
-    scores = raw
-    if cfg.segc_normalized:
-        inv_rows = dm.row_norm_inv(dm.constant(proj))
-        col = mo.descriptor_scale(T, cfg.eta)
-        scores = raw * inv_rows.value[:, None] * col[None, :]
-
-    def segc_vjp(d):
-        if not cfg.segc_normalized:
-            d_proj = d @ T
-        else:
-            d_proj = (d * inv_rows.value[:, None] * col[None, :]) @ T
-            d_proj += inv_rows.vjp((d * raw * col[None, :]).sum(axis=1))[0]
-        return d_proj @ W.T, {"segc.W": feat.T @ d_proj}
-
-    return scores, segc_vjp
 
 
 # ---------------------------------------------------------------------------

@@ -105,12 +105,12 @@ def init_params(
     if segc and extra_class:
         raise ValidationError("the new-class ablation needs the classic head")
 
-    def dense(store, name, fan_in, fan_out, bias=True):
-        store.add(f"{name}.W", rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)))
+    def dense(pairs, name, fan_in, fan_out, bias=True):
+        pairs.append((f"{name}.W", rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))))
         if bias:
-            store.add(f"{name}.b", np.zeros(fan_out))
+            pairs.append((f"{name}.b", np.zeros(fan_out)))
 
-    g = dm.ParamStore()
+    g = []
     dense(g, "reduce", arch.semantic_dim, arch.reduced_dim)
     width = arch.reduced_dim + arch.noise_dim
     for i in range(arch.n_hidden):
@@ -118,7 +118,7 @@ def init_params(
         width = arch.eff_hidden
     dense(g, "out", width, arch.visual_dim)
 
-    d = dm.ParamStore()
+    d = []
     width = arch.visual_dim
     for i in range(arch.n_hidden):
         dense(d, f"trunk{i}", width, arch.eff_hidden)
@@ -129,7 +129,8 @@ def init_params(
     else:
         dense(d, "cls", width, k_seen + (1 if extra_class else 0))
 
-    return GeneratorParams(arch, g), DiscriminatorParams(arch, k_seen, segc, extra_class, d)
+    return (GeneratorParams(arch, dm.ParamStore(g)),
+            DiscriminatorParams(arch, k_seen, segc, extra_class, dm.ParamStore(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +179,43 @@ def class_logits(params, feat) -> dm.Node:
 
 def segc_score_node(W, feat, reduced_T, normalized: bool = False, eta: float = 1.0) -> dm.Node:
     """Compatibility scores S[i, c] = <feat_i W, t_c>, or eta^2 times the
-    cosine when normalized. The class descriptors are treated as constants.
+    cosine when normalized, as one tape node over (feat, W); like
+    :func:`diffmath.dense`, the reverse map skips a constant operand. The
+    class descriptors are treated as constants.
 
     Zero-norm rows or descriptors under normalization score 0 for every
-    pairing and raise a degenerate event rather than dividing by zero.
+    pairing and raise a degenerate event rather than dividing by zero; a
+    zero-norm row gets a zero gradient through its norm.
     """
     T = np.asarray(reduced_T.value if isinstance(reduced_T, dm.Node) else reduced_T, dtype=np.float64)
-    proj = dm.dense(feat, W)
-    scores = dm.dense(proj, T.T)
-    if not normalized:
-        return scores
-    if eta <= 0:
+    if normalized and eta <= 0:
         raise ValidationError("eta must be positive under normalization")
-    inv_rows = dm.reshape(dm.row_norm_inv(proj), (-1, 1))
-    return dm.mul(dm.mul(scores, inv_rows), dm.constant(descriptor_scale(T, eta)[None, :]))
+    feat, W = dm._lift(feat), dm._lift(W)
+    proj = feat.value @ W.value
+    raw = proj @ T.T
+    scores = raw
+    if normalized:
+        norms = np.sqrt((proj * proj).sum(axis=1))
+        degenerate = norms < dm.NORM_EPS
+        if degenerate.any():
+            events.record("degenerate_zero_norm")
+        inv = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, norms))
+        col = descriptor_scale(T, eta)
+        scores = raw * inv[:, None] * col[None, :]
+
+    def vjp(d):
+        if not normalized:
+            d_proj = d @ T
+        else:
+            d_proj = (d * inv[:, None] * col[None, :]) @ T
+            # through the row norm, d(1 / |p|) / dp = -p / |p|^3; a zero-norm
+            # row's inv is 0, so it gets no gradient here either
+            d_inv = (d * raw * col[None, :]).sum(axis=1)
+            d_proj -= (d_inv * inv**3)[:, None] * proj
+        return (None if feat.const else d_proj @ W.value.T,
+                None if W.const else feat.value.T @ d_proj)
+
+    return dm.Node(scores, (feat, W), vjp)
 
 
 def descriptor_scale(T, eta: float) -> np.ndarray:

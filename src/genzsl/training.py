@@ -80,8 +80,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.n_steps < 0 or self.batch_size < 1 or self.n_d < 1:
             raise ValidationError("n_steps >= 0, batch_size >= 1, n_d >= 1 required")
-        if self.lr <= 0:
-            raise ValidationError("lr must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError("lr must be finite and positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValidationError("beta1 and beta2 must lie in [0, 1)")
         if self.eval_every < 1:
@@ -183,9 +183,12 @@ def _sample_indices(dataset: ZslDataset, size: int, rng, class_balanced: bool,
 
 @contextmanager
 def _failing_at(where: str):
-    """Prefix `where` to a NumericOverflowError raised inside."""
+    """Prefix `where` to a NumericOverflowError raised inside. Numpy's
+    overflow and invalid-value warnings are silenced inside, as every loss
+    and gradient computed there is checked by :func:`diffmath.finite_grads`."""
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
     except NumericOverflowError as exc:
         raise NumericOverflowError(f"{where}: {exc}") from exc
 
@@ -255,11 +258,11 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
             y = dataset.seen_labels[idx[k]]
             x_fake = x_fakes[k * m:(k + 1) * m]
             x_tilde = ls.lipschitz_interpolate(x, x_fake, rng_interp)
-            terms_d, backward = ls.discriminator_loss_node(
-                disc.store, disc, x, y, x_fake, y, x_tilde, cfg.loss, x_h,
-                reduced_seen, div_values)
-            loss_d_val = sum(terms_d.values())
             with _failing_at(f"step {step}, discriminator"):
+                terms_d, backward = ls.discriminator_loss_node(
+                    disc.store, disc, x, y, x_fake, y, x_tilde, cfg.loss, x_h,
+                    reduced_seen, div_values)
+                loss_d_val = sum(terms_d.values())
                 grads = dm.finite_grads(loss_d_val,
                                         lambda: backward(dict.fromkeys(terms_d, 1.0)))
             del backward  # it holds the critic step's whole forward pass

@@ -1,8 +1,9 @@
 """Shared oracles: finite differences for gradient checks, the tape
-operations that only the oracles compose, the multi-pass critic
-composition on the tape that the program's stacked, closed-form critic
-step and its stacked generator pass must reproduce, and the unblocked
-pool scorer that the row-blocked one must reproduce.
+operations that only the oracles compose, the semantic-guided head composed
+from them that the program's one-node head must reproduce, the multi-pass
+critic composition on the tape that the program's stacked critic step and
+its stacked generator pass must reproduce, and the unblocked pool scorer
+that the row-blocked one must reproduce.
 
 Central differences at h=1e-5 on float64 keep the truncation and roundoff
 error orders of magnitude below the tolerances asserted in the tests, so a
@@ -15,7 +16,6 @@ import numpy as np
 
 import genzsl.diffmath as dm
 import genzsl.losses as ls
-import genzsl.model as mo
 from genzsl import events
 from genzsl.diffmath import ParamStore
 
@@ -124,6 +124,38 @@ def row_norm(a):
     return dm.Node(n, (a,), vjp)
 
 
+def row_norm_inv(a):
+    """1 / row norm. Rows with norm below 1e-12 map to 0, get a zero
+    gradient and raise a degenerate event."""
+    a = dm._lift(a)
+    n = np.sqrt((a.value * a.value).sum(axis=1))
+    degenerate = n < dm.NORM_EPS
+    if degenerate.any():
+        events.record("degenerate_zero_norm")
+    inv = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, n))
+
+    def vjp(g):
+        scale = np.where(degenerate, 0.0, g * inv**3)
+        return (-scale[:, None] * a.value,)
+
+    return dm.Node(inv, (a,), vjp)
+
+
+def segc_score_oracle(W, feat, T, normalized=False, eta=1.0):
+    """The semantic-guided scores composed from primitive tape operations:
+    (feat W) T^T, times 1 / ||feat_i W|| and eta^2 / ||t_c|| when normalized
+    (zero-norm descriptors score 0)."""
+    T = np.asarray(T, dtype=np.float64)
+    proj = matmul(feat, W)
+    scores = matmul(proj, dm.constant(T.T))
+    if not normalized:
+        return scores
+    t_norms = np.sqrt((T * T).sum(axis=1))
+    col = np.where(t_norms < dm.NORM_EPS, 0.0, eta * eta / np.maximum(t_norms, dm.NORM_EPS))
+    inv_rows = dm.reshape(row_norm_inv(proj), (-1, 1))
+    return dm.mul(dm.mul(scores, inv_rows), dm.constant(col[None, :]))
+
+
 def dense_input_grad(g, W, gate=None):
     """`(g * gate) @ W.T`, the reverse map of a dense layer onto its input,
     as one tape node that is itself differentiable in `g` and `W` (the gate
@@ -204,7 +236,7 @@ def _head_oracle(disc_map, disc, x, cfg, table):
     feat = affine_stack(x, critic_layers(disc_map, disc.arch)[:-1], disc.arch.leak)
     if not disc.segc:
         return dm.add(matmul(feat, disc_map["cls.W"]), disc_map["cls.b"])
-    return mo.segc_score_node(disc_map["segc.W"], feat, table, cfg.segc_normalized, cfg.eta)
+    return segc_score_oracle(disc_map["segc.W"], feat, table, cfg.segc_normalized, cfg.eta)
 
 
 def _mean_ce_oracle(scores, onehot):

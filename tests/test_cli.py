@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -101,17 +102,26 @@ class TestTrainCommand:
         assert main(["train", "--data", ds, "--out", str(run), *SMALL_TRAIN]) == 4
         assert json.loads((run / "run_manifest.json").read_text())["status"] == "failed"
 
-    @pytest.mark.parametrize("config, extra, code", [
-        ({"n_steps": "x"}, [], 2),
-        ({"arch": {"hidden_dim": "8"}}, [], 2),
-        ({"batch_size": 1.5}, [], 2),
-        ({"class_balanced": 1}, [], 2),
-        ([], ["--steps", "4"], 2),
-        ({}, ["--set", "n_steps=true", "--set", "eval_every=1"], 2),
-        ({"lr": 1, "arch": {"reduced_dim": None}}, SMALL_TRAIN, 0),
+    @pytest.mark.parametrize("config, extra, code, field", [
+        ({"n_steps": "x"}, [], 2, "n_steps"),
+        ({"arch": {"hidden_dim": "8"}}, [], 2, "hidden_dim"),
+        ({"batch_size": 1.5}, [], 2, "batch_size"),
+        ({"class_balanced": 1}, [], 2, "class_balanced"),
+        ([], ["--steps", "4"], 2, "config"),
+        ({}, ["--set", "n_steps=true", "--set", "eval_every=1"], 2, "n_steps"),
+        # non-finite numbers: JSON's NaN and Infinity, given in a file or by --set
+        ({"lr": float("nan")}, SMALL_TRAIN, 2, "lr"),
+        ({}, [*SMALL_TRAIN, "--set", "lr=Infinity"], 2, "lr"),
+        ({"loss": {"segc_active": True, "segc_normalized": True}},
+         [*SMALL_TRAIN, "--set", "loss.eta=NaN"], 2, "eta"),
+        ({}, [*SMALL_TRAIN, "--set", "loss.divergence.gamma=NaN"], 2, "gamma"),
+        ({}, [*SMALL_TRAIN, "--set", "loss.divergence.beta=Infinity"], 2, "beta"),
+        ({"lr": 1, "arch": {"reduced_dim": None}}, SMALL_TRAIN, 0, None),
     ], ids=["string-for-int", "nested-string-for-int", "float-for-int", "int-for-bool",
-            "list-root", "bool-for-int", "int-for-float-and-null"])
-    def test_config_values_must_have_their_field_type(self, tmp_path, config, extra, code):
+            "list-root", "bool-for-int", "nan-lr", "infinite-lr", "nan-eta", "nan-gamma",
+            "infinite-beta", "int-for-float-and-null"])
+    def test_config_values_must_have_their_field_type(self, tmp_path, config, extra, code,
+                                                      field):
         ds = synth(tmp_path)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
@@ -120,6 +130,8 @@ class TestTrainCommand:
                      "--config", str(cfg_path), *extra]) == code
         manifest = json.loads((run / "run_manifest.json").read_text())
         assert manifest["status"] == ("ok" if code == 0 else "failed")
+        if code:
+            assert field in manifest["error"]
         if code == 0:
             assert manifest["config"]["lr"] == 1.0
             assert manifest["config"]["arch"]["reduced_dim"] is None
@@ -135,13 +147,15 @@ class TestTrainCommand:
         assert manifest["status"] == "failed"
         assert "leak" in manifest["error"]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_numeric_overflow_exits_3_naming_the_step_and_player(self, tmp_path):
         ds = synth(tmp_path)
         run = tmp_path / "run"
-        assert main(["train", "--data", ds, "--out", str(run), *SMALL_TRAIN,
-                     "--set", "lr=1e300"]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--data", ds, "--out", str(run), *SMALL_TRAIN,
+                         "--set", "lr=1e300"])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code == 3
         manifest = json.loads((run / "run_manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "step 1, discriminator" in manifest["error"]

@@ -290,18 +290,18 @@ class TestInputGradient:
 
 
 def _critic_store(rng, widths):
-    params = dm.ParamStore()
+    pairs = []
     layout = []
     w_in = widths[0]
     for i, w_out in enumerate(widths[1:]):
-        params.add(f"trunk{i}.W", rng.standard_normal((w_in, w_out)) / np.sqrt(w_in))
-        params.add(f"trunk{i}.b", rng.standard_normal(w_out) * 0.1)
+        pairs.append((f"trunk{i}.W", rng.standard_normal((w_in, w_out)) / np.sqrt(w_in)))
+        pairs.append((f"trunk{i}.b", rng.standard_normal(w_out) * 0.1))
         layout.append((f"trunk{i}.W", f"trunk{i}.b", "leaky"))
         w_in = w_out
-    params.add("real.W", rng.standard_normal((w_in, 1)))
-    params.add("real.b", np.zeros(1))
+    pairs.append(("real.W", rng.standard_normal((w_in, 1))))
+    pairs.append(("real.b", np.zeros(1)))
     layout.append(("real.W", "real.b", "linear"))
-    return params, layout
+    return dm.ParamStore(pairs), layout
 
 
 def _penalty(params, layout, x_tilde):
@@ -409,6 +409,12 @@ class TestAdam:
         with pytest.raises(DimensionError):
             dm.adam_step(params, {"w": np.ones(4)}, dm.AdamState(params))
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, np.nan, np.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        params = dm.ParamStore({"w": np.ones(2)})
+        with pytest.raises(ValidationError, match="lr"):
+            dm.adam_step(params, {"w": np.ones(2)}, dm.AdamState(params), lr=lr)
+
     def test_state_increments_by_one(self):
         params = dm.ParamStore({"w": np.ones(2)})
         state = dm.AdamState(params)
@@ -511,14 +517,11 @@ class TestMinMaxNode:
 
 class TestParamStore:
     def test_duplicate_names_rejected(self):
-        store = dm.ParamStore({"a": np.ones(1)})
         with pytest.raises(ValidationError):
-            store.add("a", np.ones(1))
+            dm.ParamStore([("a", np.ones(1)), ("b", np.ones(2)), ("a", np.ones(1))])
 
     def test_iteration_order_is_insertion_order(self):
-        store = dm.ParamStore()
-        for name in ("z", "a", "m"):
-            store.add(name, np.ones(1))
+        store = dm.ParamStore((name, np.ones(1)) for name in ("z", "a", "m"))
         assert store.names() == ["z", "a", "m"]
 
 

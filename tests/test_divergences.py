@@ -266,6 +266,13 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             dv.DivergenceSpec("renyi", 2.0, learn_gamma=True, learn_beta=True)
 
+    @pytest.mark.parametrize("family", ["sharma_mittal", "kl"])
+    @pytest.mark.parametrize("knob", ["gamma", "beta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, family, knob, value):
+        with pytest.raises(ValidationError, match=knob):
+            dv.DivergenceSpec(family, **{knob: value})
+
     def test_unconstrained_init_round_trips(self):
         spec = dv.DivergenceSpec("sharma_mittal", 2.0, 3.5, True, True)
         init = spec.unconstrained_init()

@@ -482,7 +482,7 @@ class TestStackedCriticPass:
                 out = dm.add(out, dm.mul(w, t))
             return out
 
-        # the hallucinated terms on and off; the closed form's backward map
+        # the hallucinated terms on and off; the critic step's backward map
         # must also take any weighting of the terms
         for hallucinated in (True, False):
             flags = replace(cfg, rf_hallucinated=hallucinated,
@@ -638,3 +638,9 @@ class TestLossConfigValidation:
     def test_tiny_unseen_cap_rejected(self):
         with pytest.raises(ValidationError):
             base_cfg(k_unseen_cap=1)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_non_finite_eta_rejected(self, eta, normalized):
+        with pytest.raises(ValidationError, match="eta"):
+            base_cfg(segc_active=True, segc_normalized=normalized, eta=eta)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import genzsl.diffmath as dm
 import genzsl.model as mo
 from genzsl import events
 from genzsl.errors import DimensionError, ValidationError
+from helpers import segc_score_oracle
 
 
 def rng(seed=0):
@@ -179,6 +181,69 @@ class TestSegcScore:
     def test_eta_must_be_positive_when_normalized(self):
         with pytest.raises(ValidationError):
             mo.segc_score_node(np.eye(2), [[1.0, 0.0]], [[1.0, 0.0]], normalized=True, eta=0.0)
+
+
+class TestSegcScoreNode:
+    """The one-node head against its composition from primitive tape
+    operations, value and both gradients, to 1e-12."""
+
+    @staticmethod
+    def assert_close(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-300)
+
+    @staticmethod
+    def value_and_grads(head, W, x, upstream):
+        """The scores and the gradients of <scores, upstream> in W and x."""
+        params = dm.ParamStore({"W": W, "x": x})
+        out = {}
+        grads = dm.grad_scalar(lambda lv: dm.vsum(dm.mul(
+            out.setdefault("s", head(lv["W"], lv["x"])), dm.constant(upstream))), params)
+        return out["s"].value, grads
+
+    def check(self, W, x, T, normalized, eta):
+        upstream = rng(12).standard_normal((len(x), len(T)))
+        got, d_got = self.value_and_grads(
+            lambda W, x: mo.segc_score_node(W, x, T, normalized, eta), W, x, upstream)
+        want, d_want = self.value_and_grads(
+            lambda W, x: segc_score_oracle(W, x, T, normalized, eta), W, x, upstream)
+        self.assert_close(got, want)
+        for name in ("W", "x"):
+            self.assert_close(d_got[name], d_want[name])
+        return got, d_got
+
+    @pytest.mark.parametrize("normalized, eta", [(False, 1.0), (True, 2.0)],
+                             ids=["unnormalized", "normalized"])
+    def test_value_and_both_gradients_match_the_composed_oracle(self, normalized, eta):
+        g = rng(11)
+        self.check(g.standard_normal((4, 3)), g.standard_normal((6, 4)),
+                   g.standard_normal((5, 3)), normalized, eta)
+
+    def test_zero_norm_projected_row_gets_no_gradient_through_its_norm(self):
+        W = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        # rows 1 and 3 project to norms 0 and 1e-14, both below the 1e-12 floor
+        x = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 5.0], [-0.5, 0.3, 1.0], [1e-14, 0.0, 1.0]])
+        T = np.array([[1.0, 0.5], [-0.3, 2.0], [0.7, 0.7]])
+        events.reset()
+        scores, grads = self.check(W, x, T, True, 2.0)
+        assert np.all(scores[[1, 3]] == 0.0)
+        assert np.all(grads["x"][[1, 3]] == 0.0)
+        assert np.all(grads["x"][[0, 2], :2] != 0.0)  # W's last row is zero
+        events.reset()
+        for calls in (1, 2):
+            mo.segc_score_node(W, x, T, normalized=True, eta=2.0)
+            assert events.counts() == {"degenerate_zero_norm": calls}
+        events.reset()
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_a_constant_operand_gets_no_gradient(self, normalized):
+        g = rng(13)
+        W, x, T = g.standard_normal((4, 3)), g.standard_normal((6, 4)), g.standard_normal((5, 3))
+        upstream = g.standard_normal((6, 5))
+        d_x, d_W = mo.segc_score_node(dm.leaf(W), x, T, normalized, 2.0).vjp(upstream)
+        assert d_x is None and d_W.shape == W.shape
+        d_x, d_W = mo.segc_score_node(W, dm.leaf(x), T, normalized, 2.0).vjp(upstream)
+        assert d_W is None and d_x.shape == x.shape
 
 
 class TestSegcSoftmaxRows:
