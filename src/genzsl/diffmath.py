@@ -297,8 +297,13 @@ def dense(x, W, b=None, slope=None) -> Node:
     def vjp(g):
         if slope is not None:
             g = g * leaky_gate(out > 0.0, slope)
-        grads = (None if x.const else g @ W.value.T,
-                 None if W.const else x.value.T @ g)
+        if x.const:
+            d_x = None
+        elif W.value.shape[1] == 1:  # an outer product: cheaper than the matmul, same bits
+            d_x = g * W.value[:, 0]
+        else:
+            d_x = g @ W.value.T
+        grads = (d_x, None if W.const else x.value.T @ g)
         return grads if b is None else grads + (g.sum(axis=0),)
 
     return Node(out, parents, vjp)

@@ -380,7 +380,8 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
             is its input: the parameter gradients go to `grads`, and the
             input's gradient is returned."""
             d_in, *d_params = node.vjp(g)
-            grads.update((names[p], d) for p, d in zip(node.parents[1:], d_params))
+            for p, d in zip(node.parents[1:], d_params):
+                grads[names[p]] = d
             return d_in
 
         d_feat = pull(score, d_score)

@@ -154,6 +154,15 @@ class TestFusedNodes:
         with pytest.raises(ValidationError):
             dm.dense(np.ones((2, 3)), np.ones((3, 4)), None, slope)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_dense_input_gradient_equals_the_matmul_at_every_output_width(self, width):
+        # one output unit takes an outer product in place of the matmul
+        rng = np.random.default_rng(33)
+        x, W = rng.standard_normal((6, 4)), rng.standard_normal((4, width))
+        g = rng.standard_normal((6, width))
+        d_fused = dm.dense(dm.leaf(x), W).vjp(g)[0]
+        np.testing.assert_array_equal(d_fused, matmul(dm.leaf(x), W).vjp(g)[0])
+
     def test_dense_input_gradient_reaches_a_live_input(self):
         rng = np.random.default_rng(32)
         params = dm.ParamStore({"x": rng.standard_normal((3, 4)),
