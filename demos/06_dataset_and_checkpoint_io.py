@@ -35,7 +35,7 @@ with tempfile.TemporaryDirectory() as tmp:
     ck_dir = os.path.join(tmp, "checkpoint")
     save_checkpoint(params, asdict(cfg), ck_dir)
     loaded, snapshot = load_checkpoint(ck_dir)
-    print("\ncheckpoint holds", len(list(loaded.generator.store.names())),
-          "generator tensors and", len(list(loaded.discriminator.store.names())),
+    print("\ncheckpoint holds", len(loaded.generator.store),
+          "generator tensors and", len(loaded.discriminator.store),
           "discriminator tensors")
     print("config snapshot n_steps:", snapshot["n_steps"])

@@ -221,6 +221,8 @@ def cmd_eval(args, ctx: RunContext) -> None:
 
 
 def cmd_sweep(args, ctx: RunContext) -> None:
+    if args.workers < 1:
+        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
     cfg, dataset = _training_inputs(args, ctx)
     jobs = [(dataset, cfg, seed) for seed in ctx.seeds]
     if args.workers > 1:

@@ -231,8 +231,8 @@ def cross_entropy_rows(logits, onehot) -> Node:
     """Per-row negative log-likelihood of the one-hot targets, fused with the
     softmax for stability. Returns a length-B vector."""
     logits, onehot = _lift(logits), _lift(onehot)
-    z = logits.value - logits.value.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1)) + logits.value.max(axis=1)
+    top = logits.value.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(logits.value - top).sum(axis=1)) + top[:, 0]
     nll = lse - (logits.value * onehot.value).sum(axis=1)
     soft = np.exp(logits.value - lse[:, None])
 
@@ -343,12 +343,14 @@ def critic_input_gradient(weights, activations, slope: float = 0.2) -> Node:
     head = weights[-1].value
     if head.ndim != 2 or head.shape[1] != 1:
         raise DimensionError(f"critic head must have output width 1, got {head.shape}")
-    a = np.repeat(head.T, len(activations[0]), axis=0)  # 1 w^T, exactly
+    a = head.T  # 1 w^T: the first gate's product broadcasts w^T over the rows
     gated, gates = [], []  # each layer's (a_i * gate_i) and gate_i, head side first
     for W, h in zip(reversed(weights[:-1]), reversed(activations[1:])):
         gates.append(leaky_gate(h > 0.0, slope))
         gated.append(a * gates[-1])
         a = gated[-1] @ W.value.T
+    if len(weights) == 1:  # a linear critic: every row is w^T
+        a = np.repeat(a, len(activations[0]), axis=0)
 
     def vjp(u):
         grads = []
@@ -375,7 +377,7 @@ def lipschitz_penalty_node(weights, activations, slope: float = 0.2) -> Node:
         events.record("degenerate_gradient_penalty")
     dev = norm - 1.0
     scale = np.where(degenerate, 0.0, 2.0 * dev / (len(rows) * np.where(degenerate, 1.0, norm)))
-    return Node(np.asarray((dev * dev).mean()), g.parents,
+    return Node(np.asarray((dev * dev).sum() / len(rows)), g.parents,
                 lambda u: g.vjp((u * scale)[:, None] * rows))
 
 
@@ -432,17 +434,16 @@ class ParamStore:
     def __len__(self) -> int:
         return len(self._data)
 
-    def names(self) -> list[str]:
-        return list(self._data)
-
     def items(self):
         return self._data.items()
 
-    def copy(self) -> "ParamStore":
-        return self._like(self.flat.copy())
-
     def size(self) -> int:
         return self.flat.size
+
+    def zeros(self) -> "ParamStore":
+        """A store of zeros laid out like this one: the gradient store that
+        :func:`grad_scalar` and the critic step write into."""
+        return self._like(np.zeros(self.flat.size))
 
 
 class AdamState:
@@ -459,7 +460,7 @@ class AdamState:
 
 def adam_step(
     params: ParamStore,
-    grads: Mapping[str, np.ndarray],
+    grads: ParamStore,
     state: AdamState,
     lr: float = 0.001,
     beta1: float = 0.5,
@@ -467,19 +468,17 @@ def adam_step(
     eps: float = 1e-8,
 ) -> tuple[ParamStore, AdamState]:
     """One bias-corrected Adam update, elementwise over the store's flat
-    vector. Returns fresh params and state; the inputs are left untouched."""
+    vector, from a gradient store laid out like `params`. Returns fresh
+    params and state; the inputs are left untouched."""
     if not (math.isfinite(lr) and lr > 0):
         raise ValidationError("lr must be finite and positive")
     if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
         raise ValidationError("beta1 and beta2 must lie in [0, 1)")
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None or g.shape != p.shape:
-            raise DimensionError(f"gradient missing or mis-shaped for {name!r}")
+    if not isinstance(grads, ParamStore) or grads._layout != params._layout:
+        raise DimensionError("the gradients are not laid out like the parameter store")
     if state.m.shape != params.flat.shape:
         raise DimensionError("the Adam state does not fit the parameter store")
-    g = np.concatenate([grads[name].ravel() for name in params]) if len(params) \
-        else np.zeros(0)
+    g = grads.flat
 
     new = AdamState()
     new.step = state.step + 1
@@ -501,27 +500,29 @@ def adam_step(
     return params._like(params.flat - step), new
 
 
-def finite_grads(loss, gradient: Callable[[], dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """`gradient()`, once the scalar `loss` and then each gradient it returns
-    are found finite; otherwise NumericOverflowError, which names the first
-    non-finite parameter, and `gradient` does not run on a non-finite loss."""
+def finite_grads(loss, gradient: Callable[[], ParamStore]) -> ParamStore:
+    """`gradient()`, a gradient store, once the scalar `loss` and then the
+    store's flat vector are found finite; otherwise NumericOverflowError,
+    which names the first non-finite parameter, and `gradient` does not run
+    on a non-finite loss."""
     if not np.isfinite(loss):
         raise NumericOverflowError("loss evaluated to a non-finite value")
     grads = gradient()
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericOverflowError(f"non-finite gradient for parameter {name!r}")
+    if not np.isfinite(grads.flat).all():
+        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise NumericOverflowError(f"non-finite gradient for parameter {name!r}")
     return grads
 
 
 def grad_scalar(
     loss_fn: Callable[[dict[str, Node]], Node], params: ParamStore
-) -> dict[str, np.ndarray]:
-    """Gradients of a scalar expression with respect to every parameter.
+) -> ParamStore:
+    """Gradients of a scalar expression with respect to every parameter, as
+    a store laid out like `params`.
 
     `loss_fn` receives one leaf Node per parameter (keyed by name) and must
-    return a scalar Node. Parameters the expression never touches map to
-    zero tensors. Non-finite results raise NumericOverflowError (see
+    return a scalar Node. Parameters the expression never touches get zero
+    tensors. Non-finite results raise NumericOverflowError (see
     :func:`finite_grads`).
     """
     leaves = {name: leaf(value) for name, value in params.items()}
@@ -531,7 +532,12 @@ def grad_scalar(
 
     def gradient():
         backward(out)
-        return {name: node.grad if node.grad is not None else np.zeros_like(node.value)
-                for name, node in leaves.items()}
+        grads = params.zeros()
+        for name, node in leaves.items():
+            if node.grad is not None:
+                if node.grad.shape != node.value.shape:
+                    raise DimensionError(f"gradient of {name!r} has shape {node.grad.shape}")
+                grads[name][...] = node.grad
+        return grads
 
     return finite_grads(out.value, gradient)

@@ -291,12 +291,13 @@ def generator_loss_node(gen_map, div_map, disc: mo.DiscriminatorParams,
 def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real_y,
                             x_fake, fake_y, x_tilde, cfg: LossConfig, x_h=None,
                             reduced_seen=None, div_values: tuple[float, float] | None = None
-                            ) -> tuple[dict[str, float], Callable[[dict], dict[str, np.ndarray]]]:
+                            ) -> tuple[dict[str, float], Callable[[dict], dm.ParamStore]]:
     """All discriminator-side terms: returns `({term: value}, backward)`,
-    where `backward({term: weight})` gives `{critic parameter: gradient}` of
-    the weighted sum of the terms. No tape node is returned and no tape
-    sweep runs, as the critic step needs neither; the name matches the
-    other loss builders, and the benchmark's tracer times the step under it.
+    where `backward({term: weight})` gives the gradient of the weighted sum
+    of the terms, as a store laid out like `disc_map`. No tape node is
+    returned and no tape sweep runs, as the critic step needs neither; the
+    name matches the other loss builders, and the benchmark's tracer times
+    the step under it.
 
     The generations enter frozen: `x_fake` with its labels `fake_y`, the
     interpolates `x_tilde`, and, when a hallucinated term is on, `x_h`.
@@ -340,23 +341,25 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
     ce = dm.cross_entropy_rows(dm.constant(head.value[:lo_h]), dm.constant(onehot))
 
     s = score.value
+    # each mean as numpy takes it, the sum over the count
     values = {
-        "critic_fake": s[n_real:lo_h].mean(),
-        "critic_real": -s[:n_real].mean(),
+        "critic_fake": s[n_real:lo_h].sum() / n_fake,
+        "critic_real": -(s[:n_real].sum() / n_real),
         "gradient_penalty": penalty.value,
-        "cls_real": 0.5 * ce.value[:n_real].mean(),
-        "cls_fake": 0.5 * ce.value[n_real:lo_h].mean(),
+        "cls_real": 0.5 * (ce.value[:n_real].sum() / n_real),
+        "cls_fake": 0.5 * (ce.value[n_real:lo_h].sum() / n_fake),
     }
     if cfg.rf_hallucinated:
         # hallucinated generations are pushed down as fakes
-        values["critic_hallucinated"] = s[lo_h:lo_t].mean()
+        values["critic_hallucinated"] = s[lo_h:lo_t].sum() / (lo_t - lo_h)
     if cfg.creativity_on_discriminator:
         # the tape's own nodes on constants; their reverse maps are called below
         probs = dm.softmax_rows(dm.constant(head.value[lo_h:lo_t]))
         div_rows = divergence_rows_node(probs, dm.constant(div_values[0]),
                                         dm.constant(div_values[1]), cfg.divergence)
         normalized = dm.minmax_normalize_node(div_rows)
-        values["entropy_on_disc"] = cfg.lambda_creativity * normalized.value.mean()
+        values["entropy_on_disc"] = cfg.lambda_creativity * (normalized.value.sum()
+                                                             / (lo_t - lo_h))
 
     def backward(w):
         d_score = np.zeros_like(s)
@@ -373,7 +376,7 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
             d = np.full(lo_t - lo_h, cfg.lambda_creativity * w["entropy_on_disc"] / (lo_t - lo_h))
             d_head[lo_h:lo_t] = probs.vjp(div_rows.vjp(normalized.vjp(d)[0])[0])[0]
 
-        grads = {}
+        grads = disc_map.zeros()
 
         def pull(node, g):
             """`g` through the reverse map of a layer node whose first operand
@@ -381,7 +384,7 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
             input's gradient is returned."""
             d_in, *d_params = node.vjp(g)
             for p, d in zip(node.parents[1:], d_params):
-                grads[names[p]] = d
+                grads[names[p]][...] = d
             return d_in
 
         d_feat = pull(score, d_score)
@@ -389,8 +392,9 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
         for layer in reversed(layers):  # the first layer's input rows are data
             d_feat = pull(layer, d_feat)
         for p, g in zip(penalty.parents, penalty.vjp(w["gradient_penalty"])):
-            grads[names[p]] += g
-        return {k: grads[k] for k in disc_map}
+            view = grads[names[p]]
+            view += g
+        return grads
 
     return {k: float(v) for k, v in values.items()}, backward
 

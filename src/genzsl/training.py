@@ -166,15 +166,25 @@ def _from_json(hint, value, where: str):
 # minibatch sampling
 
 
-def _sample_indices(dataset: ZslDataset, size: int, rng, class_balanced: bool,
-                    per_class: list[np.ndarray]) -> np.ndarray:
-    if not class_balanced:
-        return rng.integers(0, len(dataset.seen_features), size=size)
-    classes = rng.integers(0, dataset.k_seen, size=size)
-    offsets = rng.uniform(size=size)
-    return np.array([
-        per_class[c][int(o * len(per_class[c]))] for c, o in zip(classes, offsets)
-    ])
+def class_tables(labels: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """The rows of each of `k` classes, for class-balanced sampling: every
+    class's row indices in ascending order, class after class, and where
+    each class's run starts and how many rows it holds."""
+    counts = np.bincount(labels, minlength=k)
+    return np.argsort(labels, kind="stable"), np.cumsum(counts) - counts, counts
+
+
+def sample_indices(n_rows: int, size: int, rng, tables=None) -> np.ndarray:
+    """`size` row indices into `n_rows` rows, uniform over the rows, or with
+    :func:`class_tables`, over the classes and then over the chosen class's
+    rows. An offset as large as its class's row count takes the last row."""
+    if tables is None:
+        return rng.integers(0, n_rows, size=size)
+    order, starts, counts = tables
+    classes = rng.integers(0, len(counts), size=size)
+    counts = counts[classes]
+    within = (rng.uniform(size=size) * counts).astype(np.int64)
+    return order[starts[classes] + np.minimum(within, counts - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +235,9 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
     rng_interp = philox(cfg.seed, TAG_INTERP)
     rng_ucat = philox(cfg.seed, TAG_UCAT)
 
-    per_class = [np.flatnonzero(dataset.seen_labels == k) for k in range(dataset.k_seen)]
+    n_rows = len(dataset.seen_features)
+    tables = class_tables(dataset.seen_labels, dataset.k_seen) if cfg.class_balanced \
+        else None
     real_means = dataset.class_means()
     n_pivot = max(1, cfg.batch_size // dataset.k_seen)
     m = cfg.batch_size
@@ -239,25 +251,30 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
         t_h = hl.sample_hallucinated_text(dataset.seen_semantics, cfg.policy, m, rng_hallu)
         z_h = rng_noise.standard_normal((m, arch.noise_dim))
         hallu = ls.HalluBatch(t_h, z_h)
-        div_values = ls.current_divergence_params(spec, gen.store)
+        div_values = ls.current_divergence_params(spec, gen.store) \
+            if cfg.loss.creativity_on_discriminator else None
         # the generator is frozen until its own update at the end of the step,
-        # so every generation of the critic phase comes from one pass
+        # so every generation of the critic phase comes from one pass. The
+        # indices are drawn batch by batch, as a class-balanced batch draws
+        # its classes and then its offsets; the noise and the interpolation
+        # weights of all n_d batches are one draw each, which Philox fills
+        # with the values of the per-batch draws
         reduced_seen = mo.reduce_semantics(gen, dataset.seen_semantics) \
             if disc.segc else None
-        idx = [_sample_indices(dataset, m, rng_batch, cfg.class_balanced, per_class)
-               for _ in range(cfg.n_d)]
-        t_rows = [dataset.seen_semantics[dataset.seen_labels[i]] for i in idx]
-        z_rows = [rng_noise.standard_normal((m, arch.noise_dim)) for _ in range(cfg.n_d)]
+        idx = np.concatenate([sample_indices(n_rows, m, rng_batch, tables)
+                              for _ in range(cfg.n_d)])
+        xs, ys = dataset.seen_features[idx], dataset.seen_labels[idx]
+        t_rows = dataset.seen_semantics[ys]
+        z_rows = rng_noise.standard_normal((cfg.n_d * m, arch.noise_dim))
         if hallu_rows:
-            t_rows, z_rows = [t_h] + t_rows, [z_h] + z_rows
-        x_gen = mo.generate(gen, np.vstack(t_rows), np.vstack(z_rows))
+            t_rows, z_rows = np.vstack((t_h, t_rows)), np.vstack((z_h, z_rows))
+        x_gen = mo.generate(gen, t_rows, z_rows)
         x_h, x_fakes = (x_gen[:m], x_gen[m:]) if hallu_rows else (None, x_gen)
+        x_tildes = ls.lipschitz_interpolate(xs, x_fakes, rng_interp)
 
         for k in range(cfg.n_d):
-            x = dataset.seen_features[idx[k]]
-            y = dataset.seen_labels[idx[k]]
-            x_fake = x_fakes[k * m:(k + 1) * m]
-            x_tilde = ls.lipschitz_interpolate(x, x_fake, rng_interp)
+            rows = slice(k * m, (k + 1) * m)
+            x, y, x_fake, x_tilde = xs[rows], ys[rows], x_fakes[rows], x_tildes[rows]
             with _failing_at(f"step {step}, discriminator"):
                 terms_d, backward = ls.discriminator_loss_node(
                     disc.store, disc, x, y, x_fake, y, x_tilde, cfg.loss, x_h,
@@ -269,8 +286,7 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
             disc.store, state_d = dm.adam_step(disc.store, grads, state_d, **adam_kw)
             w_est = -terms_d["critic_real"] - terms_d["critic_fake"]
 
-        idx = _sample_indices(dataset, m, rng_batch, cfg.class_balanced, per_class)
-        y = dataset.seen_labels[idx]
+        y = dataset.seen_labels[sample_indices(n_rows, m, rng_batch, tables)]
         seen = ls.SeenBatch(dataset.seen_semantics[y], y,
                             rng_noise.standard_normal((m, arch.noise_dim)))
         pivot = ls.PivotInputs(

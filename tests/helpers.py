@@ -5,12 +5,17 @@ critic composition on the tape that the program's stacked critic step and
 its stacked generator pass must reproduce, and the unblocked pool scorer
 that the row-blocked one must reproduce.
 
+It also holds the fingerprint of a training run that the bit-identity
+checks compare.
+
 Central differences at h=1e-5 on float64 keep the truncation and roundoff
 error orders of magnitude below the tolerances asserted in the tests, so a
 disagreement always means the analytic gradient is wrong.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -48,7 +53,7 @@ def numeric_grad(f, x, h=1e-5):
 def numeric_grad_params(f, params: ParamStore, h=1e-5):
     """Per-component central differences of a scalar function of a store."""
     grads = {}
-    for name in params.names():
+    for name in params:
         arr = params[name]
 
         def slot(v, _name=name, _arr=arr):
@@ -329,3 +334,18 @@ def pool_scores_unblocked(pools, x, metric):
     xn = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
     fn = flat / np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
     return (xn @ fn.T).reshape(len(x), c, n).max(axis=2)
+
+
+def fingerprint(params, history) -> str:
+    """sha256 over group/name plus the float64 bytes of every tensor of the
+    generator, discriminator and divergence stores, in store order, then
+    `repr(history.rows())`: equal fingerprints mean bit-identical runs."""
+    h = hashlib.sha256()
+    for group, store in (("gen", params.generator.store),
+                         ("disc", params.discriminator.store),
+                         ("div", params.divergence)):
+        for name, value in store.items():
+            h.update(f"{group}/{name}".encode())
+            h.update(np.asarray(value, dtype=np.float64).tobytes())
+    h.update(repr(history.rows()).encode())
+    return h.hexdigest()

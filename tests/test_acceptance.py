@@ -121,7 +121,7 @@ def _loss_instance(rng, segc=False, extra=False):
 
 def _check_directional(grads, value, params, rng, tol):
     direction = random_direction(params, rng)
-    analytic = sum((grads[k] * direction[k]).sum() for k in params.names())
+    analytic = sum((grads[k] * direction[k]).sum() for k in params)
     fd = directional_derivative(value, params, direction)
     return float(rel_err(analytic, fd).max())
 

@@ -61,7 +61,7 @@ class TestTrainCommand:
         import genzsl.model as mo
         gen0, _ = mo.init_params(cfg.arch.resolve(dataset), dataset.k_seen, False,
                                  io.philox(7, tr.TAG_INIT))
-        for name in gen0.store.names():
+        for name in gen0.store:
             np.testing.assert_allclose(params.generator.store[name],
                                        gen0.store[name], atol=1e-6)
 
@@ -272,6 +272,17 @@ class TestSweep:
                          "--workers", workers]) == 0
             blobs[name] = (out / "sweep.csv").read_bytes()
         assert blobs["serial"] == blobs["parallel"]
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_fewer_than_one_worker_exits_2_naming_the_flag(self, tmp_path, workers):
+        ds = synth(tmp_path)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--data", ds, "--out", str(out), *SMALL_TRAIN,
+                     "--lambda-grid", "0.05", "--seeds", "1", "--workers", workers]) == 2
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "--workers" in manifest["error"]
+        assert not (out / "sweep.csv").exists()
 
 
 class TestAblate:

@@ -198,8 +198,8 @@ class TestCheckpointRoundTrip:
         for store1, store2 in ((loaded1.generator.store, loaded2.generator.store),
                                (loaded1.discriminator.store, loaded2.discriminator.store),
                                (loaded1.divergence, loaded2.divergence)):
-            assert store1.names() == store2.names()
-            for name in store1.names():
+            assert list(store1) == list(store2)
+            for name in store1:
                 assert store1[name].tobytes() == store2[name].tobytes()
 
     def test_shapes_and_flags_survive(self, tmp_path):

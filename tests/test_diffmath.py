@@ -52,7 +52,7 @@ class TestGradScalar:
                 return float(loss(leaves, x, y).value)
 
             fd = numeric_grad_params(value, params)
-            for name in params.names():
+            for name in params:
                 assert rel_err(grads[name], fd[name]).max() < 1e-4
 
     def test_non_scalar_loss_rejected(self):
@@ -75,6 +75,33 @@ class TestGradScalar:
         with pytest.raises(NumericOverflowError, match="parameter 'b'"):
             dm.grad_scalar(build, params)
 
+    def test_returns_a_store_laid_out_like_the_parameters(self):
+        params = dm.ParamStore({"w": np.array([2.0]), "b": np.ones((3, 2)), "u": np.array(0.5)})
+        grads = dm.grad_scalar(lambda lv: dm.vsum(dm.square(lv["w"])), params)
+        assert isinstance(grads, dm.ParamStore) and list(grads) == list(params)
+        np.testing.assert_array_equal(grads.flat, [4.0, 0, 0, 0, 0, 0, 0, 0])
+
+    def test_nonfinite_gradients_name_the_first_such_parameter(self):
+        params = dm.ParamStore({"a": np.ones(2), "b": np.ones(3), "c": np.ones(1)})
+
+        def build(lv):
+            bad_b = dm.Node(np.asarray(1.0), (lv["b"],), lambda g: (np.array([0.0, 1.0, np.inf]),))
+            bad_c = dm.Node(np.asarray(1.0), (lv["c"],), lambda g: (np.array([np.nan]),))
+            return dm.add(dm.add(bad_c, dm.vsum(lv["a"])), bad_b)
+
+        with pytest.raises(NumericOverflowError, match="parameter 'b'"):
+            dm.grad_scalar(build, params)
+
+    def test_finite_grads_checks_a_store_and_names_its_first_bad_tensor(self):
+        grads = dm.ParamStore({"a": np.ones(2), "b": np.ones(3), "c": np.ones(1)})
+        assert dm.finite_grads(1.0, lambda: grads) is grads
+        grads["c"][0] = np.nan
+        grads["b"][2] = -np.inf
+        with pytest.raises(NumericOverflowError, match="parameter 'b'"):
+            dm.finite_grads(1.0, lambda: grads)
+        with pytest.raises(NumericOverflowError, match="loss evaluated to a non-finite"):
+            dm.finite_grads(np.inf, lambda: pytest.fail("ran on a non-finite loss"))
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 4))
@@ -87,7 +114,7 @@ class TestGradScalar:
         })
         g1 = dm.grad_scalar(lambda lv: mlp_loss(lv, x, y), params)
         g2 = dm.grad_scalar(lambda lv: mlp_loss(lv, x, y), params)
-        for name in params.names():
+        for name in params:
             np.testing.assert_array_equal(g1[name], g2[name])
 
 
@@ -142,11 +169,11 @@ class TestFusedNodes:
         v_f, g_f = self._both(fused, params)
         v_c, g_c = self._both(composed, params)
         assert v_f == v_c
-        for name in params.names():
+        for name in params:
             np.testing.assert_array_equal(g_f[name], g_c[name])
         fd = numeric_grad_params(lambda p: float(fused(
             {k: dm.constant(v) for k, v in p.items()}).value), params)
-        for name in params.names():
+        for name in params:
             assert rel_err(g_f[name], fd[name]).max() < 1e-6
 
     @pytest.mark.parametrize("slope", [1.5, -0.1, float("nan")])
@@ -174,7 +201,7 @@ class TestFusedNodes:
 
         grads = dm.grad_scalar(build, params)
         fd = numeric_grad_params(lambda p: float(build(p).value), params)
-        for name in params.names():
+        for name in params:
             assert rel_err(grads[name], fd[name]).max() < 1e-6
 
     def test_dense_input_grad_equals_mul_matmul_transpose(self):
@@ -195,11 +222,11 @@ class TestFusedNodes:
         v_f, g_f = self._both(fused, params)
         v_c, g_c = self._both(composed, params)
         assert v_f == v_c
-        for name in params.names():
+        for name in params:
             np.testing.assert_allclose(g_f[name], g_c[name], rtol=1e-14)
         fd = numeric_grad_params(lambda p: float(fused(
             {k: dm.constant(v) for k, v in p.items()}).value), params)
-        for name in params.names():
+        for name in params:
             assert rel_err(g_f[name], fd[name]).max() < 1e-6
 
     def test_row_slice(self):
@@ -347,7 +374,7 @@ class TestGradPenalty:
         assert _penalty_value(params, layout, x) < 1e-24
         grads = _penalty_grads(params, layout, x)
         fd = numeric_grad_params(lambda p: _penalty_value(p, layout, x), params)
-        for name in params.names():
+        for name in params:
             assert rel_err(grads[name], fd[name], floor=1e-3).max() < 1e-4
 
     def test_mlp_critic_matches_finite_differences(self):
@@ -356,7 +383,7 @@ class TestGradPenalty:
         x = rng.standard_normal((4, 6))
         grads = _penalty_grads(params, layout, x)
         fd = numeric_grad_params(lambda p: _penalty_value(p, layout, x), params)
-        for name in params.names():
+        for name in params:
             assert rel_err(grads[name], fd[name]).max() < 1e-3
 
         # the composed oracle gives the same penalty and gradients
@@ -382,7 +409,7 @@ class TestAdam:
     def test_zero_gradients_leave_parameters_unchanged(self):
         params = dm.ParamStore({"w": np.array([1.0, -2.0])})
         state = dm.AdamState(params)
-        out, state2 = dm.adam_step(params, {"w": np.zeros(2)}, state)
+        out, state2 = dm.adam_step(params, dm.ParamStore({"w": np.zeros(2)}), state)
         np.testing.assert_array_equal(out["w"], params["w"])
         assert state2.step == 1
 
@@ -398,13 +425,14 @@ class TestAdam:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta = theta - lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + eps)
-            params, state = dm.adam_step(params, {"t": params["t"].copy()}, state, lr, b1, b2, eps)
+            params, state = dm.adam_step(params, dm.ParamStore({"t": params["t"]}), state,
+                                         lr, b1, b2, eps)
             np.testing.assert_allclose(params["t"], [theta], rtol=1e-12)
 
     def test_two_steps_deterministic(self):
         rng = np.random.default_rng(5)
         base = dm.ParamStore({"w": rng.standard_normal((3, 2))})
-        g = {"w": rng.standard_normal((3, 2))}
+        g = dm.ParamStore({"w": rng.standard_normal((3, 2))})
 
         def run():
             p, s = dm.adam_step(base, g, dm.AdamState(base))
@@ -416,19 +444,33 @@ class TestAdam:
     def test_shape_mismatch_rejected(self):
         params = dm.ParamStore({"w": np.ones(3)})
         with pytest.raises(DimensionError):
-            dm.adam_step(params, {"w": np.ones(4)}, dm.AdamState(params))
+            dm.adam_step(params, dm.ParamStore({"w": np.ones(4)}), dm.AdamState(params))
+
+    @pytest.mark.parametrize("grads", [
+        {"w": np.ones(3), "b": np.ones(2)},          # a plain mapping, not a store
+        [("w", np.ones(3)), ("c", np.ones(2))],      # another name
+        [("b", np.ones(2)), ("w", np.ones(3))],      # another order
+        [("w", np.ones(3))],                         # a missing tensor
+        [("w", np.ones((3, 1))), ("b", np.ones(2))],  # the same size, another shape
+    ], ids=["mapping", "name", "order", "missing", "rank"])
+    def test_gradients_of_another_layout_rejected(self, grads):
+        params = dm.ParamStore({"w": np.ones(3), "b": np.zeros(2)})
+        if not isinstance(grads, dict):
+            grads = dm.ParamStore(grads)
+        with pytest.raises(DimensionError):
+            dm.adam_step(params, grads, dm.AdamState(params))
 
     @pytest.mark.parametrize("lr", [0.0, -1e-3, np.nan, np.inf])
     def test_learning_rate_must_be_finite_and_positive(self, lr):
         params = dm.ParamStore({"w": np.ones(2)})
         with pytest.raises(ValidationError, match="lr"):
-            dm.adam_step(params, {"w": np.ones(2)}, dm.AdamState(params), lr=lr)
+            dm.adam_step(params, dm.ParamStore({"w": np.ones(2)}), dm.AdamState(params), lr=lr)
 
     def test_state_increments_by_one(self):
         params = dm.ParamStore({"w": np.ones(2)})
         state = dm.AdamState(params)
         for expected in (1, 2, 3):
-            params, state = dm.adam_step(params, {"w": np.ones(2)}, state)
+            params, state = dm.adam_step(params, dm.ParamStore({"w": np.ones(2)}), state)
             assert state.step == expected
 
 
@@ -441,11 +483,11 @@ class TestAdam:
     def test_output_tensors_are_views_of_one_contiguous_vector(self):
         rng = np.random.default_rng(51)
         params = self._mixed_rank_store(rng)
-        grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        grads = dm.ParamStore((k, rng.standard_normal(v.shape)) for k, v in params.items())
         out, state = dm.adam_step(params, grads, dm.AdamState(params))
         assert out.flat.flags.c_contiguous and out.flat.size == params.size() == 10
         offset = 0
-        for name in params.names():
+        for name in params:
             view = out[name]
             assert view.shape == params[name].shape and view.base is out.flat
             np.testing.assert_array_equal(view.ravel(), out.flat[offset:offset + view.size])
@@ -455,15 +497,15 @@ class TestAdam:
     def test_inputs_are_left_untouched(self):
         rng = np.random.default_rng(52)
         params = self._mixed_rank_store(rng)
-        grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        grads = dm.ParamStore((k, rng.standard_normal(v.shape)) for k, v in params.items())
         state = dm.AdamState(params)
         state.m += rng.standard_normal(10)
         state.v += rng.uniform(size=10)
         state.step = 3
-        before = (params.flat.copy(), state.m.copy(), state.v.copy())
+        before = (params.flat.copy(), state.m.copy(), state.v.copy(), grads.flat.copy())
         snapshots = {k: v.copy() for k, v in params.items()}
         out, new = dm.adam_step(params, grads, state)
-        for a, b in zip(before, (params.flat, state.m, state.v)):
+        for a, b in zip(before, (params.flat, state.m, state.v, grads.flat)):
             np.testing.assert_array_equal(a, b)
         assert state.step == 3 and new.step == 4
         for name, value in snapshots.items():
@@ -480,7 +522,7 @@ class TestAdam:
         m = {k: np.zeros_like(v) for k, v in ref.items()}
         v2 = {k: np.zeros_like(v) for k, v in ref.items()}
         for t in range(1, 5):
-            grads = {k: rng.standard_normal(v.shape) for k, v in ref.items()}
+            grads = dm.ParamStore((k, rng.standard_normal(v.shape)) for k, v in ref.items())
             params, state = dm.adam_step(params, grads, state, lr, b1, b2, eps)
             for k, g in grads.items():
                 m[k] = b1 * m[k] + (1.0 - b1) * g
@@ -494,7 +536,8 @@ class TestAdam:
     def test_state_of_another_store_rejected(self):
         params = dm.ParamStore({"w": np.ones(3)})
         with pytest.raises(DimensionError):
-            dm.adam_step(params, {"w": np.ones(3)}, dm.AdamState(dm.ParamStore({"w": np.ones(2)})))
+            dm.adam_step(params, dm.ParamStore({"w": np.ones(3)}),
+                         dm.AdamState(dm.ParamStore({"w": np.ones(2)})))
 
 
 class TestMinMaxNode:
@@ -531,7 +574,7 @@ class TestParamStore:
 
     def test_iteration_order_is_insertion_order(self):
         store = dm.ParamStore((name, np.ones(1)) for name in ("z", "a", "m"))
-        assert store.names() == ["z", "a", "m"]
+        assert list(store) == ["z", "a", "m"]
 
 
 class TestDirectionalChecks:
@@ -551,7 +594,7 @@ class TestDirectionalChecks:
         direction = random_direction(params, rng)
         for loss in (mlp_loss, mlp_loss_fused):
             grads = dm.grad_scalar(lambda lv: loss(lv, x, y), params)
-            analytic = sum((grads[k] * direction[k]).sum() for k in params.names())
+            analytic = sum((grads[k] * direction[k]).sum() for k in params)
 
             def value(p):
                 leaves = {k: dm.constant(v) for k, v in p.items()}

@@ -115,6 +115,18 @@ class TestLipschitzInterpolate:
         with pytest.raises(Exception):
             ls.lipschitz_interpolate(np.zeros((2, 3)), np.zeros((2, 4)), rng(0))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_batches_equal_the_per_batch_calls(self, seed):
+        # the critic phase interpolates all of its batches in one call
+        n_d, m = 5, 64
+        x = rng(10 + seed).standard_normal((n_d * m, 16))
+        y = rng(20 + seed).standard_normal((n_d * m, 16))
+        stream = rng(seed)
+        per_batch = [ls.lipschitz_interpolate(x[k * m:(k + 1) * m], y[k * m:(k + 1) * m], stream)
+                     for k in range(n_d)]
+        np.testing.assert_array_equal(ls.lipschitz_interpolate(x, y, rng(seed)),
+                                      np.vstack(per_batch))
+
 
 class TestCreativityLoss:
     def test_both_terms_off_gives_zero(self):
@@ -270,7 +282,7 @@ class TestGeneratorLoss:
 
         for trial in range(3):
             direction = random_direction(merged, rng(100 + trial))
-            analytic = sum((grads[k] * direction[k]).sum() for k in merged.names())
+            analytic = sum((grads[k] * direction[k]).sum() for k in merged)
             fd = directional_derivative(value, merged, direction)
             assert rel_err(analytic, fd).max() < 1e-4
 
@@ -399,7 +411,7 @@ class TestDiscriminatorLoss:
 
         for trial in range(3):
             direction = random_direction(disc.store, rng(200 + trial))
-            analytic = sum((grads[k] * direction[k]).sum() for k in disc.store.names())
+            analytic = sum((grads[k] * direction[k]).sum() for k in disc.store)
             fd = directional_derivative(value, disc.store, direction)
             assert rel_err(analytic, fd).max() < 1e-3
 
@@ -444,7 +456,7 @@ class TestStackedCriticPass:
         assert list(got["t"]) == list(want["t"])
         for name in got["t"]:
             self.assert_close(got["t"][name].value, want["t"][name].value)
-        for name in params.names():
+        for name in params:
             self.assert_close(grads[name], expect[name])
 
     def setup_case(self, preset, head):
@@ -497,12 +509,12 @@ class TestStackedCriticPass:
             for name in terms:
                 self.assert_close(terms[name], oracle["t"][name].value)
             grads = backward(dict.fromkeys(terms, 1.0))
-            for name in disc.store.names():
+            for name in disc.store:
                 self.assert_close(grads[name], expect[name])
             got = backward(dict(zip(terms, weights)))
             want = dm.grad_scalar(lambda lv: weighted(discriminator_terms_multipass(lv, *args)),
                                   disc.store)
-            for name in disc.store.names():
+            for name in disc.store:
                 self.assert_close(got[name], want[name])
 
     @pytest.mark.parametrize("preset", ["base", "doublenet"])

@@ -55,7 +55,7 @@ class TestInitParams:
         a = mo.init_params(small_arch(), 4, False, rng(3))
         b = mo.init_params(small_arch(), 4, False, rng(3))
         for pa, pb in zip((a[0].store, a[1].store), (b[0].store, b[1].store)):
-            for name in pa.names():
+            for name in pa:
                 np.testing.assert_array_equal(pa[name], pb[name])
 
     def test_doublenet_has_strictly_more_parameters(self):

@@ -10,6 +10,7 @@ import genzsl.hallucination as hl
 import genzsl.losses as ls
 import genzsl.training as tr
 from genzsl.errors import ValidationError
+from helpers import fingerprint
 
 
 def tiny_dataset(seed=0, k_seen=5, k_unseen=2, split="easy"):
@@ -66,22 +67,16 @@ class TestTrain:
         import genzsl.model as mo
         gen0, disc0 = mo.init_params(cfg.arch.resolve(ds), ds.k_seen, False,
                                      io.philox(cfg.seed, tr.TAG_INIT))
-        for name in gen0.store.names():
+        for name in gen0.store:
             np.testing.assert_array_equal(params.generator.store[name], gen0.store[name])
-        for name in disc0.store.names():
+        for name in disc0.store:
             np.testing.assert_array_equal(params.discriminator.store[name], disc0.store[name])
         assert hist.records == []
 
     def test_same_seed_bitwise_identical(self):
         ds = tiny_dataset()
         cfg = tiny_cfg()
-        p1, h1 = tr.train(ds, cfg)
-        p2, h2 = tr.train(ds, cfg)
-        for name in p1.generator.store.names():
-            assert p1.generator.store[name].tobytes() == p2.generator.store[name].tobytes()
-        for name in p1.discriminator.store.names():
-            assert p1.discriminator.store[name].tobytes() == p2.discriminator.store[name].tobytes()
-        assert h1.rows() == h2.rows()
+        assert fingerprint(*tr.train(ds, cfg)) == fingerprint(*tr.train(ds, cfg))
 
     def test_update_counts_follow_the_schedule(self):
         ds = tiny_dataset()
@@ -115,10 +110,10 @@ class TestTrain:
                                      io.philox(cfg.seed, tr.TAG_INIT))
         assert any(
             not np.array_equal(params.generator.store[n], gen0.store[n])
-            for n in gen0.store.names())
+            for n in gen0.store)
         assert any(
             not np.array_equal(params.discriminator.store[n], disc0.store[n])
-            for n in disc0.store.names())
+            for n in disc0.store)
 
     def test_discriminator_phase_is_isolated_from_generator_parameters(self):
         # the discriminator step consumes generator outputs as plain values,
@@ -137,8 +132,26 @@ class TestTrain:
         terms, backward = ls.discriminator_loss_node(disc.store, disc, x, y, x_fake, y,
                                                      x_t, cfg.loss)
         grads = backward(dict.fromkeys(terms, 1.0))
-        assert list(grads) == disc.store.names()
-        assert any(np.any(grads[n] != 0) for n in disc.store.names())
+        assert list(grads) == list(disc.store)
+        assert any(np.any(grads[n] != 0) for n in disc.store)
+
+    def test_non_finite_critic_gradient_names_the_first_parameter(self):
+        import genzsl.diffmath as dm
+        import genzsl.model as mo
+        from genzsl.errors import NumericOverflowError
+        ds = tiny_dataset()
+        cfg = tiny_cfg()
+        gen, disc = mo.init_params(cfg.arch.resolve(ds), ds.k_seen, False, io.philox(0, 1))
+        x = ds.seen_features[:6]
+        y = ds.seen_labels[:6]
+        terms, backward = ls.discriminator_loss_node(disc.store, disc, x, y, x[::-1], y,
+                                                     x, cfg.loss)
+        grads = dm.finite_grads(sum(terms.values()), lambda: backward(dict.fromkeys(terms, 1.0)))
+        assert isinstance(grads, dm.ParamStore) and list(grads) == list(disc.store)
+        # a NaN weight on the class head reaches its tensors and the whole trunk
+        weights = dict.fromkeys(terms, 1.0) | {"cls_fake": np.nan}
+        with pytest.raises(NumericOverflowError, match="parameter 'trunk0.W'"):
+            dm.finite_grads(1.0, lambda: backward(weights))
 
     @pytest.mark.parametrize("spec", [
         dv.DivergenceSpec("sharma_mittal", 2.0, 2.5, learn_gamma=True, learn_beta=True),
@@ -151,8 +164,8 @@ class TestTrain:
         params, _ = tr.train(ds, cfg)
         gen0, _ = mo.init_params(cfg.arch.resolve(ds), ds.k_seen, False,
                                  io.philox(cfg.seed, tr.TAG_INIT))
-        assert params.generator.store.names() == gen0.store.names()
-        assert params.divergence.names() == list(spec.unconstrained_init())
+        assert list(params.generator.store) == list(gen0.store)
+        assert list(params.divergence) == list(spec.unconstrained_init())
 
     def test_segc_and_ucat_training_runs(self):
         ds = tiny_dataset()
@@ -190,6 +203,62 @@ class TestTrain:
         ds = tiny_dataset()
         _, hist = tr.train(ds, tiny_cfg(class_balanced=True))
         assert hist.n_gen_updates == 4
+
+
+class TestSampling:
+    @staticmethod
+    def per_sample_loop(labels, k, size, rng):
+        """Class-balanced indices drawn one sample at a time, class by class."""
+        per_class = [np.flatnonzero(labels == c) for c in range(k)]
+        classes = rng.integers(0, k, size=size)
+        offsets = rng.uniform(size=size)
+        return np.array([per_class[c][int(o * len(per_class[c]))]
+                         for c, o in zip(classes, offsets)])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_class_balanced_indices_match_the_per_sample_loop(self, seed):
+        labels = io.philox(seed, 9).permutation(np.repeat(np.arange(7), [3, 9, 1, 16, 5, 5, 11]))
+        tables = tr.class_tables(labels, 7)
+        got = tr.sample_indices(len(labels), 64, io.philox(seed, tr.TAG_BATCH), tables)
+        want = self.per_sample_loop(labels, 7, 64, io.philox(seed, tr.TAG_BATCH))
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    # the largest draw below 1, and 1 itself, whose offset equals the class
+    # size: a correctly rounded product never gets there from a draw below 1,
+    # and the clamp keeps even that offset inside its class
+    @pytest.mark.parametrize("top", [1.0 - 2.0**-53, 1.0])
+    def test_the_largest_offset_takes_the_class_last_row(self, top):
+        class Stub:
+            """Every class in turn, each at the offset `top`."""
+            def integers(self, lo, hi, size):
+                return np.arange(size) % hi
+
+            def uniform(self, size):
+                return np.full(size, top)
+
+        labels = np.array([1, 0, 2, 1, 0, 2, 1, 0, 2, 2])  # class sizes 3, 3, 4
+        got = tr.sample_indices(len(labels), 6, Stub(), tr.class_tables(labels, 3))
+        np.testing.assert_array_equal(labels[got], [0, 1, 2, 0, 1, 2])
+        np.testing.assert_array_equal(got, [7, 6, 9, 7, 6, 9])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_draw_per_critic_phase_equals_per_batch_draws(self, seed):
+        n_d, m, width = 5, 64, 16
+
+        def streams():
+            return [io.philox(seed, tag) for tag in (tr.TAG_BATCH, tr.TAG_NOISE, tr.TAG_INTERP)]
+
+        (batch, noise, interp), (batch_1, noise_1, interp_1) = streams(), streams()
+        np.testing.assert_array_equal(
+            tr.sample_indices(300, n_d * m, batch),
+            np.concatenate([tr.sample_indices(300, m, batch_1) for _ in range(n_d)]))
+        np.testing.assert_array_equal(
+            noise.standard_normal((n_d * m, width)),
+            np.vstack([noise_1.standard_normal((m, width)) for _ in range(n_d)]))
+        np.testing.assert_array_equal(
+            interp.uniform(size=(n_d * m, 1)),
+            np.vstack([interp_1.uniform(size=(m, 1)) for _ in range(n_d)]))
 
 
 class TestSplitForValidation:
