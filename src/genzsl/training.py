@@ -274,17 +274,19 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
 
         for k in range(cfg.n_d):
             rows = slice(k * m, (k + 1) * m)
-            x, y, x_fake, x_tilde = xs[rows], ys[rows], x_fakes[rows], x_tildes[rows]
             with _failing_at(f"step {step}, discriminator"):
                 terms_d, backward = ls.discriminator_loss_node(
-                    disc.store, disc, x, y, x_fake, y, x_tilde, cfg.loss, x_h,
-                    reduced_seen, div_values)
+                    disc.store, disc, xs[rows], ys[rows], x_fakes[rows], ys[rows],
+                    x_tildes[rows], cfg.loss, x_h, reduced_seen, div_values)
                 loss_d_val = sum(terms_d.values())
                 grads = dm.finite_grads(loss_d_val,
                                         lambda: backward(dict.fromkeys(terms_d, 1.0)))
             del backward  # it holds the critic step's whole forward pass
             disc.store, state_d = dm.adam_step(disc.store, grads, state_d, **adam_kw)
             w_est = -terms_d["critic_real"] - terms_d["critic_fake"]
+        # the stacked batches go before the generator step and the evaluation
+        # allocate theirs: held to the end of the step, they raised its peak
+        del xs, t_rows, z_rows, x_gen, x_h, x_fakes, x_tildes
 
         y = dataset.seen_labels[sample_indices(n_rows, m, rng_batch, tables)]
         seen = ls.SeenBatch(dataset.seen_semantics[y], y,
