@@ -13,15 +13,14 @@ __version__ = "0.1.0"
 from .dataio import (SyntheticSpec, ZslDataset, load_checkpoint, load_dataset,
                      make_synthetic, philox, save_checkpoint, save_dataset)
 from .diffmath import AdamState, ParamStore, adam_step, grad_scalar
-from .divergences import (DivergenceSpec, entropy_loss, entropy_loss_grad,
-                          sm_divergence, special_case)
+from .divergences import DivergenceSpec, entropy_loss, sm_divergence, special_case
 from .evaluation import (EvalReport, build_classifier, evaluate_model,
                          harmonic_mean, retrieval_map, su_curve_auc, top1)
 from .hallucination import (PRESETS, HallucinationPolicy, policy_from_config,
-                            sample_alpha, sample_alphas, sample_hallucinated_text)
+                            sample_alphas, sample_hallucinated_text)
 from .losses import LossConfig, lipschitz_interpolate
 from .model import (ArchSpec, DiscriminatorParams, GeneratorParams, ModelParams,
-                    discriminate, generate, init_params)
+                    generate, init_params)
 from .training import (ABLATION_SUITES, ArchConfig, CrossValResult, TrainConfig,
                        TrainHistory, ablate, cross_validate, train)
 
@@ -30,15 +29,14 @@ __all__ = [
     "SyntheticSpec", "ZslDataset", "load_checkpoint", "load_dataset",
     "make_synthetic", "philox", "save_checkpoint", "save_dataset",
     "AdamState", "ParamStore", "adam_step", "grad_scalar",
-    "DivergenceSpec", "entropy_loss", "entropy_loss_grad", "sm_divergence",
-    "special_case",
+    "DivergenceSpec", "entropy_loss", "sm_divergence", "special_case",
     "EvalReport", "build_classifier", "evaluate_model", "harmonic_mean",
     "retrieval_map", "su_curve_auc", "top1",
-    "PRESETS", "HallucinationPolicy", "policy_from_config", "sample_alpha",
-    "sample_alphas", "sample_hallucinated_text",
+    "PRESETS", "HallucinationPolicy", "policy_from_config", "sample_alphas",
+    "sample_hallucinated_text",
     "LossConfig", "lipschitz_interpolate",
     "ArchSpec", "DiscriminatorParams", "GeneratorParams", "ModelParams",
-    "discriminate", "generate", "init_params",
+    "generate", "init_params",
     "ABLATION_SUITES", "ArchConfig", "CrossValResult", "TrainConfig",
     "TrainHistory", "ablate", "cross_validate", "train",
 ]

@@ -5,8 +5,9 @@ Every command writes only below its --out directory (default: the
 GENZSL_OUT environment variable, falling back to the working directory).
 A run manifest is written atomically when the command finishes; if the
 command fails after producing partial output, the manifest records
-status "failed" together with the error. Exit codes: 0 success,
-2 validation error, 3 numeric failure, 4 I/O error.
+status "failed" together with the error; an --out directory that cannot be
+created gets none. Exit codes: 0 success, 2 validation error, 3 numeric
+failure, 4 I/O error.
 
 Config files are JSON mirrors of the training configuration. Any key can
 also be overridden on the command line with repeated
@@ -382,23 +383,27 @@ def main(argv=None) -> int:
     # the top-level options take no value, so the first other word is the command
     command = next((a for a in argv if not a.startswith("-")), None)
     args = build_parser(command).parse_args(argv)
-    ctx = RunContext(args, args.command)
+    ctx = None  # stays None if the output directory cannot be made
     try:
+        ctx = RunContext(args, args.command)
         args.func(args, ctx)
     except ValidationError as exc:
-        ctx.write_manifest("failed", f"validation error: {exc}")
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(ctx, 2, f"validation error: {exc}")
     except NumericOverflowError as exc:
-        ctx.write_manifest("failed", f"numeric failure: {exc}")
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
+        return _fail(ctx, 3, f"numeric failure: {exc}")
     except (DataFormatError, OSError) as exc:
-        ctx.write_manifest("failed", f"io error: {exc}")
-        print(f"io error: {exc}", file=sys.stderr)
-        return 4
+        return _fail(ctx, 4, f"io error: {exc}")
     ctx.write_manifest("ok")
     return 0
+
+
+def _fail(ctx: RunContext | None, code: int, message: str) -> int:
+    """Record `message` in a failed manifest, if there is a directory to
+    write it to, and on stderr; returns the exit code `code`."""
+    if ctx is not None:
+        ctx.write_manifest("failed", message)
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -317,15 +317,6 @@ def entropy_loss(softmax, spec: DivergenceSpec) -> float:
     return float(_entropy_batch(softmax, spec)[0][0])
 
 
-def entropy_loss_grad(softmax, spec: DivergenceSpec):
-    """Gradient of :func:`entropy_loss` w.r.t. the softmax vector and the
-    (gamma, beta) parameters. Non-learnable knobs report zero."""
-    _, dsoft, dg, db = _entropy_batch(softmax, spec)
-    d_gamma = float(dg[0]) if spec.learn_gamma else 0.0
-    d_beta = float(db[0]) if spec.learn_beta else 0.0
-    return dsoft[0], d_gamma, d_beta
-
-
 def divergence_to_uniform_batch(P, gamma, beta, family, orientation="softmax_first"):
     """Batch form used inside training graphs: per-row divergence between
     softmax rows and uniform, plus gradients w.r.t. the rows and parameters.

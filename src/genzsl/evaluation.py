@@ -199,11 +199,10 @@ def su_curve_auc(classifier: GeneratedPoolClassifier, features, labels,
     curve = list(zip((seen_hits[change] / (~test_unseen).sum()).tolist(),
                      (unseen_hits[change] / test_unseen.sum()).tolist()))
 
-    arr = np.array(curve)
-    # ascending seen accuracy; ties resolved along the sweep direction
-    # (higher unseen accuracy first) so corner points are not cut off
-    order = np.lexsort((-arr[:, 1], arr[:, 0]))
-    arr = arr[order]
+    # along ascending bias seen hits never rise and unseen hits never fall,
+    # so the reversed curve ascends in seen accuracy, and at equal seen
+    # accuracy it puts the higher unseen accuracy first, keeping the corners
+    arr = np.array(curve)[::-1]
     auc = float(np.trapezoid(arr[:, 1], arr[:, 0]))
     return curve, auc
 
@@ -264,10 +263,11 @@ def retrieval_map(gen: mo.GeneratorParams, unseen_semantics, test_features,
 
 
 def evaluate_model(gen: mo.GeneratorParams, dataset, n_generate: int,
-                   rng: np.random.Generator, fractions=DEFAULT_FRACTIONS,
-                   metric: str = "euclidean", with_retrieval: bool = True,
+                   rng: np.random.Generator, metric: str = "euclidean",
+                   with_retrieval: bool = True,
                    retrieval_method: str = "precision") -> EvalReport:
-    """The full battery on a dataset's test split.
+    """The full battery on a dataset's test split, with retrieval at
+    DEFAULT_FRACTIONS.
 
     The reported harmonic mean is the best achievable along the curve,
     summarizing the trade-off like the area does.
@@ -292,6 +292,6 @@ def evaluate_model(gen: mo.GeneratorParams, dataset, n_generate: int,
         retrieval = retrieval_map(gen, dataset.unseen_semantics,
                                   dataset.unseen_test_features,
                                   dataset.unseen_test_labels,
-                                  unseen_ids, fractions, n_generate, rng,
+                                  unseen_ids, DEFAULT_FRACTIONS, n_generate, rng,
                                   retrieval_method)
     return EvalReport(acc, curve, auc, best_h, retrieval)

@@ -22,7 +22,3 @@ def record(name: str) -> None:
 
 def counts() -> dict[str, int]:
     return dict(_counts)
-
-
-def reset() -> None:
-    _counts.clear()

@@ -108,10 +108,6 @@ def sample_alphas(policy: HallucinationPolicy, size: int, rng: np.random.Generat
     return out
 
 
-def sample_alpha(policy: HallucinationPolicy, rng: np.random.Generator) -> float:
-    return float(sample_alphas(policy, 1, rng)[0])
-
-
 def sample_hallucinated_text(
     seen_semantics: np.ndarray,
     policy: HallucinationPolicy,

@@ -24,15 +24,17 @@ Discriminator side:
 Classification terms use either the classic softmax head or the softmax over
 semantic-guided scores; the critic terms are identical either way. A
 builder stacks the batches that its critic and head terms read, runs the
-critic's trunk once on them, and each term reads its own rows. The
-generator builders return a dictionary of named term Nodes, and
-:func:`total` sums them into the scalar that training differentiates; they
-accept parameter maps whose values are tape Nodes (live) or plain arrays
-(frozen), so the same code serves generator steps, gradient checks, and
-plain evaluation (read `.value` off each term). The discriminator builder
-makes the same trunk, score and head nodes over leaf nodes of the critic's
-parameters and returns plain term values with a backward map that calls
-those nodes' reverse maps directly, in place of a tape sweep.
+critic's trunk once on them, and each term reads its own rows. Each
+player has one parameter map: the critic's is `disc.store`, and the
+generator's also holds the learned entropy parameters. The generator
+builders return a dictionary of named term Nodes, and :func:`total` sums
+them into the scalar that training differentiates; they accept a generator
+map whose values are tape Nodes (live) or plain arrays (frozen), so the
+same code serves generator steps, gradient checks, and plain evaluation
+(read `.value` off each term). The discriminator builder makes the same
+trunk, score and head nodes over leaf nodes of the critic's store and
+returns plain term values with a backward map that calls those nodes'
+reverse maps directly, in place of a tape sweep.
 """
 
 from __future__ import annotations
@@ -126,18 +128,19 @@ def _onehot(y, n, k_valid) -> np.ndarray:
     return np.eye(n)[y]
 
 
-def divergence_param_nodes(spec: dv.DivergenceSpec, div_map) -> tuple[dm.Node, dm.Node]:
-    """(gamma, beta) as tape nodes, mapping unconstrained parameters through
-    1 + sign * softplus(u) where learnable and pinning limits otherwise."""
+def divergence_param_nodes(spec: dv.DivergenceSpec, params) -> tuple[dm.Node, dm.Node]:
+    """(gamma, beta) as tape nodes, mapping the unconstrained parameters
+    `u_gamma` and `u_beta` of `params` through 1 + sign * softplus(u) where
+    learnable and pinning limits otherwise."""
     s_gamma, s_beta = spec.reparam_signs()
     if spec.learn_gamma:
-        gamma = dm.add(1.0, dm.mul(s_gamma, dm.softplus(div_map["u_gamma"])))
+        gamma = dm.add(1.0, dm.mul(s_gamma, dm.softplus(params["u_gamma"])))
     else:
         gamma = dm.constant(spec.effective_params()[0])
     if spec.family == "tsallis":
         beta = gamma
     elif spec.learn_beta:
-        beta = dm.add(1.0, dm.mul(s_beta, dm.softplus(div_map["u_beta"])))
+        beta = dm.add(1.0, dm.mul(s_beta, dm.softplus(params["u_beta"])))
     else:
         beta = dm.constant(spec.effective_params()[1])
     return gamma, beta
@@ -176,13 +179,13 @@ def total(terms: dict[str, dm.Node]) -> dm.Node:
     return out
 
 
-def _head_scores(disc_map, feat, segc, cfg, reduced_seen) -> dm.Node:
+def _head_scores(params, feat, segc, cfg, reduced_seen) -> dm.Node:
     """Logits of the active classification head for trunk features."""
     if not segc:
-        return mo.class_logits(disc_map, feat)
+        return mo.class_logits(params, feat)
     if reduced_seen is None:
         raise ValidationError("semantic-guided scoring needs the reduced class table")
-    return mo.segc_score_node(disc_map["segc.W"], feat, reduced_seen,
+    return mo.segc_score_node(params["segc.W"], feat, reduced_seen,
                               cfg.segc_normalized, cfg.eta)
 
 
@@ -224,18 +227,18 @@ def visual_pivot_node(gen_map, arch, pivot: PivotInputs) -> dm.Node:
 # generator loss
 
 
-def generator_loss_node(gen_map, div_map, disc: mo.DiscriminatorParams,
+def generator_loss_node(gen_map, disc: mo.DiscriminatorParams,
                         seen: SeenBatch, hallu: HalluBatch, pivot: PivotInputs,
                         cfg: LossConfig, ucat: UCatBatch | None = None,
                         reduced_seen=None, reduced_ucat=None) -> dict[str, dm.Node]:
-    """All generator-side terms; the discriminator map is expected frozen.
+    """All generator-side terms; the discriminator's store is read frozen.
 
     The hallucinated and seen rows are generated in one pass and go through
-    the critic's trunk together, hallucinated rows first. `div_map` holds
-    the unconstrained entropy parameters that are learned, if any; it may be
-    `gen_map` itself, as each reads only its own names. The
-    semantic-guided head needs `reduced_seen`, the reduced descriptors of
-    the seen classes, and u-categorization `reduced_ucat`.
+    the critic's trunk together, hallucinated rows first. `gen_map` holds
+    the generator's tensors and, after them, the unconstrained entropy
+    parameters that are learned, if any. The semantic-guided head needs
+    `reduced_seen`, the reduced descriptors of the seen classes, and
+    u-categorization `reduced_ucat`.
     """
     arch = disc.arch
     n_h, n = len(hallu.t), len(hallu.t) + len(seen.t)
@@ -244,17 +247,16 @@ def generator_loss_node(gen_map, div_map, disc: mo.DiscriminatorParams,
     if cfg.new_class_ablation and not disc.extra_class:
         raise ValidationError("the new-class ablation needs a discriminator "
                               "built with the extra class logit")
-    disc_map = disc.store
 
     x = mo.generator_output(gen_map, arch, dm.constant(np.vstack((hallu.t, seen.t))),
                             dm.constant(np.vstack((hallu.z, seen.z))))
-    feat = mo.trunk_features(disc_map, arch, x)[-1]
-    score = mo.real_score(disc_map, feat)
+    feat = mo.trunk_features(disc.store, arch, x)[-1]
+    score = mo.real_score(disc.store, feat)
     # a zero creativity weight contributes exact zeros; skip that subgraph
     entropy = cfg.entropy_term and cfg.lambda_creativity != 0.0
     # the head reads the hallucinated rows only when a creativity term needs them
     lo = 0 if entropy or cfg.new_class_ablation else n_h
-    head = _head_scores(disc_map, dm.row_slice(feat, lo, n), disc.segc, cfg, reduced_seen)
+    head = _head_scores(disc.store, dm.row_slice(feat, lo, n), disc.segc, cfg, reduced_seen)
 
     terms: dict[str, dm.Node] = {}
     if cfg.realism_term:
@@ -265,7 +267,7 @@ def generator_loss_node(gen_map, div_map, disc: mo.DiscriminatorParams,
         terms["creativity_entropy"] = dm.mul(
             cfg.lambda_creativity, _mean_ce(dm.row_slice(head, 0, n_h), target))
     elif entropy:
-        gamma, beta = divergence_param_nodes(cfg.divergence, div_map)
+        gamma, beta = divergence_param_nodes(cfg.divergence, gen_map)
         terms["creativity_entropy"] = _entropy_term(dm.row_slice(head, 0, n_h), cfg,
                                                     gamma, beta)
 
@@ -288,13 +290,13 @@ def generator_loss_node(gen_map, div_map, disc: mo.DiscriminatorParams,
 # discriminator loss
 
 
-def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real_y,
+def discriminator_loss_node(disc: mo.DiscriminatorParams, real_x, real_y,
                             x_fake, fake_y, x_tilde, cfg: LossConfig, x_h=None,
                             reduced_seen=None, div_values: tuple[float, float] | None = None
                             ) -> tuple[dict[str, float], Callable[[dict], dm.ParamStore]]:
     """All discriminator-side terms: returns `({term: value}, backward)`,
     where `backward({term: weight})` gives the gradient of the weighted sum
-    of the terms, as a store laid out like `disc_map`. No tape node is
+    of the terms, as a store laid out like `disc.store`. No tape node is
     returned and no tape sweep runs, as the critic step needs neither; the
     name matches the other loss builders, and the benchmark's tracer times
     the step under it.
@@ -325,7 +327,7 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
         blocks.append(x_h)
     lo_h = n_real + n_fake        # first hallucinated row
     lo_t = sum(map(len, blocks))  # first interpolate row
-    leaves = {name: dm.leaf(value) for name, value in disc_map.items()}
+    leaves = {name: dm.leaf(value) for name, value in disc.store.items()}
     names = {node: name for name, node in leaves.items()}
 
     x = np.vstack(blocks + [x_tilde])
@@ -376,7 +378,7 @@ def discriminator_loss_node(disc_map, disc: mo.DiscriminatorParams, real_x, real
             d = np.full(lo_t - lo_h, cfg.lambda_creativity * w["entropy_on_disc"] / (lo_t - lo_h))
             d_head[lo_h:lo_t] = probs.vjp(div_rows.vjp(normalized.vjp(d)[0])[0])[0]
 
-        grads = disc_map.zeros()
+        grads = disc.store.zeros()
 
         def pull(node, g):
             """`g` through the reverse map of a layer node whose first operand

@@ -19,7 +19,7 @@ depth: `base` uses one hidden layer per network, `doublenet` two, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,14 +33,28 @@ WIDTHS = ("semantic_dim", "visual_dim", "noise_dim", "hidden_dim", "reduced_dim"
 
 
 @dataclass(frozen=True)
-class ArchSpec:
-    semantic_dim: int
-    visual_dim: int
+class ArchConfig:
+    """Architecture knobs that do not depend on the dataset; the semantic and
+    visual widths are read off the dataset at train time."""
+
     preset: str = "base"
-    noise_dim: int = 16
     hidden_dim: int = 64
+    noise_dim: int = 16
     reduced_dim: int | None = None
     leak: float = 0.2
+
+    def resolve(self, dataset) -> ArchSpec:
+        """This architecture at the widths of `dataset`, a ZslDataset."""
+        return ArchSpec(**asdict(self), semantic_dim=dataset.semantic_dim,
+                        visual_dim=dataset.visual_dim)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ArchSpec(ArchConfig):
+    """An :class:`ArchConfig` with the dataset's widths filled in."""
+
+    semantic_dim: int
+    visual_dim: int
 
     def __post_init__(self):
         if self.preset not in PRESETS:
@@ -259,16 +273,3 @@ def reduce_semantics(gen: GeneratorParams, T) -> np.ndarray:
         raise DimensionError(f"descriptor table has shape {T.shape}")
     return reduce_semantics_node(gen.store, gen.arch, dm.constant(T)).value
 
-
-def discriminate(disc: DiscriminatorParams, x) -> dict:
-    """Critic score, seen-class softmax (classic head only), and trunk
-    features for a batch of visual features."""
-    x = dm.as_tensor(x)
-    if x.ndim != 2 or x.shape[1] != disc.arch.visual_dim:
-        raise DimensionError(f"visual batch has shape {x.shape}, expected (*, {disc.arch.visual_dim})")
-    feat = trunk_features(disc.store, disc.arch, dm.constant(x))[-1]
-    r = real_score(disc.store, feat).value[:, 0]
-    s = None
-    if not disc.segc:
-        s = dm.softmax_rows(class_logits(disc.store, feat)).value
-    return {"r": r, "s": s, "feat": feat.value}

@@ -28,35 +28,13 @@ from . import losses as ls
 from . import model as mo
 from .dataio import ZslDataset, philox
 from .errors import NumericOverflowError, ValidationError
+from .model import ArchConfig  # re-exported; TrainConfig.arch holds one
 
 # stream purpose tags
 TAG_INIT, TAG_HALLU, TAG_BATCH, TAG_NOISE = 1, 2, 3, 4
 TAG_INTERP, TAG_UCAT, TAG_EVAL, TAG_SPLIT = 5, 6, 7, 8
 
 DEFAULT_LAMBDA_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0)
-
-
-@dataclass(frozen=True)
-class ArchConfig:
-    """Architecture knobs that do not depend on the dataset; the semantic and
-    visual widths are read off the dataset at train time."""
-
-    preset: str = "base"
-    hidden_dim: int = 64
-    noise_dim: int = 16
-    reduced_dim: int | None = None
-    leak: float = 0.2
-
-    def resolve(self, dataset: ZslDataset) -> mo.ArchSpec:
-        return mo.ArchSpec(
-            semantic_dim=dataset.semantic_dim,
-            visual_dim=dataset.visual_dim,
-            preset=self.preset,
-            noise_dim=self.noise_dim,
-            hidden_dim=self.hidden_dim,
-            reduced_dim=self.reduced_dim,
-            leak=self.leak,
-        )
 
 
 @dataclass(frozen=True)
@@ -152,7 +130,11 @@ def _from_json(hint, value, where: str):
     if get_origin(hint) is tuple:  # tuple[float, ...], tuple[float, float]
         if not isinstance(value, (list, tuple)):
             raise ValidationError(f"{where} must be a list, got {value!r}")
-        return tuple(_from_json(args[0], v, where) for v in value)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ValidationError(f"{where} must hold {len(args)} items, got {value!r}")
+        return tuple(_from_json(h, v, where) for h, v in zip(args, value))
     if type(None) in args:  # int | None
         if value is None:
             return None
@@ -276,7 +258,7 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
             rows = slice(k * m, (k + 1) * m)
             with _failing_at(f"step {step}, discriminator"):
                 terms_d, backward = ls.discriminator_loss_node(
-                    disc.store, disc, xs[rows], ys[rows], x_fakes[rows], ys[rows],
+                    disc, xs[rows], ys[rows], x_fakes[rows], ys[rows],
                     x_tildes[rows], cfg.loss, x_h, reduced_seen, div_values)
                 loss_d_val = sum(terms_d.values())
                 grads = dm.finite_grads(loss_d_val,
@@ -306,7 +288,7 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
         terms_g: dict[str, float] = {}  # plain values, so the tape dies with grad_scalar
 
         def loss_g(leaves):
-            terms = ls.generator_loss_node(leaves, leaves, disc, seen, hallu, pivot,
+            terms = ls.generator_loss_node(leaves, disc, seen, hallu, pivot,
                                            cfg.loss, ucat, reduced_seen, reduced_ucat)
             terms_g.update((name, float(t.value)) for name, t in terms.items())
             return ls.total(terms)

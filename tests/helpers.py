@@ -6,7 +6,9 @@ its stacked generator pass must reproduce, and the unblocked pool scorer
 that the row-blocked one must reproduce.
 
 It also holds the fingerprint of a training run that the bit-identity
-checks compare.
+checks compare, and the small conveniences over the program's API that
+only the tests call: the numeric critic readout, the single-vector entropy
+gradient, the one-weight draw and the event-tally reset.
 
 Central differences at h=1e-5 on float64 keep the truncation and roundoff
 error orders of magnitude below the tolerances asserted in the tests, so a
@@ -20,9 +22,13 @@ import hashlib
 import numpy as np
 
 import genzsl.diffmath as dm
+import genzsl.divergences as dv
+import genzsl.hallucination as hl
 import genzsl.losses as ls
+import genzsl.model as mo
 from genzsl import events
 from genzsl.diffmath import ParamStore
+from genzsl.errors import DimensionError
 
 
 def rel_err(a, b, floor=1e-3):
@@ -349,3 +355,39 @@ def fingerprint(params, history) -> str:
             h.update(np.asarray(value, dtype=np.float64).tobytes())
     h.update(repr(history.rows()).encode())
     return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# conveniences over the program's API that only the tests call
+
+
+def discriminate(disc, x) -> dict:
+    """Critic score, seen-class softmax (classic head only), and trunk
+    features for a batch of visual features."""
+    x = dm.as_tensor(x)
+    if x.ndim != 2 or x.shape[1] != disc.arch.visual_dim:
+        raise DimensionError(f"visual batch has shape {x.shape}, expected (*, {disc.arch.visual_dim})")
+    feat = mo.trunk_features(disc.store, disc.arch, dm.constant(x))[-1]
+    r = mo.real_score(disc.store, feat).value[:, 0]
+    s = None
+    if not disc.segc:
+        s = dm.softmax_rows(mo.class_logits(disc.store, feat)).value
+    return {"r": r, "s": s, "feat": feat.value}
+
+
+def entropy_loss_grad(softmax, spec):
+    """Gradient of :func:`genzsl.divergences.entropy_loss` w.r.t. the softmax
+    vector and the (gamma, beta) parameters. Non-learnable knobs report zero."""
+    _, dsoft, dg, db = dv._entropy_batch(softmax, spec)
+    d_gamma = float(dg[0]) if spec.learn_gamma else 0.0
+    d_beta = float(db[0]) if spec.learn_beta else 0.0
+    return dsoft[0], d_gamma, d_beta
+
+
+def sample_alpha(policy, rng) -> float:
+    return float(hl.sample_alphas(policy, 1, rng)[0])
+
+
+def reset_events() -> None:
+    """Clear the process's degenerate-event tally."""
+    events._counts.clear()

@@ -18,7 +18,8 @@ import genzsl.losses as ls
 import genzsl.model as mo
 import genzsl.training as tr
 from genzsl.cli import main as cli_main
-from helpers import directional_derivative, random_direction, rel_err
+from helpers import (directional_derivative, discriminate, entropy_loss_grad, random_direction,
+                     rel_err)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -161,7 +162,7 @@ class TestCriterion2Gradients:
                 gen_map = {k[4:]: v for k, v in leaves.items() if k.startswith("gen.")}
                 div_map = {k[4:]: v for k, v in leaves.items() if k.startswith("div.")}
                 return ls.total(ls.generator_loss_node(
-                    gen_map, div_map, disc, seen, hallu, pivot, loss_cfg,
+                    {**gen_map, **div_map}, disc, seen, hallu, pivot, loss_cfg,
                     ucat_batch, reduced_seen, reduced_ucat))
 
             def value(p):
@@ -193,7 +194,7 @@ class TestCriterion2Gradients:
 
             def build(p):
                 return ls.discriminator_loss_node(
-                    p, disc, real_x, real_y, x_fake, seen.y, x_t, loss_cfg, x_h,
+                    replace(disc, store=p), real_x, real_y, x_fake, seen.y, x_t, loss_cfg, x_h,
                     reduced_seen, loss_cfg.divergence.effective_params())
 
             def value(p):
@@ -217,8 +218,8 @@ class TestCriterion2Gradients:
             def build(leaves):
                 gen_map = {k[4:]: v for k, v in leaves.items() if k.startswith("gen.")}
                 div_map = {k[4:]: v for k, v in leaves.items() if k.startswith("div.")}
-                terms = ls.generator_loss_node(gen_map, div_map, disc, seen, hallu, pivot,
-                                               loss_cfg)
+                terms = ls.generator_loss_node({**gen_map, **div_map}, disc, seen, hallu,
+                                               pivot, loss_cfg)
                 return ls.total({k: v for k, v in terms.items()
                                  if k.startswith("creativity_")})
 
@@ -267,7 +268,7 @@ class TestCriterion2Gradients:
 
             def build(p):
                 return ls.discriminator_loss_node(
-                    p, disc, real_x, real_y, x_fake, seen.y, x_fake, rf_cfg, x_h)
+                    replace(disc, store=p), real_x, real_y, x_fake, seen.y, x_fake, rf_cfg, x_h)
 
             def value(p):
                 return build(p)[0]["critic_hallucinated"]
@@ -308,7 +309,7 @@ class TestCriterion2Gradients:
         for i in range(100):
             k = int(rng.integers(2, 9))
             p = 0.85 * random_prob(rng, k) + 0.15 / k
-            g_soft, dg, db = dv.entropy_loss_grad(p, spec)
+            g_soft, dg, db = entropy_loss_grad(p, spec)
 
             def f_vec(v):
                 vals, *_ = dv.divergence_to_uniform_batch(
@@ -361,13 +362,13 @@ class TestCriterion3AblationIdentity:
                                rng.standard_normal((4, 3, 3)))
         cfg = ls.LossConfig(realism_term=False, entropy_term=False,
                             divergence=dv.DivergenceSpec("kl"))
-        nodes = ls.generator_loss_node(gen.store, {}, disc, seen, hallu, pivot, cfg)
+        nodes = ls.generator_loss_node(gen.store, disc, seen, hallu, pivot, cfg)
         terms = {k: float(v.value) for k, v in nodes.items()}
         terms["total"] = float(ls.total(nodes).value)
 
         # the reduction, by direct arithmetic on public forward passes
         x_s = mo.generate(gen, seen.t, seen.z)
-        out = mo.discriminate(disc, x_s)
+        out = discriminate(disc, x_s)
         critic_ref = -out["r"].mean()
         cls_ref = -np.log(out["s"][np.arange(b), seen.y]).mean()
         t_rep = np.repeat(pivot.semantics, 3, axis=0)

@@ -116,10 +116,14 @@ class TestTrainCommand:
          [*SMALL_TRAIN, "--set", "loss.eta=NaN"], 2, "eta"),
         ({}, [*SMALL_TRAIN, "--set", "loss.divergence.gamma=NaN"], 2, "gamma"),
         ({}, [*SMALL_TRAIN, "--set", "loss.divergence.beta=Infinity"], 2, "beta"),
+        # an interval is exactly a [lo, hi] pair
+        ({}, [*SMALL_TRAIN, "--set", 'policy={"intervals":[[0.2,0.5,0.7]]}'], 2, "intervals"),
+        ({}, [*SMALL_TRAIN, "--set", 'policy={"intervals":[[]]}'], 2, "intervals"),
         ({"lr": 1, "arch": {"reduced_dim": None}}, SMALL_TRAIN, 0, None),
     ], ids=["string-for-int", "nested-string-for-int", "float-for-int", "int-for-bool",
             "list-root", "bool-for-int", "nan-lr", "infinite-lr", "nan-eta", "nan-gamma",
-            "infinite-beta", "int-for-float-and-null"])
+            "infinite-beta", "three-item-interval", "empty-interval",
+            "int-for-float-and-null"])
     def test_config_values_must_have_their_field_type(self, tmp_path, config, extra, code,
                                                       field):
         ds = synth(tmp_path)
@@ -320,6 +324,16 @@ class TestOutDirDiscipline:
         monkeypatch.setenv("GENZSL_OUT", str(target))
         assert main(["train", "--data", ds, *SMALL_TRAIN]) == 0
         assert (target / "history.csv").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_out_that_cannot_be_made_exits_4_as_an_io_error(self, tmp_path, command, capsys):
+        argv = ["synth"] if command == "synth" else \
+            ["train", "--data", synth(tmp_path), *SMALL_TRAIN]
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        # no manifest can be written below a regular file
+        assert main([*argv, "--out", str(blocker / "run")]) == 4
+        assert capsys.readouterr().err.startswith("io error: ")
 
 
 def test_write_csv_spells_each_value_type_exactly(tmp_path):

@@ -6,7 +6,7 @@ from genzsl import events
 from genzsl.errors import DimensionError, NumericOverflowError, ValidationError
 from helpers import (affine_stack, affine_stack_with_input_gradient, dense_input_grad,
                      directional_derivative, leaky_relu, log, matmul, numeric_grad_params,
-                     penalty_oracle, random_direction, rel_err, transpose)
+                     penalty_oracle, random_direction, rel_err, reset_events, transpose)
 
 
 def mlp_loss(leaves, x, y):
@@ -398,11 +398,11 @@ class TestGradPenalty:
     def test_degenerate_gradient_substitutes_zero_and_records(self):
         params = dm.ParamStore({"real.W": np.zeros((3, 1)), "real.b": np.zeros(1)})
         layout = [("real.W", "real.b", "linear")]
-        events.reset()
+        reset_events()
         grads = _penalty_grads(params, layout, np.ones((2, 3)))
         np.testing.assert_array_equal(grads["real.W"], np.zeros((3, 1)))
         assert events.counts().get("degenerate_gradient_penalty", 0) >= 1
-        events.reset()
+        reset_events()
 
 
 class TestAdam:

@@ -3,6 +3,7 @@ import pytest
 
 import genzsl.hallucination as hl
 from genzsl.errors import ValidationError
+from helpers import sample_alpha
 
 
 def rng(seed=0):
@@ -61,7 +62,7 @@ class TestSampleAlpha:
         np.testing.assert_array_equal(a, b)
 
     def test_scalar_form(self):
-        a = hl.sample_alpha(hl.PRESETS["interpolate"], rng(5))
+        a = sample_alpha(hl.PRESETS["interpolate"], rng(5))
         assert 0.2 < a < 0.8
 
     def test_fixed_and_gaussian_modes(self):

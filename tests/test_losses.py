@@ -8,7 +8,7 @@ import genzsl.divergences as dv
 import genzsl.losses as ls
 import genzsl.model as mo
 from genzsl.errors import ValidationError
-from helpers import (directional_derivative, discriminator_terms_multipass,
+from helpers import (directional_derivative, discriminate, discriminator_terms_multipass,
                      generator_terms_multipass, random_direction, rel_err)
 
 
@@ -67,8 +67,8 @@ def creativity_value(disc, gen, t_h, z, cfg):
     pivot = ls.PivotInputs(np.zeros((k_seen, arch.semantic_dim)),
                            np.zeros((k_seen, arch.visual_dim)),
                            np.zeros((k_seen, 1, arch.noise_dim)))
-    terms = ls.generator_loss_node(gen.store, cfg.divergence.unconstrained_init(), disc,
-                                   seen, ls.HalluBatch(t_h, z), pivot, cfg)
+    gen_map = dict([*gen.store.items(), *cfg.divergence.unconstrained_init().items()])
+    terms = ls.generator_loss_node(gen_map, disc, seen, ls.HalluBatch(t_h, z), pivot, cfg)
     return values({k: v for k, v in terms.items() if k.startswith("creativity_")})["total"]
 
 
@@ -151,7 +151,7 @@ class TestCreativityLoss:
         t_h = rng(3).standard_normal((2, 5))
         z = rng(4).standard_normal((2, 2))
         x_h = mo.generate(gen, t_h, z)
-        out = mo.discriminate(disc, x_h)
+        out = discriminate(disc, x_h)
         # direct arithmetic on the critic scores and softmax rows
         u = np.full(3, 1.0 / 3.0)
         le = np.array([float((row * np.log(row / u)).sum()) for row in out["s"]])
@@ -173,7 +173,7 @@ class TestCreativityLoss:
         t_h = rng(1).standard_normal((3, 5))
         z = rng(2).standard_normal((3, 2))
         x_h = mo.generate(gen, t_h, z)
-        out = mo.discriminate(disc, x_h)
+        out = discriminate(disc, x_h)
         expected = -np.log(out["s"][:, 3]).mean()
         assert creativity_value(disc, gen, t_h, z, cfg) == pytest.approx(expected, abs=1e-10)
 
@@ -234,17 +234,17 @@ class TestGeneratorLoss:
         seen, hallu, pivot, *_ = random_batches(arch, 3)
         seen = ls.SeenBatch(seen.t, np.zeros(4, dtype=int), seen.z)
         cfg = base_cfg(lambda_creativity=0.0, realism_term=False)
-        terms = values(ls.generator_loss_node(gen.store, {}, disc, seen, hallu, pivot, cfg))
+        terms = values(ls.generator_loss_node(gen.store, disc, seen, hallu, pivot, cfg))
         assert terms["classification"] == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_direct_arithmetic_without_creativity(self):
         arch, gen, disc = small_setup(seed=9)
         seen, hallu, pivot, *_ = random_batches(arch, 3, seed=11)
         cfg = base_cfg(lambda_creativity=0.0, realism_term=False)
-        terms = values(ls.generator_loss_node(gen.store, {}, disc, seen, hallu, pivot, cfg))
+        terms = values(ls.generator_loss_node(gen.store, disc, seen, hallu, pivot, cfg))
 
         x_s = mo.generate(gen, seen.t, seen.z)
-        out = mo.discriminate(disc, x_s)
+        out = discriminate(disc, x_s)
         crit = -out["r"].mean()
         cls = -np.log(out["s"][np.arange(4), seen.y]).mean()
         piv = ls.visual_pivot_node(gen.store, arch, pivot).value
@@ -272,7 +272,7 @@ class TestGeneratorLoss:
         def build(leaves):
             gen_map = {k[4:]: v for k, v in leaves.items() if k.startswith("gen.")}
             div_map = {k[4:]: v for k, v in leaves.items() if k.startswith("div.")}
-            return ls.total(ls.generator_loss_node(gen_map, div_map, disc, seen, hallu,
+            return ls.total(ls.generator_loss_node({**gen_map, **div_map}, disc, seen, hallu,
                                                    pivot, cfg, reduced_seen=reduced_seen))
 
         grads = dm.grad_scalar(build, merged)
@@ -301,7 +301,7 @@ class TestGeneratorLoss:
         def build(leaves):
             gen_map = {k[4:]: v for k, v in leaves.items() if k.startswith("gen.")}
             div_map = {k[4:]: v for k, v in leaves.items() if k.startswith("div.")}
-            return ls.total(ls.generator_loss_node(gen_map, div_map, disc, seen, hallu,
+            return ls.total(ls.generator_loss_node({**gen_map, **div_map}, disc, seen, hallu,
                                                    pivot, cfg))
 
         grads = dm.grad_scalar(build, merged)
@@ -343,7 +343,7 @@ class TestDiscriminatorLoss:
         hallu = ls.HalluBatch(g.standard_normal((b, 2)), g.standard_normal((b, 1)))
         x_fake = mo.generate(gen, seen.t, seen.z)
         x_t = ls.lipschitz_interpolate(real_x, x_fake, rng(2))
-        terms, _ = ls.discriminator_loss_node(disc.store, disc, real_x, real_y, x_fake, seen.y,
+        terms, _ = ls.discriminator_loss_node(disc, real_x, real_y, x_fake, seen.y,
                                               x_t, base_cfg(lambda_creativity=0.0))
         assert abs(sum(terms.values())) < 1e-6
 
@@ -364,7 +364,7 @@ class TestDiscriminatorLoss:
         hallu = ls.HalluBatch(g.standard_normal((4, 2)), g.standard_normal((4, 1)))
         x_fake = mo.generate(gen, seen.t, seen.z)
         x_t = ls.lipschitz_interpolate(real_x, x_fake, rng(2))
-        terms, _ = ls.discriminator_loss_node(disc.store, disc, real_x, seen.y, x_fake, seen.y,
+        terms, _ = ls.discriminator_loss_node(disc, real_x, seen.y, x_fake, seen.y,
                                               x_t, base_cfg())
         assert terms["gradient_penalty"] == pytest.approx(4.0, abs=1e-9)
 
@@ -374,12 +374,12 @@ class TestDiscriminatorLoss:
         x_fake = mo.generate(gen, seen.t, seen.z)
         x_t = ls.lipschitz_interpolate(real_x, x_fake, rng(6))
         x_h = mo.generate(gen, hallu.t, hallu.z)
-        plain, _ = ls.discriminator_loss_node(disc.store, disc, real_x, real_y, x_fake,
+        plain, _ = ls.discriminator_loss_node(disc, real_x, real_y, x_fake,
                                               seen.y, x_t, base_cfg())
-        with_h, _ = ls.discriminator_loss_node(disc.store, disc, real_x, real_y, x_fake,
+        with_h, _ = ls.discriminator_loss_node(disc, real_x, real_y, x_fake,
                                                seen.y, x_t, base_cfg(rf_hallucinated=True),
                                                x_h)
-        expected = mo.discriminate(disc, x_h)["r"].mean()
+        expected = discriminate(disc, x_h)["r"].mean()
         assert with_h["critic_hallucinated"] == pytest.approx(expected, abs=1e-10)
         assert sum(with_h.values()) - sum(plain.values()) == pytest.approx(expected, abs=1e-9)
 
@@ -400,8 +400,8 @@ class TestDiscriminatorLoss:
 
         def build(p):
             return ls.discriminator_loss_node(
-                p, disc, real_x, real_y, x_fake, seen.y, x_t, cfg, x_h, reduced_seen,
-                cfg.divergence.effective_params())
+                replace(disc, store=p), real_x, real_y, x_fake, seen.y, x_t, cfg, x_h,
+                reduced_seen, cfg.divergence.effective_params())
 
         terms, backward = build(disc.store)
         grads = backward(dict.fromkeys(terms, 1.0))
@@ -424,9 +424,9 @@ class TestDiscriminatorLoss:
         seen, hallu, pivot, real_x, real_y = random_batches(arch, 3, seed=23)
         x_fake = mo.generate(gen, seen.t, seen.z)
         x_t = ls.lipschitz_interpolate(real_x, x_fake, rng(3))
-        a, _ = ls.discriminator_loss_node(disc_c.store, disc_c, real_x, real_y, x_fake, seen.y,
+        a, _ = ls.discriminator_loss_node(disc_c, real_x, real_y, x_fake, seen.y,
                                           x_t, base_cfg())
-        b, _ = ls.discriminator_loss_node(disc_s.store, disc_s, real_x, real_y, x_fake, seen.y,
+        b, _ = ls.discriminator_loss_node(disc_s, real_x, real_y, x_fake, seen.y,
                                           x_t, base_cfg(segc_active=True),
                                           reduced_seen=mo.reduce_semantics(gen, pivot.semantics))
         for key in ("critic_fake", "critic_real", "gradient_penalty"):
@@ -501,7 +501,7 @@ class TestStackedCriticPass:
                             creativity_on_discriminator=hallucinated)
             args = (disc, real_x, real_y, x_fake, seen.y, x_t, flags, x_h,
                     reduced.get("reduced_seen"), (2.0, 2.5))
-            terms, backward = ls.discriminator_loss_node(disc.store, *args)
+            terms, backward = ls.discriminator_loss_node(*args)
             oracle = {}
             expect = dm.grad_scalar(lambda lv: ls.total(
                 oracle.setdefault("t", discriminator_terms_multipass(lv, *args))), disc.store)
@@ -533,8 +533,8 @@ class TestStackedCriticPass:
                     {k[4:]: v for k, v in lv.items() if k.startswith("div.")})
 
         self.check(
-            lambda lv: ls.generator_loss_node(*split(lv), disc, seen, hallu, pivot, cfg,
-                                              ucat, **reduced),
+            lambda lv: ls.generator_loss_node({**split(lv)[0], **split(lv)[1]}, disc, seen,
+                                              hallu, pivot, cfg, ucat, **reduced),
             lambda lv: generator_terms_multipass(*split(lv), disc, seen, hallu, pivot, cfg,
                                                  ucat, **reduced),
             merged)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import genzsl.diffmath as dm
 import genzsl.model as mo
 from genzsl import events
 from genzsl.errors import DimensionError, ValidationError
-from helpers import segc_score_oracle
+from helpers import discriminate, reset_events, segc_score_oracle
 
 
 def rng(seed=0):
@@ -49,6 +51,11 @@ class TestArchSpec:
         with pytest.raises(ValidationError):
             small_arch(leak=leak)
 
+    def test_is_an_arch_config_with_the_two_dataset_widths_added(self):
+        assert isinstance(small_arch(), mo.ArchConfig)
+        added = {f.name for f in fields(mo.ArchSpec)} - {f.name for f in fields(mo.ArchConfig)}
+        assert added == {"semantic_dim", "visual_dim"}
+
 
 class TestInitParams:
     def test_same_seed_identical(self):
@@ -73,7 +80,7 @@ class TestInitParams:
             z = g.uniform(-10, 10, size=(16, arch.noise_dim))
             x = mo.generate(gen, t, z)
             assert np.all(np.isfinite(x))
-            out = mo.discriminate(disc, g.uniform(-10, 10, size=(16, arch.visual_dim)))
+            out = discriminate(disc, g.uniform(-10, 10, size=(16, arch.visual_dim)))
             assert np.all(np.isfinite(out["r"])) and np.all(np.isfinite(out["s"]))
 
     def test_segc_head_replaces_classic_head(self):
@@ -114,28 +121,28 @@ class TestGenerate:
 class TestDiscriminate:
     def test_softmax_rows_sum_to_one(self):
         _, disc = mo.init_params(small_arch(), 5, False, rng(4))
-        out = mo.discriminate(disc, rng(5).standard_normal((7, 8)))
+        out = discriminate(disc, rng(5).standard_normal((7, 8)))
         np.testing.assert_allclose(out["s"].sum(axis=1), np.ones(7), atol=1e-9)
 
     def test_zeroed_class_head_gives_uniform_softmax(self):
         _, disc = mo.init_params(small_arch(), 5, False, rng(4))
         disc.store["cls.W"][:] = 0.0
         disc.store["cls.b"][:] = 0.0
-        out = mo.discriminate(disc, rng(5).standard_normal((3, 8)))
+        out = discriminate(disc, rng(5).standard_normal((3, 8)))
         np.testing.assert_allclose(out["s"], np.full((3, 5), 0.2), atol=1e-12)
 
     def test_score_translation_covariant_in_head_bias(self):
         _, disc = mo.init_params(small_arch(), 5, False, rng(4))
         x = rng(6).standard_normal((9, 8))
-        r0 = mo.discriminate(disc, x)["r"]
+        r0 = discriminate(disc, x)["r"]
         disc.store["real.b"][:] += 3.5
-        r1 = mo.discriminate(disc, x)["r"]
+        r1 = discriminate(disc, x)["r"]
         np.testing.assert_allclose(r1, r0 + 3.5, atol=1e-12)
 
     def test_dimension_error(self):
         _, disc = mo.init_params(small_arch(), 5, False, rng(4))
         with pytest.raises(DimensionError):
-            mo.discriminate(disc, np.zeros((3, 7)))
+            discriminate(disc, np.zeros((3, 7)))
 
 
 class TestSegcScore:
@@ -171,12 +178,12 @@ class TestSegcScore:
         np.testing.assert_array_equal(a, b)
 
     def test_zero_norm_scores_zero_and_records_event(self):
-        events.reset()
+        reset_events()
         s = mo.segc_score_node(np.eye(2), [[0.0, 0.0]], [[1.0, 0.0]], normalized=True,
                                eta=1.0).value
         assert s[0, 0] == 0.0
         assert events.counts().get("degenerate_zero_norm", 0) >= 1
-        events.reset()
+        reset_events()
 
     def test_eta_must_be_positive_when_normalized(self):
         with pytest.raises(ValidationError):
@@ -224,16 +231,16 @@ class TestSegcScoreNode:
         # rows 1 and 3 project to norms 0 and 1e-14, both below the 1e-12 floor
         x = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 5.0], [-0.5, 0.3, 1.0], [1e-14, 0.0, 1.0]])
         T = np.array([[1.0, 0.5], [-0.3, 2.0], [0.7, 0.7]])
-        events.reset()
+        reset_events()
         scores, grads = self.check(W, x, T, True, 2.0)
         assert np.all(scores[[1, 3]] == 0.0)
         assert np.all(grads["x"][[1, 3]] == 0.0)
         assert np.all(grads["x"][[0, 2], :2] != 0.0)  # W's last row is zero
-        events.reset()
+        reset_events()
         for calls in (1, 2):
             mo.segc_score_node(W, x, T, normalized=True, eta=2.0)
             assert events.counts() == {"degenerate_zero_norm": calls}
-        events.reset()
+        reset_events()
 
     @pytest.mark.parametrize("normalized", [False, True])
     def test_a_constant_operand_gets_no_gradient(self, normalized):

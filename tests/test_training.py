@@ -49,6 +49,14 @@ class TestTrainConfig:
         again = tr.config_from_dict(json.loads(json.dumps(asdict(cfg))))
         assert again == cfg
 
+    def test_arch_resolves_to_its_own_fields_at_the_dataset_widths(self):
+        import genzsl.model as mo
+        arch = tr.ArchConfig(preset="doublenet", hidden_dim=10, noise_dim=3, leak=0.1)
+        spec = arch.resolve(tiny_dataset())
+        assert spec == mo.ArchSpec(**asdict(arch), semantic_dim=6, visual_dim=8)
+        # the checkpoint manifest stores asdict(spec) and loads it back this way
+        assert spec == mo.ArchSpec(**asdict(spec))
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError, match="unknown config"):
             tr.config_from_dict({"n_steps": 3, "learning_rate": 0.1})
@@ -129,7 +137,7 @@ class TestTrain:
         x_fake = mo.generate(gen, ds.seen_semantics[y], g.standard_normal((6, arch.noise_dim)))
         x = ds.seen_features[:6]
         x_t = ls.lipschitz_interpolate(x, x_fake, g)
-        terms, backward = ls.discriminator_loss_node(disc.store, disc, x, y, x_fake, y,
+        terms, backward = ls.discriminator_loss_node(disc, x, y, x_fake, y,
                                                      x_t, cfg.loss)
         grads = backward(dict.fromkeys(terms, 1.0))
         assert list(grads) == list(disc.store)
@@ -144,7 +152,7 @@ class TestTrain:
         gen, disc = mo.init_params(cfg.arch.resolve(ds), ds.k_seen, False, io.philox(0, 1))
         x = ds.seen_features[:6]
         y = ds.seen_labels[:6]
-        terms, backward = ls.discriminator_loss_node(disc.store, disc, x, y, x[::-1], y,
+        terms, backward = ls.discriminator_loss_node(disc, x, y, x[::-1], y,
                                                      x, cfg.loss)
         grads = dm.finite_grads(sum(terms.values()), lambda: backward(dict.fromkeys(terms, 1.0)))
         assert isinstance(grads, dm.ParamStore) and list(grads) == list(disc.store)
