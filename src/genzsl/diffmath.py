@@ -50,13 +50,12 @@ def as_tensor(x) -> np.ndarray:
 class Node:
     """One tape entry: a forward value plus the reverse-map to its parents."""
 
-    __slots__ = ("value", "parents", "vjp", "grad", "const")
+    __slots__ = ("value", "parents", "vjp", "const")
 
     def __init__(self, value, parents=(), vjp=None, const=False):
         self.value = value
         self.parents = parents
         self.vjp = vjp
-        self.grad = None
         self.const = const
 
 
@@ -65,7 +64,7 @@ def constant(x) -> Node:
 
 
 def leaf(x) -> Node:
-    """A differentiable leaf (parameter); backward() leaves its grad set."""
+    """A differentiable leaf (parameter)."""
     return Node(as_tensor(x))
 
 
@@ -84,8 +83,9 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def backward(root: Node) -> None:
-    """Reverse sweep seeding d(root)/d(root) = 1; accumulates `.grad` on leaves."""
+def backward(root: Node) -> dict[Node, np.ndarray]:
+    """Reverse sweep seeding d(root)/d(root) = 1: the gradient of `root` at each
+    leaf it reaches, keyed by node. Drops inner gradients once used; writes no node."""
     topo: list[Node] = []
     seen: set[Node] = set()  # nodes hash by identity
     stack: list[tuple[Node, bool]] = [(root, False)]
@@ -104,17 +104,15 @@ def backward(root: Node) -> None:
 
     grads: dict[Node, np.ndarray] = {root: np.ones_like(root.value)}
     for node in reversed(topo):
-        g = grads.get(node)
-        if g is None:
+        if node.vjp is None or node not in grads:
             continue
-        if node.vjp is None:
-            node.grad = g if node.grad is None else node.grad + g
-            continue
+        g = grads.pop(node)
         for parent, pg in zip(node.parents, node.vjp(g)):
             if pg is None or parent.const:
                 continue
             acc = grads.get(parent)
             grads[parent] = pg if acc is None else acc + pg
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +440,7 @@ class ParamStore:
 
     def zeros(self) -> "ParamStore":
         """A store of zeros laid out like this one: the gradient store that
-        :func:`grad_scalar` and the critic step write into."""
+        :func:`leaf_grads` and the critic step write into."""
         return self._like(np.zeros(self.flat.size))
 
 
@@ -514,6 +512,20 @@ def finite_grads(loss, gradient: Callable[[], ParamStore]) -> ParamStore:
     return grads
 
 
+def leaf_grads(root: Node, leaves: Mapping[str, Node], params: ParamStore) -> ParamStore:
+    """The gradients of `root` at the named `leaves`, from one sweep, as a
+    store laid out like `params`; leaves the sweep misses get zeros."""
+    swept = backward(root)
+    grads = params.zeros()
+    for name, node in leaves.items():
+        g = swept.get(node)
+        if g is not None:
+            if g.shape != node.value.shape:
+                raise DimensionError(f"gradient of {name!r} has shape {g.shape}")
+            grads[name][...] = g
+    return grads
+
+
 def grad_scalar(
     loss_fn: Callable[[dict[str, Node]], Node], params: ParamStore
 ) -> ParamStore:
@@ -529,15 +541,4 @@ def grad_scalar(
     out = loss_fn(leaves)
     if out.value.size != 1:
         raise ValidationError(f"loss must be scalar, got shape {out.value.shape}")
-
-    def gradient():
-        backward(out)
-        grads = params.zeros()
-        for name, node in leaves.items():
-            if node.grad is not None:
-                if node.grad.shape != node.value.shape:
-                    raise DimensionError(f"gradient of {name!r} has shape {node.grad.shape}")
-                grads[name][...] = node.grad
-        return grads
-
-    return finite_grads(out.value, gradient)
+    return finite_grads(out.value, lambda: leaf_grads(out, leaves, params))

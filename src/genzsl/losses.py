@@ -25,16 +25,14 @@ Classification terms use either the classic softmax head or the softmax over
 semantic-guided scores; the critic terms are identical either way. A
 builder stacks the batches that its critic and head terms read, runs the
 critic's trunk once on them, and each term reads its own rows. Each
-player has one parameter map: the critic's is `disc.store`, and the
-generator's also holds the learned entropy parameters. The generator
-builders return a dictionary of named term Nodes, and :func:`total` sums
-them into the scalar that training differentiates; they accept a generator
-map whose values are tape Nodes (live) or plain arrays (frozen), so the
-same code serves generator steps, gradient checks, and plain evaluation
-(read `.value` off each term). The discriminator builder makes the same
-trunk, score and head nodes over leaf nodes of the critic's store and
-returns plain term values with a backward map that calls those nodes'
-reverse maps directly, in place of a tape sweep.
+player has one parameter store: the critic's is `disc.store`, and the
+generator's also holds the learned entropy parameters. Both builders make
+their nodes over leaf nodes of their player's store, read the other's
+frozen, and return `({term: value}, backward)`: `backward` maps term
+weights to the gradient of the weighted sum, as a store laid out like the
+player's. The generator's sums the terms in one node and sweeps the tape
+once; the critic's calls its trunk, score and head nodes' reverse maps
+directly. Neither writes onto a node or draws a random number.
 """
 
 from __future__ import annotations
@@ -171,14 +169,6 @@ def divergence_rows_node(probs: dm.Node, gamma: dm.Node, beta: dm.Node, spec: dv
     return dm.Node(vals, (probs, gamma, beta), vjp)
 
 
-def total(terms: dict[str, dm.Node]) -> dm.Node:
-    """The sum of the named terms, added in dictionary order."""
-    out = dm.constant(0.0)
-    for t in terms.values():
-        out = dm.add(out, t)
-    return out
-
-
 def _head_scores(params, feat, segc, cfg, reduced_seen) -> dm.Node:
     """Logits of the active classification head for trunk features."""
     if not segc:
@@ -227,18 +217,21 @@ def visual_pivot_node(gen_map, arch, pivot: PivotInputs) -> dm.Node:
 # generator loss
 
 
-def generator_loss_node(gen_map, disc: mo.DiscriminatorParams,
+def generator_loss_node(store: dm.ParamStore, disc: mo.DiscriminatorParams,
                         seen: SeenBatch, hallu: HalluBatch, pivot: PivotInputs,
                         cfg: LossConfig, ucat: UCatBatch | None = None,
-                        reduced_seen=None, reduced_ucat=None) -> dict[str, dm.Node]:
-    """All generator-side terms; the discriminator's store is read frozen.
+                        reduced_seen=None, reduced_ucat=None
+                        ) -> tuple[dict[str, float], Callable[[dict], dm.ParamStore]]:
+    """All generator-side terms: returns `({term: value}, backward)`, where
+    `backward({term: weight})` sums the weighted terms in term order as one
+    node, sweeps once and returns a store laid out like `store`.
+    `store` holds the generator's tensors and, after them, the learned
+    unconstrained entropy parameters, if any; the critic's is read frozen.
 
     The hallucinated and seen rows are generated in one pass and go through
-    the critic's trunk together, hallucinated rows first. `gen_map` holds
-    the generator's tensors and, after them, the unconstrained entropy
-    parameters that are learned, if any. The semantic-guided head needs
-    `reduced_seen`, the reduced descriptors of the seen classes, and
-    u-categorization `reduced_ucat`.
+    the critic's trunk together, hallucinated rows first. The semantic-guided
+    head needs `reduced_seen`, the reduced descriptors of the seen classes,
+    and u-categorization `reduced_ucat`.
     """
     arch = disc.arch
     n_h, n = len(hallu.t), len(hallu.t) + len(seen.t)
@@ -248,7 +241,8 @@ def generator_loss_node(gen_map, disc: mo.DiscriminatorParams,
         raise ValidationError("the new-class ablation needs a discriminator "
                               "built with the extra class logit")
 
-    x = mo.generator_output(gen_map, arch, dm.constant(np.vstack((hallu.t, seen.t))),
+    leaves = {name: dm.leaf(value) for name, value in store.items()}
+    x = mo.generator_output(leaves, arch, dm.constant(np.vstack((hallu.t, seen.t))),
                             dm.constant(np.vstack((hallu.z, seen.z))))
     feat = mo.trunk_features(disc.store, arch, x)[-1]
     score = mo.real_score(disc.store, feat)
@@ -267,7 +261,7 @@ def generator_loss_node(gen_map, disc: mo.DiscriminatorParams,
         terms["creativity_entropy"] = dm.mul(
             cfg.lambda_creativity, _mean_ce(dm.row_slice(head, 0, n_h), target))
     elif entropy:
-        gamma, beta = divergence_param_nodes(cfg.divergence, gen_map)
+        gamma, beta = divergence_param_nodes(cfg.divergence, leaves)
         terms["creativity_entropy"] = _entropy_term(dm.row_slice(head, 0, n_h), cfg,
                                                     gamma, beta)
 
@@ -275,15 +269,22 @@ def generator_loss_node(gen_map, disc: mo.DiscriminatorParams,
     onehot = _onehot(seen.y, disc.n_logits, disc.k_seen)
     terms["classification"] = _mean_ce(dm.row_slice(head, n_h - lo, n - lo), onehot)
 
-    terms["visual_pivot"] = visual_pivot_node(gen_map, arch, pivot)
+    terms["visual_pivot"] = visual_pivot_node(leaves, arch, pivot)
 
     if cfg.u_categorization:
         if ucat is None:
             raise ValidationError("u_categorization needs a hallucinated-class batch")
         terms["u_categorization"] = hallucinated_categorization_node(
-            gen_map, disc, ucat, cfg, reduced_ucat
+            leaves, disc, ucat, cfg, reduced_ucat
         )
-    return terms
+
+    def backward(w):
+        weights = [w[name] for name in terms]
+        out = dm.Node(sum(k * t.value for k, t in zip(weights, terms.values())),
+                      tuple(terms.values()), lambda g: [k * g for k in weights])
+        return dm.leaf_grads(out, leaves, store)
+
+    return {name: float(term.value) for name, term in terms.items()}, backward
 
 
 # ---------------------------------------------------------------------------

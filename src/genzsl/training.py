@@ -1,9 +1,9 @@
 """Alternating adversarial training, cross-validation, and ablation runs.
 
 One outer step draws a fresh hallucinated minibatch, runs `n_d` Adam updates
-of the discriminator, then one Adam update of the generator together with
-the entropy loss's learnable parameters, if any, from one gradient of the
-generator loss. All randomness is drawn from purpose-keyed
+of the discriminator, then one of the generator together with the entropy
+loss's learnable parameters, if any; each is the same player step over its
+loss builder. All randomness is drawn from purpose-keyed
 Philox streams, so a (dataset, config) pair reproduces its run bit for bit.
 
 Cross-validation splits the seen classes 80/20, treats the held-out classes
@@ -68,6 +68,8 @@ class TrainConfig:
             raise ValidationError("eval_every must divide n_steps")
         if self.n_generate_eval < 1:
             raise ValidationError("n_generate_eval must be positive")
+        if type(self.arch) is not ArchConfig:  # train resolves it at the dataset widths
+            raise ValidationError(f"arch must be an ArchConfig, got {self.arch!r}")
 
 
 @dataclass
@@ -185,6 +187,16 @@ def _failing_at(where: str):
         raise NumericOverflowError(f"{where}: {exc}") from exc
 
 
+def _player_step(where: str, build, store, state, cfg: TrainConfig):
+    """Adam on the gradient of the terms' sum of `build()`, a loss builder's
+    `({term: value}, backward)`: the new store and state, and the values."""
+    with _failing_at(where):
+        values, backward = build()
+        grads = dm.finite_grads(sum(values.values()),
+                                lambda: backward(dict.fromkeys(values, 1.0)))
+    return (*dm.adam_step(store, grads, state, cfg.lr, cfg.beta1, cfg.beta2), values)
+
+
 def train(dataset: ZslDataset, cfg: TrainConfig):
     """Run the alternating optimization; returns (ModelParams, TrainHistory).
 
@@ -226,9 +238,7 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
 
     hallu_rows = cfg.loss.rf_hallucinated or cfg.loss.creativity_on_discriminator
     history = TrainHistory(degenerate_events=dict(events.counts()))
-    adam_kw = dict(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
 
-    loss_d_val = loss_g_val = w_est = 0.0
     for step in range(1, cfg.n_steps + 1):
         t_h = hl.sample_hallucinated_text(dataset.seen_semantics, cfg.policy, m, rng_hallu)
         z_h = rng_noise.standard_normal((m, arch.noise_dim))
@@ -256,16 +266,12 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
 
         for k in range(cfg.n_d):
             rows = slice(k * m, (k + 1) * m)
-            with _failing_at(f"step {step}, discriminator"):
-                terms_d, backward = ls.discriminator_loss_node(
+            disc.store, state_d, terms_d = _player_step(
+                f"step {step}, discriminator",
+                lambda: ls.discriminator_loss_node(
                     disc, xs[rows], ys[rows], x_fakes[rows], ys[rows],
-                    x_tildes[rows], cfg.loss, x_h, reduced_seen, div_values)
-                loss_d_val = sum(terms_d.values())
-                grads = dm.finite_grads(loss_d_val,
-                                        lambda: backward(dict.fromkeys(terms_d, 1.0)))
-            del backward  # it holds the critic step's whole forward pass
-            disc.store, state_d = dm.adam_step(disc.store, grads, state_d, **adam_kw)
-            w_est = -terms_d["critic_real"] - terms_d["critic_fake"]
+                    x_tildes[rows], cfg.loss, x_h, reduced_seen, div_values),
+                disc.store, state_d, cfg)
         # the stacked batches go before the generator step and the evaluation
         # allocate theirs: held to the end of the step, they raised its peak
         del xs, t_rows, z_rows, x_gen, x_h, x_fakes, x_tildes
@@ -285,18 +291,11 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
                 (cfg.loss.k_unseen_cap, arch.noise_dim)))
             reduced_ucat = mo.reduce_semantics(gen, t_u)
 
-        terms_g: dict[str, float] = {}  # plain values, so the tape dies with grad_scalar
-
-        def loss_g(leaves):
-            terms = ls.generator_loss_node(leaves, disc, seen, hallu, pivot,
-                                           cfg.loss, ucat, reduced_seen, reduced_ucat)
-            terms_g.update((name, float(t.value)) for name, t in terms.items())
-            return ls.total(terms)
-
-        with _failing_at(f"step {step}, generator"):
-            grads = dm.grad_scalar(loss_g, gen.store)
-        gen.store, state_g = dm.adam_step(gen.store, grads, state_g, **adam_kw)
-        loss_g_val = sum(terms_g.values())
+        gen.store, state_g, terms_g = _player_step(
+            f"step {step}, generator",
+            lambda: ls.generator_loss_node(gen.store, disc, seen, hallu, pivot, cfg.loss,
+                                           ucat, reduced_seen, reduced_ucat),
+            gen.store, state_g, cfg)
 
         if step % cfg.eval_every == 0:
             report = ev.evaluate_model(gen, dataset, cfg.n_generate_eval,
@@ -304,7 +303,8 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
                                        with_retrieval=False)
             gamma, beta = ls.current_divergence_params(spec, gen.store)
             history.records.append(HistoryRecord(
-                step, loss_g_val, loss_d_val, w_est,
+                step, sum(terms_g.values()), sum(terms_d.values()),
+                -terms_d["critic_real"] - terms_d["critic_fake"],
                 report.top1_unseen, report.su_auc, gamma, beta))
 
     history.n_disc_updates = state_d.step

@@ -225,6 +225,15 @@ def penalty_oracle(x, layers, slope=0.2):
     return dm.vmean(dm.square(dm.sub(row_norm(g), 1.0)))
 
 
+def total(terms):
+    """The sum of the named term nodes, added in dictionary order onto a
+    zero constant."""
+    out = dm.constant(0.0)
+    for t in terms.values():
+        out = dm.add(out, t)
+    return out
+
+
 def critic_layers(params, arch):
     """The trunk plus the score head of a discriminator parameter map."""
     layers = [(params[f"trunk{i}.W"], params[f"trunk{i}.b"], "leaky")

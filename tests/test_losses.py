@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import genzsl.losses as ls
 import genzsl.model as mo
 from genzsl.errors import ValidationError
 from helpers import (directional_derivative, discriminate, discriminator_terms_multipass,
-                     generator_terms_multipass, random_direction, rel_err)
+                     generator_terms_multipass, random_direction, rel_err, total)
 
 
 def rng(seed=0):
@@ -50,11 +51,16 @@ def base_cfg(**kw):
     return ls.LossConfig(**defaults)
 
 
-def values(terms):
-    """Plain values of a builder's named terms, plus their total."""
-    out = {k: float(v.value) for k, v in terms.items()}
-    out["total"] = float(ls.total(terms).value)
+def values(built):
+    """A builder's term values, plus their total."""
+    out = dict(built[0])
+    out["total"] = sum(built[0].values())
     return out
+
+
+def gen_div_store(gen, cfg):
+    """The generator's store followed by the entropy parameters of `cfg`."""
+    return dm.ParamStore([*gen.store.items(), *cfg.divergence.unconstrained_init().items()])
 
 
 def creativity_value(disc, gen, t_h, z, cfg):
@@ -67,9 +73,9 @@ def creativity_value(disc, gen, t_h, z, cfg):
     pivot = ls.PivotInputs(np.zeros((k_seen, arch.semantic_dim)),
                            np.zeros((k_seen, arch.visual_dim)),
                            np.zeros((k_seen, 1, arch.noise_dim)))
-    gen_map = dict([*gen.store.items(), *cfg.divergence.unconstrained_init().items()])
-    terms = ls.generator_loss_node(gen_map, disc, seen, ls.HalluBatch(t_h, z), pivot, cfg)
-    return values({k: v for k, v in terms.items() if k.startswith("creativity_")})["total"]
+    terms, _ = ls.generator_loss_node(gen_div_store(gen, cfg), disc, seen,
+                                      ls.HalluBatch(t_h, z), pivot, cfg)
+    return sum(v for k, v in terms.items() if k.startswith("creativity_"))
 
 
 class FixedUniform:
@@ -260,25 +266,20 @@ class TestGeneratorLoss:
         # gamma and beta start apart so joint probes stay off the snap band
         cfg = base_cfg(segc_active=segc,
                        divergence=dv.DivergenceSpec("sharma_mittal", 2.0, 2.5, True, True))
-        div_init = cfg.divergence.unconstrained_init()
-        merged = dm.ParamStore(
-            [("gen." + k, v) for k, v in gen.store.items()]
-            + [("div." + k, np.asarray(v)) for k, v in div_init.items()]
-        )
+        merged = gen_div_store(gen, cfg)
         # the reduced class table is frozen per evaluation by design, so the
         # finite-difference oracle freezes it at the base point as well
         reduced_seen = mo.reduce_semantics(gen, pivot.semantics) if segc else None
 
-        def build(leaves):
-            gen_map = {k[4:]: v for k, v in leaves.items() if k.startswith("gen.")}
-            div_map = {k[4:]: v for k, v in leaves.items() if k.startswith("div.")}
-            return ls.total(ls.generator_loss_node({**gen_map, **div_map}, disc, seen, hallu,
-                                                   pivot, cfg, reduced_seen=reduced_seen))
+        def build(p):
+            return ls.generator_loss_node(p, disc, seen, hallu, pivot, cfg,
+                                          reduced_seen=reduced_seen)
 
-        grads = dm.grad_scalar(build, merged)
+        terms, backward = build(merged)
+        grads = backward(dict.fromkeys(terms, 1.0))
 
         def value(p):
-            return float(build(p).value)
+            return sum(build(p)[0].values())
 
         for trial in range(3):
             direction = random_direction(merged, rng(100 + trial))
@@ -292,27 +293,21 @@ class TestGeneratorLoss:
         arch, gen, disc = small_setup(seed=2)
         seen, hallu, pivot, *_ = random_batches(arch, 3, seed=4)
         cfg = base_cfg(divergence=dv.DivergenceSpec("sharma_mittal", 2.0, 2.0, True, True))
-        div_init = cfg.divergence.unconstrained_init()
-        merged = dm.ParamStore(
-            [("gen." + k, v) for k, v in gen.store.items()]
-            + [("div." + k, np.asarray(v)) for k, v in div_init.items()]
-        )
+        merged = gen_div_store(gen, cfg)
 
-        def build(leaves):
-            gen_map = {k[4:]: v for k, v in leaves.items() if k.startswith("gen.")}
-            div_map = {k[4:]: v for k, v in leaves.items() if k.startswith("div.")}
-            return ls.total(ls.generator_loss_node({**gen_map, **div_map}, disc, seen, hallu,
-                                                   pivot, cfg))
+        def build(p):
+            return ls.generator_loss_node(p, disc, seen, hallu, pivot, cfg)
 
-        grads = dm.grad_scalar(build, merged)
+        terms, backward = build(merged)
+        grads = backward(dict.fromkeys(terms, 1.0))
 
         def value(p):
-            return float(build(p).value)
+            return sum(build(p)[0].values())
 
         # sigmoid of the shared unconstrained start maps a 1e-5 parameter
         # step to a slightly smaller gamma/beta step; stay safely outside
         h = 4e-5
-        for name in ("div.u_gamma", "div.u_beta"):
+        for name in ("u_gamma", "u_beta"):
             direction = {k: (np.ones_like(v) if k == name else np.zeros_like(v))
                          for k, v in merged.items()}
             analytic = float(grads[name].sum())
@@ -449,16 +444,6 @@ class TestStackedCriticPass:
         a, b = np.asarray(a), np.asarray(b)
         assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-300)
 
-    def check(self, build, oracle, params):
-        got, want = {}, {}
-        grads = dm.grad_scalar(lambda lv: ls.total(got.setdefault("t", build(lv))), params)
-        expect = dm.grad_scalar(lambda lv: ls.total(want.setdefault("t", oracle(lv))), params)
-        assert list(got["t"]) == list(want["t"])
-        for name in got["t"]:
-            self.assert_close(got["t"][name].value, want["t"][name].value)
-        for name in params:
-            self.assert_close(grads[name], expect[name])
-
     def setup_case(self, preset, head):
         flags = dict(rf_hallucinated=True, creativity_on_discriminator=True,
                      lambda_creativity=0.6,
@@ -503,7 +488,7 @@ class TestStackedCriticPass:
                     reduced.get("reduced_seen"), (2.0, 2.5))
             terms, backward = ls.discriminator_loss_node(*args)
             oracle = {}
-            expect = dm.grad_scalar(lambda lv: ls.total(
+            expect = dm.grad_scalar(lambda lv: total(
                 oracle.setdefault("t", discriminator_terms_multipass(lv, *args))), disc.store)
             assert list(terms) == list(oracle["t"])
             for name in terms:
@@ -523,21 +508,89 @@ class TestStackedCriticPass:
         cfg, gen, disc, seen, hallu, pivot, _, _, ucat, reduced = self.setup_case(preset, head)
         if cfg.u_categorization:
             reduced["reduced_ucat"] = mo.reduce_semantics(gen, ucat.t)
-        merged = dm.ParamStore(
-            [("gen." + k, v) for k, v in gen.store.items()]
-            + [("div." + k, np.asarray(v))
-               for k, v in cfg.divergence.unconstrained_init().items()])
+        store = gen_div_store(gen, cfg)
+        terms, backward = ls.generator_loss_node(store, disc, seen, hallu, pivot, cfg,
+                                                 ucat, **reduced)
+        # one map serves the oracle as both the generator's and the entropy map
+        oracle = {}
+        expect = dm.grad_scalar(lambda lv: total(oracle.setdefault(
+            "t", generator_terms_multipass(lv, lv, disc, seen, hallu, pivot, cfg, ucat,
+                                           **reduced))), store)
+        assert list(terms) == list(oracle["t"])
+        for name in terms:
+            self.assert_close(terms[name], oracle["t"][name].value)
+        grads = backward(dict.fromkeys(terms, 1.0))
+        for name in store:
+            self.assert_close(grads[name], expect[name])
 
-        def split(lv):
-            return ({k[4:]: v for k, v in lv.items() if k.startswith("gen.")},
-                    {k[4:]: v for k, v in lv.items() if k.startswith("div.")})
 
-        self.check(
-            lambda lv: ls.generator_loss_node({**split(lv)[0], **split(lv)[1]}, disc, seen,
-                                              hallu, pivot, cfg, ucat, **reduced),
-            lambda lv: generator_terms_multipass(*split(lv), disc, seen, hallu, pivot, cfg,
-                                                 ucat, **reduced),
-            merged)
+def valid_flag_sets():
+    """Every valid combination of the loss flags under each head: 24 for the
+    classic head, 32 for each semantic-guided one."""
+    heads = {"classic": {}, "segc": {"segc_active": True},
+             "segc-normalized": {"segc_active": True, "segc_normalized": True, "eta": 2.0}}
+    creativity = {"entropy": {}, "no-entropy": {"entropy_term": False},
+                  "new-class": {"entropy_term": False, "new_class_ablation": True}}
+    switches = ("realism_term", "creativity_on_discriminator", "rf_hallucinated",
+                "u_categorization")
+    out = []
+    for (head, head_flags), (term, term_flags), on in itertools.product(
+            heads.items(), creativity.items(),
+            itertools.product((False, True), repeat=len(switches))):
+        flags = {**head_flags, **term_flags, **dict(zip(switches, on))}
+        try:
+            ls.LossConfig(**flags)
+        except ValidationError:
+            continue
+        out.append(pytest.param(len(out), flags, id="-".join(
+            [head, term] + [name for name, flag in zip(switches, on) if flag])))
+    return out
+
+
+class TestGradientSweep:
+    """Both players' `backward` at random positive term weights against
+    central differences of the weighted sum of the term values, over every
+    valid flag combination, both presets and all three heads (176 cases).
+    Two calls of a `backward` give bit-equal gradients."""
+
+    @pytest.mark.parametrize("preset", ["base", "doublenet"])
+    @pytest.mark.parametrize("seed,flags", valid_flag_sets())
+    def test_backward_matches_central_differences(self, preset, seed, flags):
+        cfg = ls.LossConfig(lambda_creativity=0.6, k_unseen_cap=3, divergence=dv.DivergenceSpec(
+            "sharma_mittal", 2.0, 2.5, True, True), **flags)
+        arch = mo.ArchSpec(semantic_dim=5, visual_dim=6, noise_dim=2, hidden_dim=7,
+                           preset=preset)
+        gen, disc = mo.init_params(arch, 3, cfg.segc_active, rng(1000 + seed),
+                                   extra_class=cfg.new_class_ablation)
+        seen, hallu, pivot, real_x, real_y = random_batches(arch, 3, b=5, seed=2000 + seed)
+        g = rng(3000 + seed)
+        ucat = ls.UCatBatch(g.standard_normal((3, arch.semantic_dim)),
+                            g.standard_normal((3, arch.noise_dim)))
+        reduced_seen = mo.reduce_semantics(gen, pivot.semantics) if cfg.segc_active else None
+        reduced_ucat = mo.reduce_semantics(gen, ucat.t) if cfg.u_categorization else None
+        x_fake = mo.generate(gen, seen.t, seen.z)
+        x_t = ls.lipschitz_interpolate(real_x, x_fake, g)
+        x_h = mo.generate(gen, hallu.t, hallu.z)
+
+        def generator(p):
+            return ls.generator_loss_node(p, disc, seen, hallu, pivot, cfg, ucat,
+                                          reduced_seen, reduced_ucat)
+
+        def critic(p):
+            return ls.discriminator_loss_node(replace(disc, store=p), real_x, real_y, x_fake,
+                                              seen.y, x_t, cfg, x_h, reduced_seen, (2.0, 2.5))
+
+        for build, store, tol in ((generator, gen_div_store(gen, cfg), 1e-4),
+                                  (critic, disc.store, 1e-3)):
+            terms, backward = build(store)
+            w = dict(zip(terms, g.uniform(0.5, 2.0, size=len(terms))))
+            grads = backward(w)
+            np.testing.assert_array_equal(backward(w).flat, grads.flat)
+            direction = random_direction(store, g)
+            analytic = sum((grads[k] * direction[k]).sum() for k in store)
+            fd = directional_derivative(
+                lambda p: sum(w[k] * v for k, v in build(p)[0].items()), store, direction)
+            assert rel_err(analytic, fd).max() < tol, build.__name__
 
 
 class TestSegcCategorizerLoss:

@@ -8,6 +8,7 @@ import genzsl.dataio as io
 import genzsl.divergences as dv
 import genzsl.hallucination as hl
 import genzsl.losses as ls
+import genzsl.model as mo
 import genzsl.training as tr
 from genzsl.errors import ValidationError
 from helpers import fingerprint
@@ -65,6 +66,39 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match="unknown policy"):
             tr.config_from_dict({"policy": {"mode": "uniform", "intervals": [[0.2, 0.8]],
                                             "intervalz": [[1.2, 1.5]]}})
+
+    @pytest.mark.parametrize("arch", [mo.ArchSpec(semantic_dim=6, visual_dim=8),
+                                      {"preset": "doublenet"}], ids=["ArchSpec", "dict"])
+    def test_arch_must_be_an_arch_config(self, arch):
+        # train resolves the architecture at the dataset's widths itself
+        with pytest.raises(ValidationError, match="arch must be an ArchConfig"):
+            tr.TrainConfig(arch=arch)
+
+
+# 100 steps on the default synthetic dataset: the first 16 hex digits of
+# helpers.fingerprint per config override and seed. A change that moves
+# these on purpose updates the table and says why.
+FINGERPRINTS = {
+    "defaults": ({}, "bb057c9b84e342d8", "9a33aa3e29317ac6"),
+    "creative": ({"n_d": 1, "class_balanced": True, "policy": "all",
+                  "arch": {"preset": "doublenet"},
+                  "loss": {"segc_active": True, "segc_normalized": True,
+                           "u_categorization": True, "k_unseen_cap": 100,
+                           "rf_hallucinated": True, "creativity_on_discriminator": True}},
+                 "b6f020269fa922f6", "d500f0941d9d06e3"),
+    "segc": ({"loss": {"segc_active": True}}, "6acdea2eea7ae005", "1aaa2fc64cb9e555"),
+    "new-class": ({"loss": {"entropy_term": False, "new_class_ablation": True}},
+                  "40da509e47aca82c", "b4b2c98342ce5516"),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", list(FINGERPRINTS))
+def test_fingerprint_table(name, seed):
+    override, *expected = FINGERPRINTS[name]
+    cfg = tr.config_from_dict({**override, "seed": seed, "n_steps": 100, "eval_every": 100})
+    run = tr.train(io.make_synthetic(io.SyntheticSpec(seed=0)), cfg)
+    assert fingerprint(*run)[:16] == expected[seed - 1]
 
 
 class TestTrain:
