@@ -113,6 +113,7 @@ class RunContext:
         self.outputs: list[str] = []
         self.config_snapshot: dict = {}
         self.seeds: list[int] = []
+        self.results: dict = {}  # command-specific manifest entries
 
     def path(self, name: str) -> str:
         full = os.path.join(self.out_dir, name)
@@ -131,6 +132,7 @@ class RunContext:
             "outputs": sorted(p for p in set(self.outputs) if os.path.exists(p)),
             "wall_clock_sec": round(time.time() - self.started, 3),
             "toolkit_version": __version__,
+            **self.results,
         }
         if error:
             manifest["error"] = error
@@ -170,10 +172,15 @@ def _training_inputs(args, ctx: RunContext):
 
 def _checkpoint_inputs(args, ctx: RunContext):
     """The dataset, the checkpoint's parameters and the seed of eval and
-    retrieve; the seed defaults to the one the checkpoint was trained with."""
+    retrieve; the seed defaults to the one the checkpoint was trained with.
+    The checkpoint's input and output widths must be the dataset's."""
     ctx.inputs.extend([args.checkpoint, args.data])
     dataset = io.load_dataset(args.data)
     params, snapshot = io.load_checkpoint(args.checkpoint)
+    for name in ("semantic_dim", "visual_dim"):
+        have, want = getattr(params.generator.arch, name), getattr(dataset, name)
+        if have != want:
+            raise ValidationError(f"the checkpoint's {name} is {have}, the dataset's {want}")
     if not isinstance(snapshot, dict):
         raise DataFormatError(f"{args.checkpoint}: the config snapshot must be an object")
     ctx.config_snapshot = snapshot
@@ -187,6 +194,7 @@ def _checkpoint_inputs(args, ctx: RunContext):
 def cmd_train(args, ctx: RunContext) -> None:
     cfg, dataset = _training_inputs(args, ctx)
     params, history = tr.train(dataset, cfg)
+    ctx.results["degenerate_events"] = history.degenerate_events
 
     ckpt_dir = os.path.join(ctx.out_dir, "checkpoint")
     io.save_checkpoint(params, ctx.config_snapshot, ckpt_dir)

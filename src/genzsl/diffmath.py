@@ -466,8 +466,8 @@ def adam_step(
     eps: float = 1e-8,
 ) -> tuple[ParamStore, AdamState]:
     """One bias-corrected Adam update, elementwise over the store's flat
-    vector, from a gradient store laid out like `params`. Returns fresh
-    params and state; the inputs are left untouched."""
+    vector, from a gradient store laid out like `params` (any other raises
+    DimensionError). Returns fresh params and state; inputs stay untouched."""
     if not (math.isfinite(lr) and lr > 0):
         raise ValidationError("lr must be finite and positive")
     if not (0 <= beta1 < 1 and 0 <= beta2 < 1):

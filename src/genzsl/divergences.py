@@ -50,7 +50,6 @@ _PLANE_POINT = {
     "bhattacharyya": lambda gamma, beta: (0.5, 1.0),
 }
 FAMILIES = tuple(_PLANE_POINT)
-ORIENTATIONS = ("softmax_first", "uniform_first")
 
 
 @dataclass(frozen=True)
@@ -69,13 +68,10 @@ class DivergenceSpec:
     beta: float = 2.0
     learn_gamma: bool = False
     learn_beta: bool = False
-    orientation: str = "softmax_first"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown divergence family {self.family!r}")
-        if self.orientation not in ORIENTATIONS:
-            raise ValidationError(f"unknown orientation {self.orientation!r}")
         for name in ("gamma", "beta"):
             if not np.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
@@ -118,43 +114,39 @@ def _softplus_inv(y: float) -> float:
 # numeric core (vectorized over batches of rows)
 
 
-def floor_renorm(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp rows to [1e-12, 1] and renormalize; also returns the pass-through
-    mask used by the gradient chain."""
+def floor_renorm(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clamp rows to [1e-12, 1] and renormalize; also returns the clipped row
+    sums and the pass-through mask used by the gradient chain."""
     P = np.asarray(P, dtype=np.float64)
     C = np.clip(P, PROB_FLOOR, 1.0)
     S = C.sum(axis=-1, keepdims=True)
     mask = (P >= PROB_FLOOR) & (P <= 1.0)
-    return C / S, mask
+    return C / S, S, mask
 
 
-def _chain_through_renorm(dPp, P, Pp, mask):
+def _chain_through_renorm(dPp, Pp, S, mask):
     """Map a gradient w.r.t. the floored-renormalized rows back to the raw
-    input rows."""
-    C = np.clip(P, PROB_FLOOR, 1.0)
-    S = C.sum(axis=-1, keepdims=True)
+    input rows, given the clipped row sums S."""
     inner = (dPp * Pp).sum(axis=-1, keepdims=True)
     return np.where(mask, (dPp - inner) / S, 0.0)
 
 
 def _t_terms(Pp, Qp, gamma):
-    """T = sum p^g q^(1-g) with its partials."""
+    """T = sum p^g q^(1-g) with its partials in P and gamma."""
     lp = np.log(Pp)
     lq = np.log(Qp)
     w = np.exp(gamma * lp + (1.0 - gamma) * lq)
     T = w.sum(axis=-1)
     dT_dP = gamma * w / Pp
-    dT_dQ = (1.0 - gamma) * w / Qp
     dT_dgamma = (w * (lp - lq)).sum(axis=-1)
-    return T, dT_dP, dT_dQ, dT_dgamma
+    return T, dT_dP, dT_dgamma
 
 
 def _kl_eval(Pp, Qp):
     r = np.log(Pp) - np.log(Qp)
     vals = (Pp * r).sum(axis=-1)
     dP = r + 1.0
-    dQ = -Pp / Qp
-    return vals, dP, dQ
+    return vals, dP
 
 
 def _bhattacharyya_eval(Pp, Qp):
@@ -162,43 +154,39 @@ def _bhattacharyya_eval(Pp, Qp):
     B = root.sum(axis=-1)
     vals = -np.log(B)
     dP = -0.5 * root / Pp / B[..., None]
-    dQ = -0.5 * root / Qp / B[..., None]
-    return vals, dP, dQ
+    return vals, dP
 
 
 def _renyi_eval(Pp, Qp, gamma):
-    T, dT_dP, dT_dQ, dT_dg = _t_terms(Pp, Qp, gamma)
+    T, dT_dP, dT_dg = _t_terms(Pp, Qp, gamma)
     g1 = gamma - 1.0
     vals = np.log(T) / g1
     dP = dT_dP / (T[..., None] * g1)
-    dQ = dT_dQ / (T[..., None] * g1)
     dgamma = (dT_dg / T * g1 - np.log(T)) / g1**2
-    return vals, dP, dQ, dgamma
+    return vals, dP, dgamma
 
 
 def _tsallis_eval(Pp, Qp, gamma):
-    T, dT_dP, dT_dQ, dT_dg = _t_terms(Pp, Qp, gamma)
+    T, dT_dP, dT_dg = _t_terms(Pp, Qp, gamma)
     g1 = gamma - 1.0
     vals = (T - 1.0) / g1
     dP = dT_dP / g1
-    dQ = dT_dQ / g1
     dgamma = (dT_dg * g1 - (T - 1.0)) / g1**2
-    return vals, dP, dQ, dgamma
+    return vals, dP, dgamma
 
 
 def _exp_kl_eval(Pp, Qp, beta):
-    kl, dP_kl, dQ_kl = _kl_eval(Pp, Qp)
+    kl, dP_kl = _kl_eval(Pp, Qp)
     b1 = beta - 1.0
     E = np.exp(b1 * kl)
     vals = (E - 1.0) / b1
     dP = E[..., None] * dP_kl
-    dQ = E[..., None] * dQ_kl
     dbeta = (kl * E * b1 - (E - 1.0)) / b1**2
-    return vals, dP, dQ, dbeta
+    return vals, dP, dbeta
 
 
 def _sm_eval(Pp, Qp, gamma, beta):
-    T, dT_dP, dT_dQ, dT_dg = _t_terms(Pp, Qp, gamma)
+    T, dT_dP, dT_dg = _t_terms(Pp, Qp, gamma)
     g1 = gamma - 1.0
     b1 = beta - 1.0
     e = (1.0 - beta) / (1.0 - gamma)
@@ -208,24 +196,23 @@ def _sm_eval(Pp, Qp, gamma, beta):
     # d vals / dT collapses to T^(e-1) / (gamma - 1)
     dvdT = np.exp((e - 1.0) * lnT) / g1
     dP = dvdT[..., None] * dT_dP
-    dQ = dvdT[..., None] * dT_dQ
     dA_dg = A * (-b1 / g1**2 * lnT + e * dT_dg / T)
     dgamma = dA_dg / b1
     dA_db = A * (-lnT / (1.0 - gamma))
     dbeta = (dA_db * b1 - (A - 1.0)) / b1**2
-    return vals, dP, dQ, dgamma, dbeta
+    return vals, dP, dgamma, dbeta
 
 
 def _eval_family(P, Q, gamma, beta, family):
     """Values and gradients of a divergence on raw (near-)probability rows.
 
-    Returns (vals, dP, dQ, dgamma, dbeta); the parameter gradients are
-    per-row arrays, zero wherever the resolved formula has no such knob.
+    Returns (vals, dP, dgamma, dbeta), Q being held fixed; the parameter
+    gradients are per-row arrays, zero wherever the formula has no such knob.
     """
     P = np.atleast_2d(np.asarray(P, dtype=np.float64))
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-    Pp, mask_p = floor_renorm(P)
-    Qp, mask_q = floor_renorm(Q)
+    Pp, S, mask = floor_renorm(P)
+    Qp = floor_renorm(Q)[0]
     zeros = np.zeros(P.shape[0])
 
     if family not in _PLANE_POINT:
@@ -235,31 +222,29 @@ def _eval_family(P, Q, gamma, beta, family):
     near_b = abs(beta - 1.0) < SINGULAR_TOL
     if family == "bhattacharyya":
         # B is half the value of the plane at (0.5, 1), so it has its own formula
-        vals, dP, dQ = _bhattacharyya_eval(Pp, Qp)
+        vals, dP = _bhattacharyya_eval(Pp, Qp)
         dg = db = zeros
     elif near_g and near_b:
-        vals, dP, dQ = _kl_eval(Pp, Qp)
+        vals, dP = _kl_eval(Pp, Qp)
         dg = db = zeros
     elif near_b:
-        vals, dP, dQ, dg = _renyi_eval(Pp, Qp, gamma)
+        vals, dP, dg = _renyi_eval(Pp, Qp, gamma)
         db = zeros
     elif near_g:
-        vals, dP, dQ, db = _exp_kl_eval(Pp, Qp, beta)
+        vals, dP, db = _exp_kl_eval(Pp, Qp, beta)
         dg = zeros
     elif family == "tsallis":
         # the tied line has one free knob, so its slope is the total
         # derivative along beta = gamma, not the plane's partials
-        vals, dP, dQ, dg = _tsallis_eval(Pp, Qp, gamma)
+        vals, dP, dg = _tsallis_eval(Pp, Qp, gamma)
         db = zeros
     else:
-        vals, dP, dQ, dg, db = _sm_eval(Pp, Qp, gamma, beta)
+        vals, dP, dg, db = _sm_eval(Pp, Qp, gamma, beta)
         if abs(beta - gamma) < SINGULAR_TOL:
             # snap to the exact limit value; the partials stay native
             vals = _tsallis_eval(Pp, Qp, gamma)[0]
 
-    dP_raw = _chain_through_renorm(dP, P, Pp, mask_p)
-    dQ_raw = _chain_through_renorm(dQ, Q, Qp, mask_q)
-    return vals, dP_raw, dQ_raw, dg, db
+    return vals, _chain_through_renorm(dP, Pp, S, mask), dg, db
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +269,7 @@ def _validate_pair(p, q):
 def sm_divergence(p, q, gamma: float, beta: float) -> float:
     """Sharma-Mittal divergence with singular parameters routed to the
     matching limit formula."""
-    p, q = _validate_pair(p, q)
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
-    vals, *_ = _eval_family(p, q, gamma, beta, "sharma_mittal")
-    return float(vals[0])
+    return special_case(p, q, DivergenceSpec("sharma_mittal", gamma, beta))
 
 
 def special_case(p, q, spec: DivergenceSpec) -> float:
@@ -304,8 +285,7 @@ def _entropy_batch(softmax, spec: DivergenceSpec):
     softmax = np.asarray(softmax, dtype=np.float64)
     _validate_pair(softmax, np.full(softmax.shape, 1.0 / softmax.size))
     gamma, beta = spec.effective_params()
-    return divergence_to_uniform_batch(softmax[None, :], gamma, beta,
-                                       spec.family, spec.orientation)
+    return divergence_to_uniform_batch(softmax[None, :], gamma, beta, spec.family)
 
 
 def entropy_loss(softmax, spec: DivergenceSpec) -> float:
@@ -317,16 +297,11 @@ def entropy_loss(softmax, spec: DivergenceSpec) -> float:
     return float(_entropy_batch(softmax, spec)[0][0])
 
 
-def divergence_to_uniform_batch(P, gamma, beta, family, orientation="softmax_first"):
-    """Batch form used inside training graphs: per-row divergence between
-    softmax rows and uniform, plus gradients w.r.t. the rows and parameters.
+def divergence_to_uniform_batch(P, gamma, beta, family):
+    """Batch form used inside training graphs: per-row divergence D(P || u)
+    of softmax rows from uniform, plus gradients w.r.t. rows and parameters.
 
     Returns (values, dP, dgamma, dbeta), the last two per row.
     """
     P = np.atleast_2d(np.asarray(P, dtype=np.float64))
-    u = np.full(P.shape, 1.0 / P.shape[1])
-    if orientation == "softmax_first":
-        vals, dP, _, dg, db = _eval_family(P, u, gamma, beta, family)
-    else:
-        vals, _, dP, dg, db = _eval_family(u, P, gamma, beta, family)
-    return vals, dP, dg, db
+    return _eval_family(P, np.full(P.shape, 1.0 / P.shape[1]), gamma, beta, family)

@@ -18,27 +18,15 @@ import numpy as np
 
 from .errors import ValidationError
 
-MODES = ("uniform", "fixed", "gaussian")
-
 
 @dataclass(frozen=True)
 class HallucinationPolicy:
-    """Sampling policy for the combination weight alpha.
-
-    `uniform` draws from the union of the open intervals, weighting each
-    interval by its length so the union behaves like one distribution.
-    The `fixed` and `gaussian` modes are escape hatches (alpha = 0.5 and
-    alpha ~ N(0.5, (0.5/3)^2)); intervals are ignored there.
-    """
+    """Sampling policy for the combination weight alpha: uniform over the
+    union of the open intervals, each weighted by its length."""
 
     intervals: tuple[tuple[float, float], ...] = ((0.2, 0.8),)
-    mode: str = "uniform"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"unknown sampling mode {self.mode!r}")
-        if self.mode != "uniform":
-            return
         if not self.intervals:
             raise ValidationError("policy needs at least one interval")
         for lo, hi in self.intervals:
@@ -60,8 +48,6 @@ PRESETS: dict[str, HallucinationPolicy] = {
     "pos_extrapolate": HallucinationPolicy(((1.2, 1.5),)),
     "neg_pos": HallucinationPolicy(((-0.5, -0.2), (1.2, 1.5))),
     "all": HallucinationPolicy(((-0.5, -0.2), (0.2, 0.8), (1.2, 1.5))),
-    "fixed_mid": HallucinationPolicy(mode="fixed"),
-    "gaussian_mid": HallucinationPolicy(mode="gaussian"),
 }
 
 
@@ -85,11 +71,6 @@ def policy_from_config(value) -> HallucinationPolicy:
 
 def sample_alphas(policy: HallucinationPolicy, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `size` combination weights from the policy."""
-    if policy.mode == "fixed":
-        return np.full(size, 0.5)
-    if policy.mode == "gaussian":
-        return rng.normal(0.5, 0.5 / 3.0, size=size)
-
     lo = np.array([iv[0] for iv in policy.intervals])
     hi = np.array([iv[1] for iv in policy.intervals])
     lengths = hi - lo

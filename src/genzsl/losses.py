@@ -32,7 +32,8 @@ frozen, and return `({term: value}, backward)`: `backward` maps term
 weights to the gradient of the weighted sum, as a store laid out like the
 player's. The generator's sums the terms in one node and sweeps the tape
 once; the critic's calls its trunk, score and head nodes' reverse maps
-directly. Neither writes onto a node or draws a random number.
+directly, so each critic layer's reverse map is written once for both
+players. Neither writes onto a node or draws a random number.
 """
 
 from __future__ import annotations
@@ -156,8 +157,7 @@ def divergence_rows_node(probs: dm.Node, gamma: dm.Node, beta: dm.Node, spec: dv
     node; the reverse map reuses the analytic gradients of the divergence
     module for the rows and both parameters."""
     vals, dP, dg, db = dv.divergence_to_uniform_batch(
-        probs.value, float(gamma.value), float(beta.value), spec.family, spec.orientation
-    )
+        probs.value, float(gamma.value), float(beta.value), spec.family)
 
     def vjp(g):
         return (

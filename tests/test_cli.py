@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import warnings
@@ -164,6 +165,28 @@ class TestTrainCommand:
         assert manifest["status"] == "failed"
         assert "step 1, discriminator" in manifest["error"]
 
+    def test_manifest_records_no_degenerate_events_on_a_clean_run(self, tmp_path):
+        ds = synth(tmp_path)
+        run = tmp_path / "run"
+        assert main(["train", "--data", ds, "--out", str(run), *SMALL_TRAIN]) == 0
+        manifest = json.loads((run / "run_manifest.json").read_text())
+        assert manifest["degenerate_events"] == {}
+
+    def test_manifest_records_the_degenerate_events_of_the_run(self, tmp_path):
+        # an all-zero seen descriptor has no norm for the normalized head
+        ds_dir = synth(tmp_path)
+        dataset = io.load_dataset(ds_dir)
+        semantics = dataset.seen_semantics.copy()
+        semantics[0] = 0.0
+        zero_ds = str(tmp_path / "zero")
+        io.save_dataset(dataclasses.replace(dataset, seen_semantics=semantics), zero_ds)
+        run = tmp_path / "run"
+        assert main(["train", "--data", zero_ds, "--out", str(run), *SMALL_TRAIN,
+                     "--set", "loss.segc_active=true",
+                     "--set", "loss.segc_normalized=true"]) == 0
+        manifest = json.loads((run / "run_manifest.json").read_text())
+        assert manifest["degenerate_events"]["degenerate_zero_norm"] > 0
+
     def test_missing_dataset_exits_4(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "run")]) == 4
@@ -226,6 +249,20 @@ class TestEvalAndRetrieve:
         out = tmp_path / "eval"
         assert main(["eval", "--checkpoint", ckpt, "--data", ds, "--out", str(out)]) == 4
         assert json.loads((out / "run_manifest.json").read_text())["status"] == "failed"
+
+    @pytest.mark.parametrize("width", ["visual_dim", "semantic_dim"])
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    def test_width_mismatch_exits_2_naming_the_width(self, tmp_path, trained, command,
+                                                     width):
+        _, ckpt = trained
+        flag = "--" + width.replace("_", "-")
+        other = synth(tmp_path / "other", extra=[flag, "11"])
+        out = tmp_path / "out"
+        assert main([command, "--checkpoint", ckpt, "--data", other, "--out", str(out),
+                     "--n-generate", "6"]) == 2
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert width in manifest["error"]
 
     def test_checkpoint_determinism_across_invocations(self, tmp_path, trained):
         ds, ckpt = trained

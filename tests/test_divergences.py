@@ -162,11 +162,6 @@ class TestEntropyLoss:
             flat = 0.98 * u + 0.02 * random_prob(rng, 5)
             assert dv.entropy_loss(sharp, spec) > dv.entropy_loss(flat, spec)
 
-    def test_uniform_first_orientation_also_vanishes_at_uniform(self):
-        spec = dv.DivergenceSpec("sharma_mittal", 2.0, 2.0, False, False, "uniform_first")
-        assert dv.entropy_loss(np.full(4, 0.25), spec) == pytest.approx(0.0, abs=1e-12)
-        assert dv.entropy_loss([0.7, 0.1, 0.1, 0.1], spec) > 0
-
 
 def _fd_vector(f, x, h=1e-5):
     g = np.zeros_like(x)
@@ -196,8 +191,7 @@ class TestEntropyLossGrad:
             p = 0.85 * random_prob(rng, 5) + 0.15 / 5
 
             def f(v):
-                vals, *_ = dv.divergence_to_uniform_batch(v[None, :], gamma, beta,
-                                                          spec.family, spec.orientation)
+                vals, *_ = dv.divergence_to_uniform_batch(v[None, :], gamma, beta, spec.family)
                 return float(vals[0])
 
             g, _, _ = entropy_loss_grad(p, spec)
@@ -213,12 +207,12 @@ class TestEntropyLossGrad:
 
             def f_gamma(gamma):
                 vals, *_ = dv.divergence_to_uniform_batch(p[None, :], gamma, 2.0,
-                                                          "sharma_mittal", "softmax_first")
+                                                          "sharma_mittal")
                 return float(vals[0])
 
             def f_beta(beta):
                 vals, *_ = dv.divergence_to_uniform_batch(p[None, :], 2.0, beta,
-                                                          "sharma_mittal", "softmax_first")
+                                                          "sharma_mittal")
                 return float(vals[0])
 
             h = 1e-5
@@ -234,8 +228,7 @@ class TestEntropyLossGrad:
         assert db == 0.0
 
         def f(gamma):
-            vals, *_ = dv.divergence_to_uniform_batch(p[None, :], gamma, 1.0, "renyi",
-                                                      "softmax_first")
+            vals, *_ = dv.divergence_to_uniform_batch(p[None, :], gamma, 1.0, "renyi")
             return float(vals[0])
 
         h = 1e-5

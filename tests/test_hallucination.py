@@ -65,16 +65,12 @@ class TestSampleAlpha:
         a = sample_alpha(hl.PRESETS["interpolate"], rng(5))
         assert 0.2 < a < 0.8
 
-    def test_fixed_and_gaussian_modes(self):
-        assert np.all(hl.sample_alphas(hl.PRESETS["fixed_mid"], 10, rng(0)) == 0.5)
-        g = hl.sample_alphas(hl.PRESETS["gaussian_mid"], 50_000, rng(0))
-        assert abs(g.mean() - 0.5) < 0.01
-
 
 class TestSampleHallucinatedText:
     def test_midpoint(self):
         T = np.array([[1.0, 0.0], [0.0, 1.0]])
-        batch = hl.sample_hallucinated_text(T, hl.PRESETS["fixed_mid"], 4, rng(0))
+        policy = hl.HallucinationPolicy(((0.5 - 1e-9, 0.5 + 1e-9),))
+        batch = hl.sample_hallucinated_text(T, policy, 4, rng(0))
         np.testing.assert_allclose(batch, np.full((4, 2), 0.5))
 
     def test_positive_extrapolation_affine_formula(self):

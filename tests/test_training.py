@@ -29,6 +29,19 @@ def tiny_cfg(**kw):
     return tr.TrainConfig(**defaults)
 
 
+# every policy preset and every ablation bundle, plus one config that sets
+# a field of each nested dataclass
+ROUND_TRIP_CONFIGS = {
+    "renyi-segc-neg_pos": tiny_cfg(loss=ls.LossConfig(
+        lambda_creativity=0.5, segc_active=True,
+        divergence=dv.DivergenceSpec("renyi", 3.0, learn_gamma=True)),
+        policy=hl.PRESETS["neg_pos"]),
+    **{f"policy-{name}": tiny_cfg(policy=policy) for name, policy in hl.PRESETS.items()},
+    **{f"{suite}-{label}": transform(tiny_cfg())
+       for suite, bundles in tr.ABLATION_SUITES.items() for label, transform in bundles},
+}
+
+
 class TestTrainConfig:
     def test_defaults_follow_the_training_procedure(self):
         cfg = tr.TrainConfig()
@@ -42,11 +55,8 @@ class TestTrainConfig:
         with pytest.raises(ValidationError):
             tr.TrainConfig(n_steps=150, eval_every=100)
 
-    def test_round_trip_through_dict(self):
-        cfg = tiny_cfg(loss=ls.LossConfig(
-            lambda_creativity=0.5, segc_active=True,
-            divergence=dv.DivergenceSpec("renyi", 3.0, learn_gamma=True)),
-            policy=hl.PRESETS["neg_pos"])
+    @pytest.mark.parametrize("cfg", ROUND_TRIP_CONFIGS.values(), ids=ROUND_TRIP_CONFIGS.keys())
+    def test_round_trip_through_dict(self, cfg):
         again = tr.config_from_dict(json.loads(json.dumps(asdict(cfg))))
         assert again == cfg
 
@@ -64,8 +74,13 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match="unknown loss"):
             tr.config_from_dict({"loss": {"lambda": 0.1}})
         with pytest.raises(ValidationError, match="unknown policy"):
-            tr.config_from_dict({"policy": {"mode": "uniform", "intervals": [[0.2, 0.8]],
+            tr.config_from_dict({"policy": {"intervals": [[0.2, 0.8]],
                                             "intervalz": [[1.2, 1.5]]}})
+        # keys of settings that no longer exist
+        with pytest.raises(ValidationError, match=r"unknown policy keys: \['mode'\]"):
+            tr.config_from_dict({"policy": {"mode": "uniform"}})
+        with pytest.raises(ValidationError, match=r"unknown divergence keys: \['orientation'\]"):
+            tr.config_from_dict({"loss": {"divergence": {"orientation": "softmax_first"}}})
 
     @pytest.mark.parametrize("arch", [mo.ArchSpec(semantic_dim=6, visual_dim=8),
                                       {"preset": "doublenet"}], ids=["ArchSpec", "dict"])
