@@ -17,19 +17,29 @@ pool member. On top of that scorer:
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model as mo
-from .errors import ValidationError
+from .errors import DimensionError, ValidationError
 
 DEFAULT_FRACTIONS = (0.25, 0.5, 1.0)
 # Size of one row block's (rows, C * n_generate) distance matrix. Scoring
-# holds one such temporary at a time, however many points it scores.
-SCORE_BLOCK_BYTES = 2 << 20
+# holds two such blocks, one per thread, however many points it scores. The
+# rows per block follow from this size and the pool alone, never from the
+# thread count: BLAS may round a product differently in its last bit at
+# another shape, and every host must score the same bits.
+SCORE_BLOCK_BYTES = 1 << 20
 # A squared distance below this fraction of |x|^2 is recomputed from x - p.
 NEAR_SQ_FRACTION = 1e-4
+
+
+def _score_workers(blocks: int) -> int:
+    """Threads that score `blocks` row blocks: one per usable core, at most 2."""
+    return min(len(os.sched_getaffinity(0)), blocks, 2)
 
 
 @dataclass
@@ -49,12 +59,28 @@ class GeneratedPoolClassifier:
     pools: np.ndarray          # (C, n_generate, visual_dim)
     metric: str = "euclidean"
 
+    def __post_init__(self):
+        if np.ndim(self.pools) != 3:
+            raise ValidationError(f"pools have shape {np.shape(self.pools)}, "
+                                  "expected (classes, n_generate, visual_dim)")
+        if len(self.class_ids) != len(self.pools):
+            raise ValidationError(f"{len(self.class_ids)} class ids for "
+                                  f"{len(self.pools)} pools")
+
     def scores(self, x: np.ndarray) -> np.ndarray:
         """Score matrix (len(x), C); larger is closer.
 
-        Rows are scored in blocks of at most SCORE_BLOCK_BYTES of pool
-        distances each, so the temporaries do not grow with len(x).
+        Rows are scored in blocks of SCORE_BLOCK_BYTES of pool distances
+        each, so the temporaries do not grow with len(x). Up to two threads
+        (`_score_workers`) take every other block, each through its own
+        block buffers: 2 * SCORE_BLOCK_BYTES of distances at most. The
+        calling thread allocates those buffers and the result, because a
+        worker thread that allocates them grows a heap arena of its own
+        and with it the process's resident memory. The block shape does not
+        depend on the thread count, so neither do the scores.
 
+        The product's columns run member-major, (member, class), so each
+        class's best member is an elementwise reduction over members.
         Euclidean scores use |x - p|^2 = |x|^2 + (|p|^2 - 2 x.p): one product
         of the block, with a ones column appended, and [-2 p^T; |p|^2] gives
         the bracket for every pool member, each class keeps its smallest,
@@ -64,18 +90,20 @@ class GeneratedPoolClassifier:
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         c, n, d = self.pools.shape
-        flat = self.pools.reshape(c * n, d)
+        if x.ndim != 2 or x.shape[1] != d:
+            raise DimensionError(f"test points have shape {x.shape}, expected (*, {d})")
+        flat = self.pools.transpose(1, 0, 2).reshape(n * c, d)
         rows = max(1, SCORE_BLOCK_BYTES // (8 * c * n))
         if self.metric == "euclidean":
-            rhs = np.empty((d + 1, c * n))
+            width = d + 1
+            rhs = np.empty((width, n * c))
             np.multiply(flat.T, -2.0, out=rhs[:d])
             rhs[d] = (flat * flat).sum(axis=1)
-            lhs = np.ones((min(len(x), rows), d + 1))
 
-            def block(xb):
-                ext = lhs[:len(xb)]
-                ext[:, :d] = xb
-                m = (ext @ rhs).reshape(len(xb), c, n).min(axis=2)
+            def block(xb, lhs, prod, m):
+                lhs[:, :d] = xb
+                np.matmul(lhs, rhs, out=prod)
+                np.minimum.reduce(prod.reshape(len(xb), n, c), axis=1, out=m)
                 x_sq = (xb * xb).sum(axis=1)[:, None]
                 m += x_sq
                 # the expansion loses the digits of a distance far below |x|,
@@ -87,18 +115,39 @@ class GeneratedPoolClassifier:
                     diff = xb[r, None, :] - self.pools[k]
                     m[r, k] = (diff * diff).sum(axis=2).min(axis=1)
                 np.maximum(m, 0.0, out=m)
-                return -np.sqrt(m, out=m)
+                np.sqrt(m, out=m)
+                np.negative(m, out=m)
         elif self.metric == "cosine":
+            width = d
             fn = flat / np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
 
-            def block(xb):
-                xn = xb / np.maximum(np.linalg.norm(xb, axis=1, keepdims=True), 1e-12)
-                return (xn @ fn.T).reshape(len(xb), c, n).max(axis=2)
+            def block(xb, lhs, prod, m):
+                np.divide(xb, np.maximum(np.linalg.norm(xb, axis=1, keepdims=True), 1e-12),
+                          out=lhs)
+                np.matmul(lhs, fn.T, out=prod)
+                np.maximum.reduce(prod.reshape(len(xb), n, c), axis=1, out=m)
         else:
             raise ValidationError(f"unknown metric {self.metric!r}")
+
         out = np.empty((len(x), c))
-        for lo in range(0, len(x), rows):
-            out[lo:lo + rows] = block(x[lo:lo + rows])
+        workers = max(1, _score_workers(-(-len(x) // rows)))
+        span = min(len(x), rows)
+        slots = [(np.ones((span, width)), np.empty((span, n * c))) for _ in range(workers)]
+
+        def run(slot):
+            lhs, prod = slots[slot]
+            for lo in range(slot * rows, len(x), workers * rows):
+                hi = min(lo + rows, len(x))
+                block(x[lo:hi], lhs[:hi - lo], prod[:hi - lo], out[lo:hi])
+
+        if workers == 1:
+            run(0)
+            return out
+        with ThreadPoolExecutor(workers - 1) as pool:
+            rest = [pool.submit(run, slot) for slot in range(1, workers)]
+            run(0)
+            for job in rest:
+                job.result()
         return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:

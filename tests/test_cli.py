@@ -1,12 +1,17 @@
 import dataclasses
 import json
 import os
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import genzsl.dataio as io
+import genzsl.evaluation as ev
 import genzsl.training as tr
 from genzsl import cli
 from genzsl.cli import main
@@ -16,6 +21,37 @@ SMALL_DS = ["--k-seen", "5", "--k-unseen", "2", "--visual-dim", "8",
 SMALL_TRAIN = ["--steps", "4", "--batch-size", "8",
                "--set", "eval_every=2", "--set", "arch.hidden_dim=10",
                "--set", "arch.noise_dim=3", "--set", "n_generate_eval=6"]
+
+
+# Scores a multi-block evaluation on threads, then forks sweep workers that
+# score multi-block evaluations on threads of their own.
+FORK_AFTER_THREADED_SCORING = """
+import sys, threading
+import genzsl.dataio as io
+import genzsl.evaluation as ev
+import genzsl.model as mo
+from genzsl.cli import main
+
+data, out, n_generate, *train = sys.argv[1:]
+d = io.load_dataset(data)
+arch = mo.ArchSpec(semantic_dim=d.semantic_dim, visual_dim=d.visual_dim, noise_dim=3,
+                   hidden_dim=10)
+gen, _ = mo.init_params(arch, d.k_seen, False, io.philox(8, 0))
+ev.evaluate_model(gen, d, int(n_generate), io.philox(9, 0), with_retrieval=False)
+assert threading.active_count() == 1
+sys.exit(main(["sweep", "--data", data, "--out", out, *train,
+               "--lambda-grid", "0.05", "--seeds", "1", "2", "--workers", "2"]))
+"""
+
+
+def multi_block_n_generate(ds_dir):
+    """Pool size at which the dataset's mixed test set spans several blocks."""
+    d = io.load_dataset(ds_dir)
+    classes = d.k_seen + d.k_unseen
+    n_generate = ev.SCORE_BLOCK_BYTES // (8 * classes * 4)
+    rows = ev.SCORE_BLOCK_BYTES // (8 * classes * n_generate)
+    assert len(d.seen_test_labels) + len(d.unseen_test_labels) > 2 * rows
+    return n_generate
 
 
 def synth(tmp_path, seed=3, extra=()):
@@ -313,6 +349,29 @@ class TestSweep:
                          "--workers", workers]) == 0
             blobs[name] = (out / "sweep.csv").read_bytes()
         assert blobs["serial"] == blobs["parallel"]
+
+    def test_workers_fork_cleanly_after_threaded_scoring(self, tmp_path):
+        ds = synth(tmp_path)
+        n_generate = multi_block_n_generate(ds)
+        train = [*SMALL_TRAIN, "--set", f"n_generate_eval={n_generate}"]
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        # a session of its own, so that a hung worker is killed with its parent
+        proc = subprocess.Popen([sys.executable, "-c", FORK_AFTER_THREADED_SCORING, ds,
+                                 str(tmp_path / "forked"), str(n_generate), *train],
+                                stderr=subprocess.PIPE, text=True, start_new_session=True,
+                                env=dict(os.environ, PYTHONPATH=path))
+        try:
+            _, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the forked sweep did not finish within 120 s")
+        assert proc.returncode == 0, err
+        assert main(["sweep", "--data", ds, "--out", str(tmp_path / "serial"), *train,
+                     "--lambda-grid", "0.05", "--seeds", "1", "2"]) == 0
+        assert ((tmp_path / "forked" / "sweep.csv").read_bytes()
+                == (tmp_path / "serial" / "sweep.csv").read_bytes())
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_fewer_than_one_worker_exits_2_naming_the_flag(self, tmp_path, workers):

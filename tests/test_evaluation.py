@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 import genzsl.dataio as io
 import genzsl.evaluation as ev
 import genzsl.model as mo
-from genzsl.errors import ValidationError
+from genzsl.errors import DimensionError, ValidationError
 from helpers import pool_scores_unblocked
 
 
@@ -351,8 +353,71 @@ class TestBlockedScores:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one unblocked distance matrix alone would be 8 budgets
+        # one unblocked distance matrix alone would be 8 blocks; scoring
+        # holds one block per thread, two at most
         assert peak < out.nbytes + 3 * ev.SCORE_BLOCK_BYTES
+
+
+class TestClassifierInputs:
+    def test_pools_must_be_three_dimensional(self):
+        with pytest.raises(ValidationError, match="pools have shape"):
+            ev.GeneratedPoolClassifier(np.arange(3), np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("n_ids", [2, 4], ids=["shorter", "longer"])
+    def test_one_class_id_per_pool(self, n_ids):
+        with pytest.raises(ValidationError, match=f"{n_ids} class ids for 3 pools"):
+            ev.GeneratedPoolClassifier(np.arange(n_ids), np.zeros((3, 2, 4)))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_test_points_of_another_width_are_a_dimension_error(self, metric):
+        clf = ev.GeneratedPoolClassifier(np.arange(3), np.zeros((3, 2, 4)), metric)
+        with pytest.raises(DimensionError, match=r"expected \(\*, 4\)"):
+            clf.scores(np.zeros((5, 3)))
+
+
+class TestScoringThreads:
+    def _classifier_and_points(self, metric):
+        g = io.philox(11, 31)
+        c, n, d = 20, 30, 16
+        rows = ev.SCORE_BLOCK_BYTES // (8 * c * n)
+        pools = g.standard_normal((c, n, d))
+        x = g.standard_normal((5 * rows + 9, d))   # five full blocks and a remainder
+        x[3 * rows + 1] = pools[7, 4]              # a test point on a pool member
+        return ev.GeneratedPoolClassifier(np.arange(c), pools, metric), x, rows
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_scores_do_not_depend_on_the_worker_count(self, metric, monkeypatch):
+        clf, x, rows = self._classifier_and_points(metric)
+        default = clf.scores(x)
+        # four workers on a fast thread switch as well: more threads than
+        # cores, each writing its own rows of the one result
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cap in (1, 2, 4):
+                monkeypatch.setattr(ev, "_score_workers",
+                                    lambda blocks, cap=cap: min(blocks, cap))
+                assert np.array_equal(clf.scores(x), default)
+        finally:
+            sys.setswitchinterval(interval)
+        if metric == "euclidean":
+            assert default[3 * rows + 1, 7] == 0.0
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_empty_batch_and_single_row_shapes(self, metric):
+        clf, x, _ = self._classifier_and_points(metric)
+        assert clf.scores(np.empty((0, 16))).shape == (0, 20)
+        row = clf.scores(x[3])
+        assert row.shape == (1, 20)
+        # a one-row product may round differently from a block's in the last bit
+        np.testing.assert_allclose(row[0], clf.scores(x)[3], rtol=0, atol=1e-12)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(ev, "_score_workers", lambda blocks: min(blocks, 2))
+        clf, x, _ = self._classifier_and_points("euclidean")
+        before = threading.active_count()
+        clf.scores(x)
+        assert threading.active_count() == before
 
 
 class TestScoresAgainstBruteForce:
