@@ -17,6 +17,7 @@ pool member. On top of that scorer:
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -35,11 +36,27 @@ DEFAULT_FRACTIONS = (0.25, 0.5, 1.0)
 SCORE_BLOCK_BYTES = 1 << 20
 # A squared distance below this fraction of |x|^2 is recomputed from x - p.
 NEAR_SQ_FRACTION = 1e-4
+# BLAS takes its thread count from the first of these that is set; when none
+# is, one product may already run on every core.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _score_workers(blocks: int) -> int:
-    """Threads that score `blocks` row blocks: one per usable core, at most 2."""
-    return min(len(os.sched_getaffinity(0)), blocks, 2)
+    """Threads that score `blocks` row blocks: one per usable core, at most 2.
+
+    One thread unless BLAS is set to one thread per product, and one in a
+    worker process (`sweep --workers N`), whose sibling processes hold the
+    other cores: in both cases a second scoring thread competes for a busy
+    core, and it measured slower.
+    """
+    blas = next((os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ), None)
+    if blas != "1" or multiprocessing.parent_process() is not None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):     # Linux: the cores this process may use
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(cores, blocks, 2)
 
 
 @dataclass
@@ -140,10 +157,8 @@ class GeneratedPoolClassifier:
                 hi = min(lo + rows, len(x))
                 block(x[lo:hi], lhs[:hi - lo], prod[:hi - lo], out[lo:hi])
 
-        if workers == 1:
-            run(0)
-            return out
-        with ThreadPoolExecutor(workers - 1) as pool:
+        # an executor starts a thread only on submit: one worker starts none
+        with ThreadPoolExecutor(max(1, workers - 1)) as pool:
             rest = [pool.submit(run, slot) for slot in range(1, workers)]
             run(0)
             for job in rest:

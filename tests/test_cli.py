@@ -32,6 +32,9 @@ import genzsl.evaluation as ev
 import genzsl.model as mo
 from genzsl.cli import main
 
+# two scoring threads in this process and in its forked workers, whatever the
+# BLAS setting and the core count
+ev._score_workers = lambda blocks: min(blocks, 2)
 data, out, n_generate, *train = sys.argv[1:]
 d = io.load_dataset(data)
 arch = mo.ArchSpec(semantic_dim=d.semantic_dim, visual_dim=d.visual_dim, noise_dim=3,

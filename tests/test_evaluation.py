@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import tracemalloc
@@ -412,8 +413,46 @@ class TestScoringThreads:
         # a one-row product may round differently from a block's in the last bit
         np.testing.assert_allclose(row[0], clf.scores(x)[3], rtol=0, atol=1e-12)
 
-    def test_no_thread_outlives_a_call(self, monkeypatch):
-        monkeypatch.setattr(ev, "_score_workers", lambda blocks: min(blocks, 2))
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_scores_without_sched_getaffinity(self, metric, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        clf, x, _ = self._classifier_and_points(metric)
+        default = clf.scores(x)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(ev.multiprocessing, "parent_process", lambda: None)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert ev._score_workers(6) == min(os.cpu_count() or 1, 2)
+        assert np.array_equal(clf.scores(x), default)
+
+    @pytest.mark.parametrize("blas,want", [
+        ({}, 1),
+        ({"OMP_NUM_THREADS": "2"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),  # the first one set counts
+        ({"OMP_NUM_THREADS": "1"}, 2),
+        ({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
+    ])
+    def test_a_second_thread_only_beside_single_threaded_blas(self, blas, want, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(ev.multiprocessing, "parent_process", lambda: None)
+        for var in ev.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in blas.items():
+            monkeypatch.setenv(var, value)
+        assert ev._score_workers(6) == want
+        assert ev._score_workers(1) == 1
+
+    def test_one_thread_in_a_worker_process(self, monkeypatch):
+        # sweep --workers N: the sibling processes hold the other cores
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(ev.multiprocessing, "parent_process", lambda: None)
+        assert ev._score_workers(6) == 2
+        monkeypatch.setattr(ev.multiprocessing, "parent_process", lambda: object())
+        assert ev._score_workers(6) == 1
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_no_thread_outlives_a_call(self, cap, monkeypatch):
+        monkeypatch.setattr(ev, "_score_workers", lambda blocks: min(blocks, cap))
         clf, x, _ = self._classifier_and_points("euclidean")
         before = threading.active_count()
         clf.scores(x)
