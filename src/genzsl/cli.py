@@ -20,8 +20,10 @@ snapshot is persisted in the run manifest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -235,7 +237,10 @@ def cmd_sweep(args, ctx: RunContext) -> None:
     cfg, dataset = _training_inputs(args, ctx)
     jobs = [(dataset, cfg, seed) for seed in ctx.seeds]
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # spawned workers inherit no threads, and read the pinned BLAS
+        # setting before they import numpy: N workers run N BLAS threads
+        with _blas_pinned(), ProcessPoolExecutor(
+                max_workers=args.workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(_cross_validate_seed, jobs))
     else:
         results = [_cross_validate_seed(job) for job in jobs]
@@ -257,6 +262,22 @@ def cmd_sweep(args, ctx: RunContext) -> None:
     for seed, lam, step, metric in winner_rows:
         print(f"seed {seed}: best lambda {lam} at step {step} "
               f"(val_auc {metric:.4f})")
+
+
+@contextlib.contextmanager
+def _blas_pinned():
+    """BLAS set to one thread per product in os.environ, and the caller's
+    settings restored on exit."""
+    saved = {var: os.environ.get(var) for var in ev.BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(ev.BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def _cross_validate_seed(job):

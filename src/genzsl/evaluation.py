@@ -3,15 +3,20 @@
 Recognition reduces to a conventional problem once the generator can
 synthesize features for any descriptor: build a pool of generated features
 per class and score a test point by its (negative) distance to the nearest
-pool member. On top of that scorer:
+pool member. `evaluate_model` builds one pool per class, seen and unseen,
+and reads the whole battery off it:
 
-  * Top-1 restricts the label space to unseen classes;
   * the seen-unseen curve follows a bias added to every unseen-class score
     through every (seen accuracy, unseen accuracy) pair it can produce,
     and its area summarizes generalized performance;
+  * Top-1 restricts the label space to unseen classes, which is the
+    curve's all-unseen end;
   * retrieval ranks all test images by distance to a class's generated
-    center (the mean of 60 generations by default) and measures precision
-    at a per-class depth.
+    center, the mean of its pool (60 generations by default), and measures
+    precision at a per-class depth.
+
+`retrieval_map` alone, as `genzsl retrieve` runs it, draws a pool of its own
+for the unseen classes.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ DEFAULT_FRACTIONS = (0.25, 0.5, 1.0)
 # Size of one row block's (rows, C * n_generate) distance matrix. Scoring
 # holds two such blocks, one per thread, however many points it scores. The
 # rows per block follow from this size and the pool alone, never from the
-# thread count: BLAS may round a product differently in its last bit at
-# another shape, and every host must score the same bits.
+# thread count or the batch: BLAS may round a product differently in its
+# last bit at another shape, and every host must score the same bits.
 SCORE_BLOCK_BYTES = 1 << 20
 # A squared distance below this fraction of |x|^2 is recomputed from x - p.
 NEAR_SQ_FRACTION = 1e-4
@@ -93,8 +98,12 @@ class GeneratedPoolClassifier:
         block buffers: 2 * SCORE_BLOCK_BYTES of distances at most. The
         calling thread allocates those buffers and the result, because a
         worker thread that allocates them grows a heap arena of its own
-        and with it the process's resident memory. The block shape does not
-        depend on the thread count, so neither do the scores.
+        and with it the process's resident memory. Every product has the
+        full block shape, at least two rows: a short last block is computed
+        padded, and only its own rows are read. BLAS may round a product of
+        another shape differently in the last bit, and draws a one-row
+        product by another route, so a row scores the same bits alone as in
+        any batch, on any thread count.
 
         The product's columns run member-major, (member, class), so each
         class's best member is an elementwise reduction over members.
@@ -110,7 +119,7 @@ class GeneratedPoolClassifier:
         if x.ndim != 2 or x.shape[1] != d:
             raise DimensionError(f"test points have shape {x.shape}, expected (*, {d})")
         flat = self.pools.transpose(1, 0, 2).reshape(n * c, d)
-        rows = max(1, SCORE_BLOCK_BYTES // (8 * c * n))
+        rows = max(2, SCORE_BLOCK_BYTES // (8 * c * n))
         if self.metric == "euclidean":
             width = d + 1
             rhs = np.empty((width, n * c))
@@ -118,9 +127,9 @@ class GeneratedPoolClassifier:
             rhs[d] = (flat * flat).sum(axis=1)
 
             def block(xb, lhs, prod, m):
-                lhs[:, :d] = xb
+                lhs[:len(xb), :d] = xb
                 np.matmul(lhs, rhs, out=prod)
-                np.minimum.reduce(prod.reshape(len(xb), n, c), axis=1, out=m)
+                np.minimum.reduce(prod[:len(xb)].reshape(len(xb), n, c), axis=1, out=m)
                 x_sq = (xb * xb).sum(axis=1)[:, None]
                 m += x_sq
                 # the expansion loses the digits of a distance far below |x|,
@@ -140,22 +149,21 @@ class GeneratedPoolClassifier:
 
             def block(xb, lhs, prod, m):
                 np.divide(xb, np.maximum(np.linalg.norm(xb, axis=1, keepdims=True), 1e-12),
-                          out=lhs)
+                          out=lhs[:len(xb)])
                 np.matmul(lhs, fn.T, out=prod)
-                np.maximum.reduce(prod.reshape(len(xb), n, c), axis=1, out=m)
+                np.maximum.reduce(prod[:len(xb)].reshape(len(xb), n, c), axis=1, out=m)
         else:
             raise ValidationError(f"unknown metric {self.metric!r}")
 
         out = np.empty((len(x), c))
         workers = max(1, _score_workers(-(-len(x) // rows)))
-        span = min(len(x), rows)
+        span = rows if len(x) else 0
         slots = [(np.ones((span, width)), np.empty((span, n * c))) for _ in range(workers)]
 
         def run(slot):
             lhs, prod = slots[slot]
             for lo in range(slot * rows, len(x), workers * rows):
-                hi = min(lo + rows, len(x))
-                block(x[lo:hi], lhs[:hi - lo], prod[:hi - lo], out[lo:hi])
+                block(x[lo:lo + rows], lhs, prod, out[lo:lo + rows])
 
         # an executor starts a thread only on submit: one worker starts none
         with ThreadPoolExecutor(max(1, workers - 1)) as pool:
@@ -275,31 +283,38 @@ def retrieval_map(gen: mo.GeneratorParams, unseen_semantics, test_features,
                   test_labels, unseen_ids, fractions=DEFAULT_FRACTIONS,
                   n_generate: int = 60, rng: np.random.Generator | None = None,
                   method: str = "precision") -> dict[float, float]:
-    """Mean retrieval score per fraction over the unseen classes.
-
-    Each class queries with its visual center (the mean of `n_generate`
-    generated features); all test images are ranked by ascending distance,
-    ties broken by stable image index, and the top ceil(fraction * class
-    size) is scored. `method` picks precision at that depth (default) or
-    average precision truncated there.
-    """
+    """`retrieval_at_centers` at the means of `n_generate` features
+    generated for each unseen class, one descriptor row per class."""
     if rng is None:
         raise ValidationError("retrieval needs an explicit random stream")
+    centers = build_classifier(gen, unseen_semantics, n_generate, rng).pools.mean(axis=1)
+    return retrieval_at_centers(centers, test_features, test_labels, unseen_ids,
+                                fractions, method)
+
+
+def retrieval_at_centers(centers, test_features, test_labels, unseen_ids,
+                         fractions=DEFAULT_FRACTIONS,
+                         method: str = "precision") -> dict[float, float]:
+    """Mean retrieval score per fraction over the unseen classes.
+
+    Class `unseen_ids[k]` queries with its visual center `centers[k]`; all
+    test images are ranked by ascending distance, ties broken by stable
+    image index, and the top ceil(fraction * class size) is scored.
+    `method` picks precision at that depth (default) or average precision
+    truncated there.
+    """
     if method not in ("precision", "average_precision"):
         raise ValidationError(f"unknown retrieval method {method!r}")
-    unseen_semantics = np.atleast_2d(np.asarray(unseen_semantics, dtype=np.float64))
-    test_features = np.atleast_2d(np.asarray(test_features, dtype=np.float64))
-    test_labels = np.asarray(test_labels)
-    unseen_ids = np.asarray(unseen_ids)
-    if unseen_semantics.shape[0] != unseen_ids.size:
-        raise ValidationError("one descriptor per unseen class id is required")
-
     fractions = tuple(fractions)
     if not all(0.0 < frac <= 1.0 for frac in fractions):
         raise ValidationError("fractions must lie in (0, 1]")
-
-    centers = build_classifier(gen, unseen_semantics, n_generate, rng).pools.mean(axis=1)
-    # one ranking per class, sliced at every fraction's depth
+    unseen_ids = np.asarray(unseen_ids)
+    if len(centers) != unseen_ids.size:
+        raise ValidationError(f"{len(centers)} centers for {unseen_ids.size} unseen class ids")
+    test_features = np.atleast_2d(np.asarray(test_features, dtype=np.float64))
+    test_labels = np.asarray(test_labels)
+    # one ranking per class, sliced at every fraction's depth; a class at a
+    # time, as one broadcast over every class would hold them all at once
     rankings = []
     for c, center in zip(unseen_ids, centers):
         n_c = int((test_labels == c).sum())
@@ -331,31 +346,30 @@ def evaluate_model(gen: mo.GeneratorParams, dataset, n_generate: int,
                    with_retrieval: bool = True,
                    retrieval_method: str = "precision") -> EvalReport:
     """The full battery on a dataset's test split, with retrieval at
-    DEFAULT_FRACTIONS.
+    DEFAULT_FRACTIONS, from one pool of `n_generate` features per class.
 
-    The reported harmonic mean is the best achievable along the curve,
-    summarizing the trade-off like the area does.
+    Top-1 is the curve's all-unseen end: the fraction of unseen test points
+    whose best unseen column is their own class, ties to the lower column,
+    as `top1` over the pool's unseen classes reads it. Retrieval's centers
+    are the means of those classes' pools. The reported harmonic mean is
+    the best achievable along the curve, summarizing the trade-off like the
+    area does.
     """
     unseen_ids = dataset.k_seen + np.arange(dataset.k_unseen)
-    zsl = build_classifier(gen, dataset.unseen_semantics, n_generate, rng,
-                           class_ids=unseen_ids, metric=metric)
-    acc = top1(zsl, dataset.unseen_test_features, dataset.unseen_test_labels)
-
     all_sem = np.vstack([dataset.seen_semantics, dataset.unseen_semantics])
-    gzsl = build_classifier(gen, all_sem, n_generate, rng,
+    pool = build_classifier(gen, all_sem, n_generate, rng,
                             class_ids=np.arange(dataset.k_seen + dataset.k_unseen),
                             metric=metric)
     mixed_x = np.vstack([dataset.seen_test_features, dataset.unseen_test_features])
     mixed_y = np.concatenate([dataset.seen_test_labels, dataset.unseen_test_labels])
-    curve, auc = su_curve_auc(gzsl, mixed_x, mixed_y, unseen_ids)
+    curve, auc = su_curve_auc(pool, mixed_x, mixed_y, unseen_ids)
     best_h = max(harmonic_mean(a_s, a_u) for a_s, a_u in curve)
 
     retrieval = {}
     if with_retrieval:
-        # retrieval queries the unseen classes against the unseen test pool
-        retrieval = retrieval_map(gen, dataset.unseen_semantics,
-                                  dataset.unseen_test_features,
-                                  dataset.unseen_test_labels,
-                                  unseen_ids, DEFAULT_FRACTIONS, n_generate, rng,
-                                  retrieval_method)
-    return EvalReport(acc, curve, auc, best_h, retrieval)
+        # the unseen classes query the unseen test images
+        retrieval = retrieval_at_centers(pool.pools[dataset.k_seen:].mean(axis=1),
+                                         dataset.unseen_test_features,
+                                         dataset.unseen_test_labels, unseen_ids,
+                                         DEFAULT_FRACTIONS, retrieval_method)
+    return EvalReport(curve[-1][1], curve, auc, best_h, retrieval)

@@ -23,17 +23,17 @@ SMALL_TRAIN = ["--steps", "4", "--batch-size", "8",
                "--set", "arch.noise_dim=3", "--set", "n_generate_eval=6"]
 
 
-# Scores a multi-block evaluation on threads, then forks sweep workers that
-# score multi-block evaluations on threads of their own.
-FORK_AFTER_THREADED_SCORING = """
+# Scores a multi-block evaluation on threads, then starts sweep workers that
+# score multi-block evaluations of their own.
+SWEEP_AFTER_THREADED_SCORING = """
 import sys, threading
 import genzsl.dataio as io
 import genzsl.evaluation as ev
 import genzsl.model as mo
 from genzsl.cli import main
 
-# two scoring threads in this process and in its forked workers, whatever the
-# BLAS setting and the core count
+# two scoring threads in this process, whatever the BLAS setting and the
+# core count
 ev._score_workers = lambda blocks: min(blocks, 2)
 data, out, n_generate, *train = sys.argv[1:]
 d = io.load_dataset(data)
@@ -264,6 +264,20 @@ class TestEvalAndRetrieve:
         assert lines[0] == "fraction,map"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("method,last", [("precision", "0.16666666666666666"),
+                                             ("average_precision", "0.13888888888888887")])
+    def test_retrieve_draws_its_own_unseen_pool(self, tmp_path, method, last):
+        # retrieve queries with the means of an unseen-class pool of its own,
+        # drawn first from the evaluation stream; pinned, so that eval's
+        # sharing one pool for the whole battery leaves these bytes alone
+        ds = synth(tmp_path, extra=("--k-unseen", "4"))
+        run, out = tmp_path / "run", tmp_path / "ret"
+        assert main(["train", "--data", ds, "--out", str(run), *SMALL_TRAIN]) == 0
+        assert main(["retrieve", "--checkpoint", str(run / "checkpoint"), "--data", ds,
+                     "--out", str(out), "--n-generate", "6", "--method", method]) == 0
+        assert (out / "retrieval.csv").read_text() == (
+            f"fraction,map\n0.25,0.25\n0.5,0.125\n1.0,{last}\n")
+
     @pytest.mark.parametrize("corrupt", [
         lambda m: m.pop("arch"),
         lambda m: m["arch"].update(depth=3),
@@ -342,26 +356,43 @@ class TestSweep:
             blobs.append((out / "sweep.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_parallel_workers_match_serial_results(self, tmp_path):
+    @pytest.mark.parametrize("blas", ["pinned", "default"])
+    def test_parallel_workers_match_serial_results(self, tmp_path, blas, monkeypatch):
+        for var in ev.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        if blas == "pinned":
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        before = dict(os.environ)
         ds = synth(tmp_path)
         blobs = {}
-        for name, workers in (("serial", "1"), ("parallel", "2")):
-            out = tmp_path / name
+        for workers in ("1", "2"):
+            out = tmp_path / workers
             assert main(["sweep", "--data", ds, "--out", str(out), *SMALL_TRAIN,
-                         "--lambda-grid", "0.05", "--seeds", "1", "2",
+                         "--lambda-grid", "0.0", "0.05", "--seeds", "1", "2",
                          "--workers", workers]) == 0
-            blobs[name] = (out / "sweep.csv").read_bytes()
-        assert blobs["serial"] == blobs["parallel"]
+            blobs[workers] = [(out / f).read_bytes() for f in ("sweep.csv", "winners.csv")]
+            assert dict(os.environ) == before
+        assert blobs["1"] == blobs["2"]
 
-    def test_workers_fork_cleanly_after_threaded_scoring(self, tmp_path):
+    def test_blas_is_pinned_only_while_workers_run(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        with cli._blas_pinned():
+            assert [os.environ[v] for v in ev.BLAS_THREAD_VARS] == ["1", "1", "1"]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+        assert "MKL_NUM_THREADS" not in os.environ
+        assert os.environ["OMP_NUM_THREADS"] == "2"
+
+    def test_workers_start_cleanly_after_threaded_scoring(self, tmp_path):
         ds = synth(tmp_path)
         n_generate = multi_block_n_generate(ds)
         train = [*SMALL_TRAIN, "--set", f"n_generate_eval={n_generate}"]
         src = Path(__file__).resolve().parents[1] / "src"
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         # a session of its own, so that a hung worker is killed with its parent
-        proc = subprocess.Popen([sys.executable, "-c", FORK_AFTER_THREADED_SCORING, ds,
-                                 str(tmp_path / "forked"), str(n_generate), *train],
+        proc = subprocess.Popen([sys.executable, "-c", SWEEP_AFTER_THREADED_SCORING, ds,
+                                 str(tmp_path / "parallel"), str(n_generate), *train],
                                 stderr=subprocess.PIPE, text=True, start_new_session=True,
                                 env=dict(os.environ, PYTHONPATH=path))
         try:
@@ -369,11 +400,11 @@ class TestSweep:
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
-            pytest.fail("the forked sweep did not finish within 120 s")
+            pytest.fail("the parallel sweep did not finish within 120 s")
         assert proc.returncode == 0, err
         assert main(["sweep", "--data", ds, "--out", str(tmp_path / "serial"), *train,
                      "--lambda-grid", "0.05", "--seeds", "1", "2"]) == 0
-        assert ((tmp_path / "forked" / "sweep.csv").read_bytes()
+        assert ((tmp_path / "parallel" / "sweep.csv").read_bytes()
                 == (tmp_path / "serial" / "sweep.csv").read_bytes())
 
     @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -410,8 +410,7 @@ class TestScoringThreads:
         assert clf.scores(np.empty((0, 16))).shape == (0, 20)
         row = clf.scores(x[3])
         assert row.shape == (1, 20)
-        # a one-row product may round differently from a block's in the last bit
-        np.testing.assert_allclose(row[0], clf.scores(x)[3], rtol=0, atol=1e-12)
+        assert np.array_equal(row[0], clf.scores(x)[3])
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_scores_without_sched_getaffinity(self, metric, monkeypatch):
@@ -457,6 +456,26 @@ class TestScoringThreads:
         before = threading.active_count()
         clf.scores(x)
         assert threading.active_count() == before
+
+
+class TestScoresAlone:
+    # (C, n_generate, d, points): blocks of 36, 109, 546 and 2 rows, each
+    # batch with a short last block; 1,100 x 60 pool members leave room for
+    # fewer than two rows in 1 MiB
+    @pytest.mark.parametrize("c,n,d,points", [(60, 60, 64, 100), (20, 30, 16, 250),
+                                              (12, 16, 8, 700), (1100, 60, 4, 7)])
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_every_row_scores_the_same_bits_alone_and_in_the_batch(self, c, n, d, points,
+                                                                   metric):
+        g = io.philox(c + n + d, points)
+        pools = g.standard_normal((c, n, d))
+        x = g.standard_normal((points, d))
+        x[1] = pools[c // 2, n - 1]                # a test point on a pool member
+        clf = ev.GeneratedPoolClassifier(np.arange(c), pools, metric)
+        batch = clf.scores(x)
+        for i in range(points):
+            assert np.array_equal(clf.scores(x[i]), batch[i:i + 1]), i
+            assert np.array_equal(clf.predict(x[i]), clf.predict(x)[i:i + 1])
 
 
 class TestScoresAgainstBruteForce:
@@ -538,6 +557,10 @@ class TestRetrievalMap:
                                method="average_precision")
         assert res[1.0] == pytest.approx(1.0)
 
+    def test_one_center_per_class_id(self):
+        with pytest.raises(ValidationError, match="2 centers for 3 unseen class ids"):
+            ev.retrieval_at_centers(np.zeros((2, 2)), np.ones((3, 2)), [0, 1, 2], [0, 1, 2])
+
     def test_missing_class_images_rejected(self):
         gen = identity_generator()
         with pytest.raises(ValidationError):
@@ -560,3 +583,73 @@ class TestEvaluateModel:
         assert 0.0 <= r1.harmonic_mean <= 1.0
         assert set(r1.retrieval_map) == {0.25, 0.5, 1.0}
         assert all(p[0] <= 1.0 and p[1] <= 1.0 for p in r1.su_curve)
+
+    def _model_and_data(self):
+        """4 seen and 3 unseen classes whose test points the generator itself
+        drew, 10 per class: small pools read their top-1 off their own draws."""
+        arch = mo.ArchSpec(semantic_dim=6, visual_dim=8, noise_dim=3, hidden_dim=10)
+        gen, _ = mo.init_params(arch, 4, False, io.philox(8, 1))
+        g = io.philox(6, 1)
+        sem = g.standard_normal((7, 6))
+        labels = np.repeat(np.arange(7), 10)
+        x = mo.generate(gen, sem[labels], g.standard_normal((70, 3)))
+        d = io.ZslDataset(x[:40], labels[:40], sem[:4], sem[4:], x[40:], labels[40:],
+                          x[:40], labels[:40])
+        return gen, d
+
+    @staticmethod
+    def _pool(gen, d, n_generate, rng):
+        """The pool evaluate_model draws from `rng`: every class, seen first."""
+        return ev.build_classifier(gen, np.vstack([d.seen_semantics, d.unseen_semantics]),
+                                   n_generate, rng, class_ids=np.arange(d.k_seen + d.k_unseen))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_top1_is_top1_over_the_pools_unseen_classes(self, seed):
+        gen, d = self._model_and_data()
+        report = ev.evaluate_model(gen, d, 4, io.philox(seed, 3))
+        pool = self._pool(gen, d, 4, io.philox(seed, 3))
+        zsl = ev.GeneratedPoolClassifier(pool.class_ids[d.k_seen:], pool.pools[d.k_seen:])
+        assert report.top1_unseen == ev.top1(zsl, d.unseen_test_features,
+                                              d.unseen_test_labels)
+        assert report.top1_unseen == report.su_curve[-1][1]
+
+    def test_a_tie_between_unseen_columns_goes_to_the_lower_one(self):
+        # G(t, z) = t: unseen classes 2 and 3 share a descriptor, so their
+        # pools are equal and every score ties between their columns
+        gen = identity_generator()
+        sem = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [0.0, 10.0], [10.0, 10.0]])
+        unseen_x = np.array([[0.0, 10.1], [0.1, 10.0], [0.0, 9.9], [9.9, 10.0]])
+        d = io.ZslDataset(np.zeros((2, 2)), np.array([0, 1]), sem[:2], sem[2:],
+                          unseen_x, np.array([2, 3, 3, 4]),
+                          sem[:2] + 0.1, np.array([0, 1]))
+        report = ev.evaluate_model(gen, d, 3, io.philox(0, 4))
+        zsl = ev.GeneratedPoolClassifier(np.array([2, 3, 4]), self._pool(
+            gen, d, 3, io.philox(0, 4)).pools[2:])
+        assert report.top1_unseen == ev.top1(zsl, unseen_x, d.unseen_test_labels) == 0.5
+
+    def test_one_pool_and_one_scoring_per_evaluation(self, monkeypatch):
+        gen, d = self._model_and_data()
+        calls = {"generate": 0, "scores": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mo, "generate", counted("generate", mo.generate))
+        monkeypatch.setattr(ev.GeneratedPoolClassifier, "scores",
+                            counted("scores", ev.GeneratedPoolClassifier.scores))
+        report = ev.evaluate_model(gen, d, 12, io.philox(2, 3))
+        assert report.retrieval_map
+        assert calls == {"generate": 1, "scores": 1}
+
+    @pytest.mark.parametrize("method", ["precision", "average_precision"])
+    def test_retrieval_queries_the_means_of_the_pools_unseen_classes(self, method):
+        gen, d = self._model_and_data()
+        report = ev.evaluate_model(gen, d, 12, io.philox(4, 3), retrieval_method=method)
+        pool = self._pool(gen, d, 12, io.philox(4, 3))
+        assert report.retrieval_map == ev.retrieval_at_centers(
+            pool.pools[d.k_seen:].mean(axis=1), d.unseen_test_features,
+            d.unseen_test_labels, d.k_seen + np.arange(d.k_unseen), ev.DEFAULT_FRACTIONS,
+            method)

@@ -94,16 +94,16 @@ class TestTrainConfig:
 # helpers.fingerprint per config override and seed. A change that moves
 # these on purpose updates the table and says why.
 FINGERPRINTS = {
-    "defaults": ({}, "bb057c9b84e342d8", "9a33aa3e29317ac6"),
+    "defaults": ({}, "ed9edd2506641b69", "60dbb71004d2a335"),
     "creative": ({"n_d": 1, "class_balanced": True, "policy": "all",
                   "arch": {"preset": "doublenet"},
                   "loss": {"segc_active": True, "segc_normalized": True,
                            "u_categorization": True, "k_unseen_cap": 100,
                            "rf_hallucinated": True, "creativity_on_discriminator": True}},
-                 "b6f020269fa922f6", "d500f0941d9d06e3"),
-    "segc": ({"loss": {"segc_active": True}}, "6acdea2eea7ae005", "1aaa2fc64cb9e555"),
+                 "1d7b6d8f807e0038", "0294673f17651318"),
+    "segc": ({"loss": {"segc_active": True}}, "45e2d0f1d80e06c0", "be1c258a21e3561a"),
     "new-class": ({"loss": {"entropy_term": False, "new_class_ablation": True}},
-                  "40da509e47aca82c", "b4b2c98342ce5516"),
+                  "076bfc58e858d913", "cd13b3745c236c72"),
 }
 
 
