@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import multiprocessing
 import os
@@ -84,7 +85,7 @@ def _load_config(args) -> tr.TrainConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise DataFormatError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or UTF-8
             raise DataFormatError(f"{args.config}: malformed JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValidationError(f"{args.config}: config must be a JSON object")
@@ -155,10 +156,7 @@ def cmd_synth(args, ctx: RunContext) -> None:
     ctx.seeds = [args.seed]
     ctx.config_snapshot = asdict(spec)
     dataset = io.make_synthetic(spec)
-    io.save_dataset(dataset, ctx.out_dir)
-    ctx.outputs.extend(os.path.join(ctx.out_dir, f"{f}.zsld")
-                       for f in io._DATASET_FIELDS)
-    ctx.outputs.append(os.path.join(ctx.out_dir, "manifest.json"))
+    ctx.outputs.extend(io.save_dataset(dataset, ctx.out_dir))
     print(f"wrote synthetic dataset ({dataset.k_seen} seen / {dataset.k_unseen} "
           f"unseen classes, {dataset.split_mode} split) to {ctx.out_dir}")
 
@@ -198,9 +196,8 @@ def cmd_train(args, ctx: RunContext) -> None:
     params, history = tr.train(dataset, cfg)
     ctx.results["degenerate_events"] = history.degenerate_events
 
-    ckpt_dir = os.path.join(ctx.out_dir, "checkpoint")
-    io.save_checkpoint(params, ctx.config_snapshot, ckpt_dir)
-    ctx.outputs.append(os.path.join(ckpt_dir, "manifest.json"))
+    ctx.outputs.extend(io.save_checkpoint(params, ctx.config_snapshot,
+                                          os.path.join(ctx.out_dir, "checkpoint")))
     _write_csv(ctx.path("history.csv"), tr.TrainHistory.CSV_HEADER, history.rows())
     if history.records:
         last = history.records[-1]
@@ -235,19 +232,20 @@ def cmd_sweep(args, ctx: RunContext) -> None:
     if args.workers < 1:
         raise ValidationError(f"--workers must be at least 1, got {args.workers}")
     cfg, dataset = _training_inputs(args, ctx)
-    jobs = [(dataset, cfg, seed) for seed in ctx.seeds]
+    run = functools.partial(tr.cross_validate, dataset)
+    configs = [replace(cfg, seed=seed) for seed in ctx.seeds]
     if args.workers > 1:
         # spawned workers inherit no threads, and read the pinned BLAS
         # setting before they import numpy: N workers run N BLAS threads
         with _blas_pinned(), ProcessPoolExecutor(
                 max_workers=args.workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            results = list(pool.map(_cross_validate_seed, jobs))
+            results = list(pool.map(run, configs))
     else:
-        results = [_cross_validate_seed(job) for job in jobs]
+        results = list(map(run, configs))
 
     cell_rows = []
     winner_rows = []
-    for seed, res in results:
+    for seed, res in zip(ctx.seeds, results):
         for lam in cfg.lambda_grid:
             curve = res.curves[lam]
             best_auc = max(a for _, a, _ in curve)
@@ -280,13 +278,6 @@ def _blas_pinned():
                 os.environ[var] = value
 
 
-def _cross_validate_seed(job):
-    """One sweep seed: (seed, cross-validation result). Module level, so
-    that worker processes can unpickle it."""
-    dataset, cfg, seed = job
-    return seed, tr.cross_validate(dataset, replace(cfg, seed=seed))
-
-
 def cmd_ablate(args, ctx: RunContext) -> None:
     cfg, dataset = _training_inputs(args, ctx)
     rows = tr.ablate(dataset, cfg, args.suite, seeds=ctx.seeds)
@@ -302,12 +293,12 @@ def cmd_ablate(args, ctx: RunContext) -> None:
 
 def cmd_retrieve(args, ctx: RunContext) -> None:
     dataset, params, seed = _checkpoint_inputs(args, ctx)
-    unseen_ids = dataset.k_seen + np.arange(dataset.k_unseen)
-    result = ev.retrieval_map(
-        params.generator, dataset.unseen_semantics, dataset.unseen_test_features,
-        dataset.unseen_test_labels, unseen_ids,
-        fractions=tuple(args.fractions), n_generate=args.n_generate,
-        rng=io.philox(seed, tr.TAG_EVAL), method=args.method)
+    # a pool of its own for the unseen classes: these are not eval's map_at_* columns
+    centers = ev.build_classifier(params.generator, dataset.unseen_semantics, args.n_generate,
+                                  io.philox(seed, tr.TAG_EVAL)).pools.mean(axis=1)
+    result = ev.retrieval_map(centers, dataset.unseen_test_features, dataset.unseen_test_labels,
+                              dataset.k_seen + np.arange(dataset.k_unseen), args.fractions,
+                              args.method)
     _write_csv(ctx.path("retrieval.csv"), ["fraction", "map"],
                sorted(result.items()))
     for frac, value in sorted(result.items()):

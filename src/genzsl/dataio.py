@@ -218,8 +218,7 @@ def write_matrix(path: str, arr: np.ndarray) -> None:
         arr = arr[:, None]
     payload = arr.astype("<f4").tobytes(order="C")
     header = MATRIX_MAGIC + struct.pack("<HII", MATRIX_VERSION, arr.shape[0], arr.shape[1])
-    with open(path, "wb") as fh:
-        fh.write(header + payload)
+    _write_atomic(path, header + payload)
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -259,12 +258,17 @@ def _parse_csv_matrix(path: str, data: bytes) -> np.ndarray:
     return np.asarray(rows, dtype=np.float32).astype(np.float64)
 
 
-def _write_json_atomic(path: str, payload: dict) -> None:
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path`, then rename it over
+    `path`: a failed write leaves the old file whole."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
+
+
+def _write_json_atomic(path: str, payload: dict) -> None:
+    _write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _read_manifest(directory: str, expected_format: str) -> dict:
@@ -274,7 +278,7 @@ def _read_manifest(directory: str, expected_format: str) -> dict:
             manifest = json.load(fh)
     except OSError as exc:
         raise DataFormatError(f"missing manifest: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or UTF-8
         raise DataFormatError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataFormatError(f"{path}: manifest must be a JSON object")
@@ -295,14 +299,15 @@ _DATASET_FIELDS = (
 _LABEL_FIELDS = {"seen_labels", "unseen_test_labels", "seen_test_labels"}
 
 
-def save_dataset(dataset: ZslDataset, directory: str) -> None:
+def save_dataset(dataset: ZslDataset, directory: str) -> list[str]:
+    """Writes the matrix files, then the manifest; returns their paths."""
     dataset.validate()
     os.makedirs(directory, exist_ok=True)
-    files = {}
+    files, paths = {}, []
     for name in _DATASET_FIELDS:
-        fname = f"{name}.zsld"
-        write_matrix(os.path.join(directory, fname), getattr(dataset, name))
-        files[name] = fname
+        files[name] = f"{name}.zsld"
+        paths.append(os.path.join(directory, files[name]))
+        write_matrix(paths[-1], getattr(dataset, name))
     manifest = {
         "format": "zsl-dataset",
         "version": DATASET_VERSION,
@@ -317,7 +322,9 @@ def save_dataset(dataset: ZslDataset, directory: str) -> None:
         },
         "files": files,
     }
-    _write_json_atomic(os.path.join(directory, "manifest.json"), manifest)
+    paths.append(os.path.join(directory, "manifest.json"))
+    _write_json_atomic(paths[-1], manifest)
+    return paths
 
 
 def load_dataset(directory: str) -> ZslDataset:
@@ -337,8 +344,9 @@ def load_dataset(directory: str) -> ZslDataset:
             if arr.shape[1] != 1:
                 raise DataFormatError(f"{files[name]}: label files must have one column")
             labels = arr[:, 0]
-            if np.any(labels != np.round(labels)):
-                raise DataFormatError(f"{files[name]}: non-integral labels")
+            # float32 holds every integer up to 2^24 exactly
+            if not np.all((labels == np.round(labels)) & (np.abs(labels) <= 2**24)):
+                raise DataFormatError(f"{files[name]}: labels must be integers up to 2^24")
             arr = labels.astype(np.int64)
         fields[name] = arr
     dataset = ZslDataset(split_mode=manifest.get("split_mode", "custom"), **fields)
@@ -355,10 +363,12 @@ def load_dataset(directory: str) -> ZslDataset:
 # checkpoints
 
 
-def save_checkpoint(params: mo.ModelParams, config_snapshot: dict, directory: str) -> None:
+def save_checkpoint(params: mo.ModelParams, config_snapshot: dict, directory: str) -> list[str]:
     """One matrix file per named tensor plus a manifest carrying the
-    architecture, head flags, and the full config snapshot."""
+    architecture, head flags, and the full config snapshot; returns the
+    paths written, the manifest last."""
     os.makedirs(directory, exist_ok=True)
+    paths = []
     groups = {
         "gen": params.generator.store,
         "disc": params.discriminator.store,
@@ -369,7 +379,8 @@ def save_checkpoint(params: mo.ModelParams, config_snapshot: dict, directory: st
     for prefix, store in groups.items():
         for name, value in store.items():
             fname = f"t{index:03d}.zsld"
-            write_matrix(os.path.join(directory, fname), np.atleast_2d(value))
+            paths.append(os.path.join(directory, fname))
+            write_matrix(paths[-1], np.atleast_2d(value))
             tensors[f"{prefix}/{name}"] = {
                 "file": fname,
                 "shape": list(np.asarray(value).shape),
@@ -385,7 +396,9 @@ def save_checkpoint(params: mo.ModelParams, config_snapshot: dict, directory: st
         "config": config_snapshot,
         "tensors": tensors,
     }
-    _write_json_atomic(os.path.join(directory, "manifest.json"), manifest)
+    paths.append(os.path.join(directory, "manifest.json"))
+    _write_json_atomic(paths[-1], manifest)
+    return paths
 
 
 def _typed(value, kind: type, where: str):
@@ -410,8 +423,8 @@ def load_checkpoint(directory: str, expect_arch: mo.ArchSpec | None = None):
         k_seen = _typed(manifest["k_seen"], int, "k_seen")
         segc = _typed(manifest["segc"], bool, "segc")
         extra_class = _typed(manifest["extra_class"], bool, "extra_class")
-        tensors = [(key, entry["file"], tuple(_typed(n, int, f"{key} shape")
-                                              for n in entry["shape"]))
+        tensors = [(key, _typed(entry["file"], str, f"{key} file"),
+                    tuple(_typed(n, int, f"{key} shape") for n in entry["shape"]))
                    for key, entry in manifest["tensors"].items()]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataFormatError(f"{directory}: malformed checkpoint manifest "
@@ -427,9 +440,11 @@ def load_checkpoint(directory: str, expect_arch: mo.ArchSpec | None = None):
         if prefix not in pairs:
             raise DataFormatError(f"unknown tensor group {prefix!r}")
         arr = read_matrix(os.path.join(directory, fname))
-        if arr.size != math.prod(shape):
+        if arr.size != math.prod(shape) or min(shape, default=0) < 0:
             raise DataFormatError(f"{key}: {fname} holds {arr.size} values, "
                                   f"not the declared shape {list(shape)}")
+        if not np.all(np.isfinite(arr)):
+            raise DataFormatError(f"{key}: {fname} holds non-finite values")
         pairs[prefix].append((name, arr.reshape(shape)))
     stores = {prefix: dm.ParamStore(items) for prefix, items in pairs.items()}
     # the tensors must be exactly those the architecture and heads define

@@ -225,19 +225,23 @@ def softmax_rows(logits) -> Node:
     return Node(s, (logits,), vjp)
 
 
-def cross_entropy_rows(logits, onehot) -> Node:
-    """Per-row negative log-likelihood of the one-hot targets, fused with the
-    softmax for stability. Returns a length-B vector."""
-    logits, onehot = _lift(logits), _lift(onehot)
+def cross_entropy_rows(logits, labels) -> Node:
+    """Per-row negative log-likelihood of the integer class `labels`, fused
+    with the softmax for stability. Returns a length-B vector."""
+    logits = _lift(logits)
+    rows = np.arange(len(labels))
     top = logits.value.max(axis=1, keepdims=True)
     lse = np.log(np.exp(logits.value - top).sum(axis=1)) + top[:, 0]
-    nll = lse - (logits.value * onehot.value).sum(axis=1)
+    nll = lse - logits.value[rows, labels]
     soft = np.exp(logits.value - lse[:, None])
 
     def vjp(g):
-        return ((soft - onehot.value) * g[:, None], None)
+        d = soft.copy()
+        d[rows, labels] -= 1.0
+        d *= g[:, None]
+        return (d,)
 
-    return Node(nll, (logits, onehot), vjp)
+    return Node(nll, (logits,), vjp)
 
 
 def minmax_normalize_node(values) -> Node:

@@ -276,16 +276,14 @@ def special_case(p, q, spec: DivergenceSpec) -> float:
     """Closed-form value of the named limit family; never touches the raw
     two-parameter expression at its singular points."""
     p, q = _validate_pair(p, q)
-    gamma, beta = spec.effective_params()
-    vals, *_ = _eval_family(p, q, gamma, beta, spec.family)
+    vals, *_ = _eval_family(p, q, spec.gamma, spec.beta, spec.family)
     return float(vals[0])
 
 
 def _entropy_batch(softmax, spec: DivergenceSpec):
     softmax = np.asarray(softmax, dtype=np.float64)
     _validate_pair(softmax, np.full(softmax.shape, 1.0 / softmax.size))
-    gamma, beta = spec.effective_params()
-    return divergence_to_uniform_batch(softmax[None, :], gamma, beta, spec.family)
+    return divergence_to_uniform_batch(softmax[None, :], spec.gamma, spec.beta, spec.family)
 
 
 def entropy_loss(softmax, spec: DivergenceSpec) -> float:

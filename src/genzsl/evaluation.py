@@ -15,8 +15,9 @@ and reads the whole battery off it:
     center, the mean of its pool (60 generations by default), and measures
     precision at a per-class depth.
 
-`retrieval_map` alone, as `genzsl retrieve` runs it, draws a pool of its own
-for the unseen classes.
+The curve is exact: it holds every pair, not a sample of biases.
+`retrieval_map` takes the centers; `genzsl retrieve` draws a pool of its own
+for the unseen classes and passes its means.
 """
 
 from __future__ import annotations
@@ -209,8 +210,7 @@ def harmonic_mean(seen_acc: float, unseen_acc: float) -> float:
     return 2.0 * seen_acc * unseen_acc / (seen_acc + unseen_acc)
 
 
-def su_curve_auc(classifier: GeneratedPoolClassifier, features, labels,
-                 unseen_ids, bias_grid=None):
+def su_curve_auc(classifier: GeneratedPoolClassifier, features, labels, unseen_ids):
     """Seen-unseen curve and its area.
 
     A bias b added to every unseen-class score moves each test point from
@@ -218,12 +218,11 @@ def su_curve_auc(classifier: GeneratedPoolClassifier, features, labels,
     between their scores; at b equal to the margin the lower column wins,
     as in `argmax`. Accuracies are measured separately over the
     seen-labeled and unseen-labeled test points, so the curve is piecewise
-    constant in b and one sort of the margins gives all of it. The default
-    curve holds one (seen_acc, unseen_acc) pair per change, in ascending
-    bias: from the all-seen end (unseen accuracy 0) to the all-unseen end
-    (seen accuracy 0). An explicit `bias_grid` reads the pairs at those
-    biases instead, between the same two ends. The area integrates the
-    curve over seen accuracy by the trapezoidal rule.
+    constant in b and one sort of the margins gives all of it. The curve
+    holds one (seen_acc, unseen_acc) pair per change, in ascending bias:
+    from the all-seen end (unseen accuracy 0) to the all-unseen end (seen
+    accuracy 0). The area integrates the curve over seen accuracy by the
+    trapezoidal rule.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels)
@@ -234,10 +233,6 @@ def su_curve_auc(classifier: GeneratedPoolClassifier, features, labels,
         raise ValidationError("the mixed test set needs both seen and unseen examples")
     if not unseen_cols.any() or unseen_cols.all():
         raise ValidationError("the classifier needs both seen and unseen classes")
-    if bias_grid is not None:
-        bias_grid = np.sort(np.asarray(bias_grid, dtype=np.float64))
-        if bias_grid.size == 0:
-            raise ValidationError("bias grid is empty")
 
     scores = classifier.scores(features)
     rows = np.arange(len(labels))
@@ -256,13 +251,7 @@ def su_curve_auc(classifier: GeneratedPoolClassifier, features, labels,
     lost = np.concatenate([[0], np.cumsum(seen_hit[order])])
     gained = np.concatenate([[0], np.cumsum(unseen_hit[order])])
 
-    if bias_grid is None:
-        steps = np.flatnonzero((margin[1:] != margin[:-1]) | (late[1:] != late[:-1])) + 1
-    else:
-        hi = np.searchsorted(margin, bias_grid, side="right")
-        lo = np.searchsorted(margin, bias_grid, side="left")
-        late_before = np.concatenate([[0], np.cumsum(late)])
-        steps = hi - (late_before[hi] - late_before[lo])
+    steps = np.flatnonzero((margin[1:] != margin[:-1]) | (late[1:] != late[:-1])) + 1
     moved = np.concatenate([[0], steps, [len(margin)]])
     seen_hits = lost[-1] - lost[moved]
     unseen_hits = gained[moved]
@@ -279,22 +268,8 @@ def su_curve_auc(classifier: GeneratedPoolClassifier, features, labels,
     return curve, auc
 
 
-def retrieval_map(gen: mo.GeneratorParams, unseen_semantics, test_features,
-                  test_labels, unseen_ids, fractions=DEFAULT_FRACTIONS,
-                  n_generate: int = 60, rng: np.random.Generator | None = None,
-                  method: str = "precision") -> dict[float, float]:
-    """`retrieval_at_centers` at the means of `n_generate` features
-    generated for each unseen class, one descriptor row per class."""
-    if rng is None:
-        raise ValidationError("retrieval needs an explicit random stream")
-    centers = build_classifier(gen, unseen_semantics, n_generate, rng).pools.mean(axis=1)
-    return retrieval_at_centers(centers, test_features, test_labels, unseen_ids,
-                                fractions, method)
-
-
-def retrieval_at_centers(centers, test_features, test_labels, unseen_ids,
-                         fractions=DEFAULT_FRACTIONS,
-                         method: str = "precision") -> dict[float, float]:
+def retrieval_map(centers, test_features, test_labels, unseen_ids,
+                  fractions=DEFAULT_FRACTIONS, method: str = "precision") -> dict[float, float]:
     """Mean retrieval score per fraction over the unseen classes.
 
     Class `unseen_ids[k]` queries with its visual center `centers[k]`; all
@@ -357,9 +332,7 @@ def evaluate_model(gen: mo.GeneratorParams, dataset, n_generate: int,
     """
     unseen_ids = dataset.k_seen + np.arange(dataset.k_unseen)
     all_sem = np.vstack([dataset.seen_semantics, dataset.unseen_semantics])
-    pool = build_classifier(gen, all_sem, n_generate, rng,
-                            class_ids=np.arange(dataset.k_seen + dataset.k_unseen),
-                            metric=metric)
+    pool = build_classifier(gen, all_sem, n_generate, rng, metric=metric)
     mixed_x = np.vstack([dataset.seen_test_features, dataset.unseen_test_features])
     mixed_y = np.concatenate([dataset.seen_test_labels, dataset.unseen_test_labels])
     curve, auc = su_curve_auc(pool, mixed_x, mixed_y, unseen_ids)
@@ -368,8 +341,7 @@ def evaluate_model(gen: mo.GeneratorParams, dataset, n_generate: int,
     retrieval = {}
     if with_retrieval:
         # the unseen classes query the unseen test images
-        retrieval = retrieval_at_centers(pool.pools[dataset.k_seen:].mean(axis=1),
-                                         dataset.unseen_test_features,
-                                         dataset.unseen_test_labels, unseen_ids,
-                                         DEFAULT_FRACTIONS, retrieval_method)
+        retrieval = retrieval_map(pool.pools[dataset.k_seen:].mean(axis=1),
+                                  dataset.unseen_test_features, dataset.unseen_test_labels,
+                                  unseen_ids, DEFAULT_FRACTIONS, retrieval_method)
     return EvalReport(curve[-1][1], curve, auc, best_h, retrieval)

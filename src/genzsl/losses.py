@@ -118,13 +118,14 @@ def lipschitz_interpolate(x_real, x_fake, rng: np.random.Generator) -> np.ndarra
     return u * x_real + (1.0 - u) * x_fake
 
 
-def _onehot(y, n, k_valid) -> np.ndarray:
+def _seen_labels(y, k_seen) -> np.ndarray:
+    """`y` as a non-empty vector of integer labels in [0, k_seen)."""
     y = np.asarray(y)
     if y.ndim != 1 or y.size == 0:
         raise ValidationError("labels must form a non-empty vector")
-    if np.any((y < 0) | (y >= k_valid)):
-        raise ValidationError(f"labels out of range [0, {k_valid})")
-    return np.eye(n)[y]
+    if np.any((y < 0) | (y >= k_seen)):
+        raise ValidationError(f"labels out of range [0, {k_seen})")
+    return y
 
 
 def divergence_param_nodes(spec: dv.DivergenceSpec, params) -> tuple[dm.Node, dm.Node]:
@@ -179,8 +180,8 @@ def _head_scores(params, feat, segc, cfg, reduced_seen) -> dm.Node:
                               cfg.segc_normalized, cfg.eta)
 
 
-def _mean_ce(scores, onehot) -> dm.Node:
-    return dm.vmean(dm.cross_entropy_rows(scores, dm.constant(onehot)))
+def _mean_ce(scores, labels) -> dm.Node:
+    return dm.vmean(dm.cross_entropy_rows(scores, labels))
 
 
 def _entropy_term(scores, cfg, gamma, beta) -> dm.Node:
@@ -256,18 +257,17 @@ def generator_loss_node(store: dm.ParamStore, disc: mo.DiscriminatorParams,
     if cfg.realism_term:
         terms["creativity_realism"] = dm.neg(dm.vmean(dm.row_slice(score, 0, n_h)))
     if cfg.new_class_ablation:
-        target = np.zeros((n_h, disc.n_logits))
-        target[:, disc.k_seen] = 1.0
-        terms["creativity_entropy"] = dm.mul(
-            cfg.lambda_creativity, _mean_ce(dm.row_slice(head, 0, n_h), target))
+        # the hallucinated rows' target is the extra class logit
+        terms["creativity_entropy"] = dm.mul(cfg.lambda_creativity, _mean_ce(
+            dm.row_slice(head, 0, n_h), np.full(n_h, disc.k_seen)))
     elif entropy:
         gamma, beta = divergence_param_nodes(cfg.divergence, leaves)
         terms["creativity_entropy"] = _entropy_term(dm.row_slice(head, 0, n_h), cfg,
                                                     gamma, beta)
 
     terms["critic_seen"] = dm.neg(dm.vmean(dm.row_slice(score, n_h, n)))
-    onehot = _onehot(seen.y, disc.n_logits, disc.k_seen)
-    terms["classification"] = _mean_ce(dm.row_slice(head, n_h - lo, n - lo), onehot)
+    terms["classification"] = _mean_ce(dm.row_slice(head, n_h - lo, n - lo),
+                                       _seen_labels(seen.y, disc.k_seen))
 
     terms["visual_pivot"] = visual_pivot_node(leaves, arch, pivot)
 
@@ -340,8 +340,8 @@ def discriminator_loss_node(disc: mo.DiscriminatorParams, real_x, real_y,
     penalty = dm.lipschitz_penalty_node([leaves[k] for k in mo.critic_weight_names(arch)],
                                         [x[lo_t:]] + [h.value[lo_t:] for h in layers],
                                         arch.leak)
-    onehot = _onehot(np.concatenate((real_y, fake_y)), disc.n_logits, disc.k_seen)
-    ce = dm.cross_entropy_rows(dm.constant(head.value[:lo_h]), dm.constant(onehot))
+    ce = dm.cross_entropy_rows(dm.constant(head.value[:lo_h]),
+                               _seen_labels(np.concatenate((real_y, fake_y)), disc.k_seen))
 
     s = score.value
     # each mean as numpy takes it, the sum over the count
@@ -418,4 +418,4 @@ def hallucinated_categorization_node(gen_map, disc: mo.DiscriminatorParams,
         raise ValidationError("need at least 2 hallucinated classes")
     x_u = mo.generator_output(gen_map, disc.arch, dm.constant(ucat.t), dm.constant(ucat.z))
     feat = mo.trunk_features(disc.store, disc.arch, x_u)[-1]
-    return _mean_ce(_head_scores(disc.store, feat, True, cfg, reduced_ucat), np.eye(k_u))
+    return _mean_ce(_head_scores(disc.store, feat, True, cfg, reduced_ucat), np.arange(k_u))

@@ -214,7 +214,12 @@ def segc_score_node(W, feat, reduced_T, normalized: bool = False, eta: float = 1
         if degenerate.any():
             events.record("degenerate_zero_norm")
         inv = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, norms))
-        col = descriptor_scale(T, eta)
+        # eta^2 / |t_c| per class descriptor, 0 for a zero-norm one
+        t_norms = np.sqrt((T * T).sum(axis=1))
+        t_degenerate = t_norms < dm.NORM_EPS
+        if t_degenerate.any():
+            events.record("degenerate_zero_norm")
+        col = eta * eta * np.where(t_degenerate, 0.0, 1.0 / np.where(t_degenerate, 1.0, t_norms))
         scores = raw * inv[:, None] * col[None, :]
 
     def vjp(d):
@@ -230,17 +235,6 @@ def segc_score_node(W, feat, reduced_T, normalized: bool = False, eta: float = 1
                 None if W.const else feat.value.T @ d_proj)
 
     return dm.Node(scores, (feat, W), vjp)
-
-
-def descriptor_scale(T, eta: float) -> np.ndarray:
-    """eta^2 / ||t_c|| per class descriptor row of `T`: the column factor of
-    the normalized semantic-guided scores. Zero-norm descriptors get 0 and
-    raise a degenerate event."""
-    t_norms = np.sqrt((T * T).sum(axis=1))
-    degenerate = t_norms < dm.NORM_EPS
-    if degenerate.any():
-        events.record("degenerate_zero_norm")
-    return eta * eta * np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, t_norms))
 
 
 # ---------------------------------------------------------------------------

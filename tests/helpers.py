@@ -259,8 +259,8 @@ def _head_oracle(disc_map, disc, x, cfg, table):
     return segc_score_oracle(disc_map["segc.W"], feat, table, cfg.segc_normalized, cfg.eta)
 
 
-def _mean_ce_oracle(scores, onehot):
-    return dm.vmean(dm.cross_entropy_rows(scores, dm.constant(onehot)))
+def _mean_ce_oracle(scores, labels):
+    return dm.vmean(dm.cross_entropy_rows(scores, labels))
 
 
 def _entropy_oracle(scores, cfg, gamma, beta):
@@ -274,18 +274,14 @@ def discriminator_terms_multipass(disc_map, disc, real_x, real_y, x_fake, fake_y
     arch = disc.arch
     layers = critic_layers(disc_map, arch)
     real_x, x_fake = dm.constant(real_x), dm.constant(x_fake)
-
-    def onehot(y):
-        return np.eye(disc.n_logits)[y]
-
     terms = {
         "critic_fake": dm.vmean(affine_stack(x_fake, layers, arch.leak)),
         "critic_real": dm.neg(dm.vmean(affine_stack(real_x, layers, arch.leak))),
         "gradient_penalty": penalty_oracle(dm.constant(x_tilde), layers, arch.leak),
         "cls_real": dm.mul(0.5, _mean_ce_oracle(
-            _head_oracle(disc_map, disc, real_x, cfg, reduced_seen), onehot(real_y))),
+            _head_oracle(disc_map, disc, real_x, cfg, reduced_seen), real_y)),
         "cls_fake": dm.mul(0.5, _mean_ce_oracle(
-            _head_oracle(disc_map, disc, x_fake, cfg, reduced_seen), onehot(fake_y))),
+            _head_oracle(disc_map, disc, x_fake, cfg, reduced_seen), fake_y)),
     }
     if cfg.rf_hallucinated:
         terms["critic_hallucinated"] = dm.vmean(
@@ -308,19 +304,16 @@ def generator_terms_multipass(gen_map, div_map, disc, seen, hallu, pivot, cfg,
     if cfg.realism_term:
         terms["creativity_realism"] = dm.neg(dm.vmean(affine_stack(x_h, layers, arch.leak)))
     if cfg.new_class_ablation:
-        target = np.zeros((len(hallu.t), disc.n_logits))
-        target[:, disc.k_seen] = 1.0
         scores = _head_oracle(disc.store, disc, x_h, cfg, None)
-        terms["creativity_entropy"] = dm.mul(cfg.lambda_creativity,
-                                             _mean_ce_oracle(scores, target))
+        terms["creativity_entropy"] = dm.mul(cfg.lambda_creativity, _mean_ce_oracle(
+            scores, np.full(len(hallu.t), disc.k_seen)))
     elif cfg.entropy_term and cfg.lambda_creativity != 0.0:
         gamma, beta = ls.divergence_param_nodes(cfg.divergence, div_map)
         scores = _head_oracle(disc.store, disc, x_h, cfg, reduced_seen)
         terms["creativity_entropy"] = _entropy_oracle(scores, cfg, gamma, beta)
     terms["critic_seen"] = dm.neg(dm.vmean(affine_stack(x_s, layers, arch.leak)))
     terms["classification"] = _mean_ce_oracle(
-        _head_oracle(disc.store, disc, x_s, cfg, reduced_seen),
-        np.eye(disc.n_logits)[seen.y])
+        _head_oracle(disc.store, disc, x_s, cfg, reduced_seen), seen.y)
 
     k, n_z, _ = pivot.z.shape
     out = generator_oracle(gen_map, arch, np.repeat(pivot.semantics, n_z, axis=0),
@@ -332,7 +325,7 @@ def generator_terms_multipass(gen_map, div_map, disc, seen, hallu, pivot, cfg,
     if cfg.u_categorization:
         x_u = generator_oracle(gen_map, arch, ucat.t, ucat.z)
         terms["u_categorization"] = _mean_ce_oracle(
-            _head_oracle(disc.store, disc, x_u, cfg, reduced_ucat), np.eye(len(ucat.t)))
+            _head_oracle(disc.store, disc, x_u, cfg, reduced_ucat), np.arange(len(ucat.t)))
     return terms
 
 
@@ -349,6 +342,20 @@ def pool_scores_unblocked(pools, x, metric):
     xn = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
     fn = flat / np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
     return (xn @ fn.T).reshape(len(x), c, n).max(axis=2)
+
+
+def argmax_sweep(table, labels, unseen_ids, biases):
+    """(seen_acc, unseen_acc) by argmax at each bias, repeats dropped."""
+    labels = np.asarray(labels)
+    unseen_cols = np.isin(np.arange(table.shape[1]), unseen_ids)
+    test_unseen = np.isin(labels, unseen_ids)
+    curve = []
+    for b in biases:
+        hits = np.argmax(table + b * unseen_cols, axis=1) == labels
+        pair = (hits[~test_unseen].mean(), hits[test_unseen].mean())
+        if not curve or curve[-1] != pair:
+            curve.append(pair)
+    return curve
 
 
 def fingerprint(params, history) -> str:

@@ -18,8 +18,8 @@ import genzsl.losses as ls
 import genzsl.model as mo
 import genzsl.training as tr
 from genzsl.cli import main as cli_main
-from helpers import (directional_derivative, discriminate, entropy_loss_grad, random_direction,
-                     rel_err)
+from helpers import (argmax_sweep, directional_derivative, discriminate, entropy_loss_grad,
+                     random_direction, rel_err)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -233,14 +233,14 @@ class TestCriterion2Gradients:
             W = rng.standard_normal((f_dim, r_dim))
             feats = rng.standard_normal((b, f_dim))
             reduced = rng.standard_normal((c, r_dim))
-            onehot = np.eye(c)[rng.integers(0, c, size=b)]
+            labels = rng.integers(0, c, size=b)
             store = dm.ParamStore({"segc.W": W})
             normalized = i % 2 == 0
 
             def build(leaves):
                 scores = mo.segc_score_node(leaves["segc.W"], dm.constant(feats),
                                             reduced, normalized, 2.0)
-                return dm.vmean(dm.cross_entropy_rows(scores, dm.constant(onehot)))
+                return dm.vmean(dm.cross_entropy_rows(scores, labels))
 
             def value(p):
                 return float(build({k: dm.constant(v) for k, v in p.items()}).value)
@@ -461,13 +461,17 @@ class TestCriterion5MetricOracles:
                                            g.standard_normal((8, 6, 4)), "euclidean")
         xs = g.standard_normal((160, 4))
         ys = np.repeat(np.arange(8), 20)
-        sigma = noisy.scores(xs).std()
-        auc51 = ev.su_curve_auc(noisy, xs, ys, np.arange(4, 8),
-                                np.linspace(-3 * sigma, 3 * sigma, 51))[1]
-        auc501 = ev.su_curve_auc(noisy, xs, ys, np.arange(4, 8),
-                                 np.linspace(-3 * sigma, 3 * sigma, 501))[1]
-        report("5b grid refinement agreement within 0.02",
-               abs(auc51 - auc501) < 0.02, f"|{auc51:.4f} - {auc501:.4f}|")
+        exact = ev.su_curve_auc(noisy, xs, ys, np.arange(4, 8))[1]
+        table = noisy.scores(xs)
+        sigma = table.std()
+        gaps = []
+        for n in (51, 501):
+            biases = np.concatenate([[-1e3 * sigma], np.linspace(-3 * sigma, 3 * sigma, n),
+                                     [1e3 * sigma]])
+            swept = np.array(argmax_sweep(table, ys, np.arange(4, 8), biases))[::-1]
+            gaps.append(abs(np.trapezoid(swept[:, 1], swept[:, 0]) - exact))
+        report("5b 51- and 501-bias argmax sweeps agree with the exact area within 0.02",
+               max(gaps) < 0.02, f"gaps {gaps[0]:.4f}, {gaps[1]:.4f}")
 
         hm_err = abs(ev.harmonic_mean(0.6, 0.3) - 2 * 0.6 * 0.3 / 0.9)
         hm_err = max(hm_err, abs(ev.harmonic_mean(0.5, 0.5) - 0.5))
@@ -480,8 +484,8 @@ class TestCriterion5MetricOracles:
         feats = np.array([[0.1, 0.0], [0.2, 0.0], [9.0, 0.0], [10.5, 0.0],
                           [5.0, 0.0], [0.3, 0.0]])
         labels = np.array([0, 1, 1, 1, 0, 0])
-        result = ev.retrieval_map(gen, descriptors, feats, labels, [0, 1],
-                                  fractions=(1.0,), n_generate=3, rng=io.philox(4, 4))
+        centers = ev.build_classifier(gen, descriptors, 3, io.philox(4, 4)).pools.mean(axis=1)
+        result = ev.retrieval_map(centers, feats, labels, [0, 1], fractions=(1.0,))
         # class 0 center ~ (0,0): ranking 0,1,5,4,... -> top-3 hits rows 0,5 and 4
         d0 = np.linalg.norm(feats - np.array([0.0, 0.0]), axis=1)
         top0 = labels[np.argsort(d0, kind="stable")[:3]]

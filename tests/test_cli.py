@@ -180,6 +180,16 @@ class TestTrainCommand:
             assert manifest["config"]["lr"] == 1.0
             assert manifest["config"]["arch"]["reduced_dim"] is None
 
+    def test_config_that_is_not_utf8_exits_4_with_a_manifest(self, tmp_path):
+        ds = synth(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"lr": \xff}')
+        run = tmp_path / "run"
+        assert main(["train", "--data", ds, "--out", str(run),
+                     "--config", str(cfg_path), *SMALL_TRAIN]) == 4
+        manifest = json.loads((run / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed" and "malformed JSON" in manifest["error"]
+
     def test_leak_outside_the_unit_interval_exits_2_with_a_manifest(self, tmp_path):
         ds = synth(tmp_path)
         cfg_path = tmp_path / "cfg.json"
@@ -289,8 +299,11 @@ class TestEvalAndRetrieve:
             shape=[float(n) for n in m["tensors"]["gen/h0.W"]["shape"]]),
         lambda m: m["arch"].update(hidden_dim=m["arch"]["hidden_dim"] + 0.5),
         lambda m: m.update(k_seen=m["k_seen"] + 0.5),
+        lambda m: m["tensors"]["gen/h0.W"].update(
+            shape=[-n for n in m["tensors"]["gen/h0.W"]["shape"]]),
     ], ids=["missing-arch", "unknown-arch-key", "size-mismatch", "shape-mismatch",
-            "config-list", "seed-string", "float-shape", "float-width", "float-k-seen"])
+            "config-list", "seed-string", "float-shape", "float-width", "float-k-seen",
+            "negative-shape"])
     def test_malformed_checkpoint_manifest_exits_4(self, tmp_path, trained, corrupt):
         ds, ckpt = trained
         path = os.path.join(ckpt, "manifest.json")
@@ -302,6 +315,23 @@ class TestEvalAndRetrieve:
         out = tmp_path / "eval"
         assert main(["eval", "--checkpoint", ckpt, "--data", ds, "--out", str(out)]) == 4
         assert json.loads((out / "run_manifest.json").read_text())["status"] == "failed"
+
+    @pytest.mark.parametrize("count,value", [(1, np.nan), (64, np.inf)], ids=["nan", "inf"])
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    def test_non_finite_weights_exit_4_naming_the_tensor(self, tmp_path, trained, command,
+                                                        count, value):
+        ds, ckpt = trained
+        path = os.path.join(ckpt, "t000.zsld")
+        weights = io.read_matrix(path)
+        weights.flat[:count] = value
+        io.write_matrix(path, weights)
+        out = tmp_path / "out"
+        assert main([command, "--checkpoint", ckpt, "--data", ds, "--out", str(out),
+                     "--n-generate", "6"]) == 4
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "gen/" in manifest["error"] and "non-finite" in manifest["error"]
+        assert os.listdir(out) == ["run_manifest.json"]
 
     @pytest.mark.parametrize("width", ["visual_dim", "semantic_dim"])
     @pytest.mark.parametrize("command", ["eval", "retrieve"])

@@ -104,6 +104,37 @@ class TestDatasetRoundTrip:
         np.testing.assert_allclose(loaded1.seen_features, d.seen_features, atol=1e-5)
         np.testing.assert_array_equal(loaded1.seen_labels, d.seen_labels)
 
+    @pytest.mark.parametrize("failing_call", [1, 5, 9])
+    def test_a_failed_replace_leaves_every_file_whole(self, tmp_path, monkeypatch,
+                                                      failing_call):
+        path = str(tmp_path / "ds")
+        paths = io.save_dataset(io.make_synthetic(io.SyntheticSpec(samples_per_class=8)), path)
+        assert [os.path.basename(p) for p in paths] == [
+            *(f"{name}.zsld" for name in io._DATASET_FIELDS), "manifest.json"]
+        old = {p: open(p, "rb").read() for p in paths}
+        new_dir = str(tmp_path / "new")
+        io.save_dataset(io.make_synthetic(io.SyntheticSpec(samples_per_class=8, seed=1)),
+                        new_dir)
+        new = {p: open(os.path.join(new_dir, os.path.basename(p)), "rb").read()
+               for p in paths}
+        replace, calls = os.replace, []
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == failing_call:
+                raise OSError("no space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="no space"):
+            io.save_dataset(io.make_synthetic(io.SyntheticSpec(samples_per_class=8, seed=1)),
+                            path)
+        # the files renamed before the failure are the new dataset's, the
+        # one that failed and the rest the old one's; none is cut short
+        k = failing_call - 1
+        for p in paths:
+            assert open(p, "rb").read() == (new if p in paths[:k] else old)[p]
+
     def test_truncated_matrix_file_is_reported_by_name(self, tmp_path):
         d = io.make_synthetic(io.SyntheticSpec(samples_per_class=8))
         path = tmp_path / "ds"
@@ -124,11 +155,24 @@ class TestDatasetRoundTrip:
         with pytest.raises(ValidationError, match="overlap"):
             io.load_dataset(str(path))
 
-    def test_malformed_manifest(self, tmp_path):
+    @pytest.mark.parametrize("label", [0.5, 2.0**24 + 2, 1e30, np.inf])
+    def test_labels_that_are_not_exact_integers_rejected(self, tmp_path, label):
+        d = io.make_synthetic(io.SyntheticSpec(samples_per_class=8))
+        path = tmp_path / "ds"
+        io.save_dataset(d, str(path))
+        labels = d.seen_labels[:, None].astype(np.float64)
+        labels[0] = label
+        io.write_matrix(str(path / "seen_labels.zsld"), labels)
+        with pytest.raises(DataFormatError, match="seen_labels.zsld: labels must be integers"):
+            io.load_dataset(str(path))
+
+    @pytest.mark.parametrize("text", [b"{not json", b'{"format": "\xff"}'],
+                             ids=["json", "utf8"])
+    def test_malformed_manifest(self, tmp_path, text):
         path = tmp_path / "ds"
         os.makedirs(path)
-        (path / "manifest.json").write_text("{not json")
-        with pytest.raises(DataFormatError):
+        (path / "manifest.json").write_bytes(text)
+        with pytest.raises(DataFormatError, match="malformed JSON"):
             io.load_dataset(str(path))
 
     def test_nan_entries_rejected(self, tmp_path):

@@ -10,7 +10,7 @@ import genzsl.dataio as io
 import genzsl.evaluation as ev
 import genzsl.model as mo
 from genzsl.errors import DimensionError, ValidationError
-from helpers import pool_scores_unblocked
+from helpers import argmax_sweep, pool_scores_unblocked
 
 
 def pool_classifier(points, ids=None, metric="euclidean"):
@@ -32,6 +32,12 @@ def identity_generator():
     gen.store["out.W"][:] = np.eye(2)
     gen.store["out.b"][:] = 0.0
     return gen
+
+
+def centers(gen, semantics, n_generate, rng):
+    """Retrieval centers as `genzsl retrieve` draws them: the means of
+    `n_generate` generations per descriptor row."""
+    return ev.build_classifier(gen, semantics, n_generate, rng).pools.mean(axis=1)
 
 
 class ShiftedScores:
@@ -58,20 +64,6 @@ class ScoreTable:
 
     def scores(self, x):
         return self.table
-
-
-def argmax_sweep(table, labels, unseen_ids, biases):
-    """(seen_acc, unseen_acc) by argmax at each bias, repeats dropped."""
-    labels = np.asarray(labels)
-    unseen_cols = np.isin(np.arange(table.shape[1]), unseen_ids)
-    test_unseen = np.isin(labels, unseen_ids)
-    curve = []
-    for b in biases:
-        hits = np.argmax(table + b * unseen_cols, axis=1) == labels
-        pair = (hits[~test_unseen].mean(), hits[test_unseen].mean())
-        if not curve or curve[-1] != pair:
-            curve.append(pair)
-    return curve
 
 
 def unit_rows(g, n, d):
@@ -202,27 +194,13 @@ class TestSuCurveAuc:
         assert a_u == pytest.approx(1.0)
         assert auc <= a_s * a_u + 1e-12
 
-    def test_grid_refinement_agreement(self):
-        g = io.philox(31, 0)
-        clf = ev.GeneratedPoolClassifier(
-            np.arange(8), g.standard_normal((8, 6, 4)), "euclidean")
-        x = g.standard_normal((160, 4))
-        labels = np.repeat(np.arange(8), 20)
-        sigma = clf.scores(x).std()
-        auc_coarse = ev.su_curve_auc(clf, x, labels, np.arange(4, 8),
-                                     np.linspace(-3 * sigma, 3 * sigma, 51))[1]
-        auc_fine = ev.su_curve_auc(clf, x, labels, np.arange(4, 8),
-                                   np.linspace(-3 * sigma, 3 * sigma, 501))[1]
-        assert abs(auc_coarse - auc_fine) < 0.02
-
     def test_dominant_scorer_has_no_smaller_area(self):
         clf, x, labels = self._separable_setup()
         g = io.philox(47, 0)
         noisy = ev.GeneratedPoolClassifier(
             np.arange(4), 30.0 * g.standard_normal((4, 3, 2)), "euclidean")
-        grid = np.linspace(-5.0, 5.0, 101)
-        _, auc_good = ev.su_curve_auc(clf, x, labels, [2, 3], grid)
-        _, auc_bad = ev.su_curve_auc(noisy, x, labels, [2, 3], grid)
+        _, auc_good = ev.su_curve_auc(clf, x, labels, [2, 3])
+        _, auc_bad = ev.su_curve_auc(noisy, x, labels, [2, 3])
         assert auc_good >= auc_bad
 
     def test_curve_shift_invariance(self):
@@ -230,17 +208,14 @@ class TestSuCurveAuc:
         clf = pool_classifier(g.standard_normal((4, 3)))
         x = g.standard_normal((40, 3))
         labels = g.integers(0, 4, size=40)
-        grid = np.linspace(-2, 2, 21)
-        c1, a1 = ev.su_curve_auc(clf, x, labels, [2, 3], grid)
-        c2, a2 = ev.su_curve_auc(ShiftedScores(clf, 4.5), x, labels, [2, 3], grid)
+        c1, a1 = ev.su_curve_auc(clf, x, labels, [2, 3])
+        c2, a2 = ev.su_curve_auc(ShiftedScores(clf, 4.5), x, labels, [2, 3])
         assert c1 == c2 and a1 == a2
 
     def test_needs_both_populations(self):
         clf = pool_classifier(np.eye(2))
         with pytest.raises(ValidationError):
             ev.su_curve_auc(clf, np.eye(2), [0, 0], unseen_ids=[1])
-        with pytest.raises(ValidationError):
-            ev.su_curve_auc(clf, np.eye(2), [0, 1], unseen_ids=[1], bias_grid=[])
 
 
 class TestExactSuCurve:
@@ -264,19 +239,6 @@ class TestExactSuCurve:
                          (third, 2 * third), (0.0, 2 * third)]
         assert auc == pytest.approx(third, abs=1e-12)
 
-    @pytest.mark.parametrize("bias,inner", [
-        (-3.0, []),                   # tie: seen col 1 sits below unseen col 3
-        (0.0, [(1 / 3, 1 / 3)]),      # tie: unseen col 0 sits below seen col 2
-        (1.0, [(1 / 3, 2 / 3)]),      # two ties won by col 0, one lost by col 3
-        (1.5, []),                    # already the all-unseen pair
-    ])
-    def test_a_tie_goes_to_the_lower_column(self, bias, inner):
-        curve, _ = ev.su_curve_auc(ScoreTable(self.TABLE), None, self.LABELS, [0, 3],
-                                   bias_grid=[bias])
-        assert curve == [(2 / 3, 0.0), *inner, (0.0, 2 / 3)]
-        assert curve == argmax_sweep(self.TABLE, self.LABELS, [0, 3],
-                                     [-100.0, bias, 100.0])
-
     def test_matches_an_argmax_sweep_through_every_breakpoint(self):
         # integer scores and half-integer biases keep every shifted score
         # exact, so argmax is the ground truth at and between the margins
@@ -287,21 +249,6 @@ class TestExactSuCurve:
             curve, _ = ev.su_curve_auc(ScoreTable(table), None, labels, [1, 4, 6])
             biases = np.arange(-10.0, 10.5, 0.5)
             assert curve == argmax_sweep(table, labels, [1, 4, 6], biases)
-
-    def test_every_grid_pair_lies_on_the_exact_curve(self):
-        for seed in range(10):
-            g = io.philox(seed, 23)
-            clf = ev.GeneratedPoolClassifier(
-                np.arange(8), g.standard_normal((8, 5, 4)), "euclidean")
-            x = g.standard_normal((120, 4))
-            labels = g.integers(0, 8, size=120)
-            labels[:2] = [0, 7]
-            exact, _ = ev.su_curve_auc(clf, x, labels, np.arange(4, 8))
-            sigma = clf.scores(x).std()
-            grid = np.concatenate([np.linspace(-3 * sigma, 3 * sigma, 201),
-                                   g.uniform(-5 * sigma, 5 * sigma, 50)])
-            sampled, _ = ev.su_curve_auc(clf, x, labels, np.arange(4, 8), grid)
-            assert set(sampled) <= set(exact)
 
     def test_exact_curve_is_monotone_between_the_axes(self):
         g = io.philox(3, 29)
@@ -501,9 +448,8 @@ class TestRetrievalMap:
         g = io.philox(3, 5)
         feats = np.vstack([p + 0.1 * g.standard_normal((10, 2)) for p in protos])
         labels = np.repeat([4, 5, 6], 10)
-        result = ev.retrieval_map(gen, protos, feats, labels, [4, 5, 6],
-                                  fractions=(0.25, 0.5, 1.0), n_generate=6,
-                                  rng=io.philox(0, 7))
+        result = ev.retrieval_map(centers(gen, protos, 6, io.philox(0, 7)), feats, labels,
+                                  [4, 5, 6], fractions=(0.25, 0.5, 1.0))
         assert result[1.0] == pytest.approx(1.0)
         assert result[0.25] == pytest.approx(1.0)
 
@@ -512,8 +458,8 @@ class TestRetrievalMap:
         protos = np.array([[0.0, 0.0], [30.0, 0.0]])
         feats = np.array([[0.05, 0.0], [29.0, 0.0], [31.0, 0.0], [30.0, 1.0]])
         labels = np.array([7, 8, 8, 8])
-        result = ev.retrieval_map(gen, protos, feats, labels, [7, 8],
-                                  fractions=(1e-9,), n_generate=4, rng=io.philox(1, 7))
+        result = ev.retrieval_map(centers(gen, protos, 4, io.philox(1, 7)), feats, labels,
+                                  [7, 8], fractions=(1e-9,))
         assert result[1e-9] == pytest.approx(1.0)
 
     def test_random_centers_on_overlapping_clusters_hit_class_prior(self):
@@ -524,8 +470,8 @@ class TestRetrievalMap:
             descriptors = 50.0 * g.standard_normal((4, 2))
             feats = g.standard_normal((100, 2))
             labels = np.repeat(np.arange(4), 25)
-            result = ev.retrieval_map(gen, descriptors, feats, labels, np.arange(4),
-                                      fractions=(1.0,), n_generate=4, rng=io.philox(seed, 9))
+            result = ev.retrieval_map(centers(gen, descriptors, 4, io.philox(seed, 9)),
+                                      feats, labels, np.arange(4), fractions=(1.0,))
             maps.append(result[1.0])
         assert abs(np.mean(maps) - 0.25) < 0.05
 
@@ -538,11 +484,10 @@ class TestRetrievalMap:
         theta = 0.7
         Q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         shift = np.array([3.0, -1.0])
-        base = ev.retrieval_map(gen, descriptors, feats, labels, [0, 1, 2],
-                                fractions=(0.5, 1.0), n_generate=1, rng=io.philox(5, 5))
-        moved = ev.retrieval_map(gen, descriptors @ Q.T + shift, feats @ Q.T + shift,
-                                 labels, [0, 1, 2], fractions=(0.5, 1.0),
-                                 n_generate=1, rng=io.philox(5, 5))
+        base = ev.retrieval_map(centers(gen, descriptors, 1, io.philox(5, 5)), feats,
+                                labels, [0, 1, 2], fractions=(0.5, 1.0))
+        moved = ev.retrieval_map(centers(gen, descriptors @ Q.T + shift, 1, io.philox(5, 5)),
+                                 feats @ Q.T + shift, labels, [0, 1, 2], fractions=(0.5, 1.0))
         for frac in (0.5, 1.0):
             assert base[frac] == pytest.approx(moved[frac], abs=1e-12)
 
@@ -552,20 +497,18 @@ class TestRetrievalMap:
         feats = np.vstack([protos[0] + 0.01, protos[1] + 0.01,
                            protos[0] - 0.01, protos[1] - 0.01])
         labels = np.array([0, 1, 0, 1])
-        res = ev.retrieval_map(gen, protos, feats, labels, [0, 1], fractions=(1.0,),
-                               n_generate=2, rng=io.philox(2, 2),
-                               method="average_precision")
+        res = ev.retrieval_map(centers(gen, protos, 2, io.philox(2, 2)), feats, labels,
+                               [0, 1], fractions=(1.0,), method="average_precision")
         assert res[1.0] == pytest.approx(1.0)
 
     def test_one_center_per_class_id(self):
         with pytest.raises(ValidationError, match="2 centers for 3 unseen class ids"):
-            ev.retrieval_at_centers(np.zeros((2, 2)), np.ones((3, 2)), [0, 1, 2], [0, 1, 2])
+            ev.retrieval_map(np.zeros((2, 2)), np.ones((3, 2)), [0, 1, 2], [0, 1, 2])
 
     def test_missing_class_images_rejected(self):
-        gen = identity_generator()
         with pytest.raises(ValidationError):
-            ev.retrieval_map(gen, np.zeros((1, 2)), np.ones((3, 2)), [1, 1, 1], [0],
-                             fractions=(1.0,), n_generate=2, rng=io.philox(0, 0))
+            ev.retrieval_map(np.zeros((1, 2)), np.ones((3, 2)), [1, 1, 1], [0],
+                             fractions=(1.0,))
 
 
 class TestEvaluateModel:
@@ -601,7 +544,7 @@ class TestEvaluateModel:
     def _pool(gen, d, n_generate, rng):
         """The pool evaluate_model draws from `rng`: every class, seen first."""
         return ev.build_classifier(gen, np.vstack([d.seen_semantics, d.unseen_semantics]),
-                                   n_generate, rng, class_ids=np.arange(d.k_seen + d.k_unseen))
+                                   n_generate, rng)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_top1_is_top1_over_the_pools_unseen_classes(self, seed):
@@ -649,7 +592,7 @@ class TestEvaluateModel:
         gen, d = self._model_and_data()
         report = ev.evaluate_model(gen, d, 12, io.philox(4, 3), retrieval_method=method)
         pool = self._pool(gen, d, 12, io.philox(4, 3))
-        assert report.retrieval_map == ev.retrieval_at_centers(
+        assert report.retrieval_map == ev.retrieval_map(
             pool.pools[d.k_seen:].mean(axis=1), d.unseen_test_features,
             d.unseen_test_labels, d.k_seen + np.arange(d.k_unseen), ev.DEFAULT_FRACTIONS,
             method)
