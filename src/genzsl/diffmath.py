@@ -207,10 +207,17 @@ def softplus(a) -> Node:
     return Node(out, (a,), lambda g: (g * sig,))
 
 
+def _check_slope(slope: float) -> None:
+    if not 0.0 <= slope <= 1.0:
+        raise ValidationError(f"rectifier slope must lie in [0, 1], got {slope}")
+
+
 def leaky_gate(positive: np.ndarray, slope: float) -> np.ndarray:
     """The leaky rectifier's derivative factor: 1 where `positive`, else
-    `slope`. A table lookup, which beats a branchy `np.where` here."""
-    return np.array((slope, 1.0)).take(positive.view(np.uint8))
+    `slope`, for a slope in [0, 1]. The mask reads as 1 or 0, so the larger
+    of it and the slope is the gate, a slope of -0.0 included."""
+    _check_slope(slope)
+    return np.maximum(positive, slope)
 
 
 def softmax_rows(logits) -> Node:
@@ -284,8 +291,8 @@ def dense(x, W, b=None, slope=None) -> Node:
     For a slope in [0, 1] the rectifier is max(z, slope * z), and its output
     keeps the sign of z, so the reverse map reads the gate off the output
     and a forward-only pass builds no gate at all."""
-    if slope is not None and not 0.0 <= slope <= 1.0:
-        raise ValidationError(f"rectifier slope must lie in [0, 1], got {slope}")
+    if slope is not None:
+        _check_slope(slope)
     x, W = _lift(x), _lift(W)
     out = x.value @ W.value
     parents = (x, W)
@@ -306,7 +313,7 @@ def dense(x, W, b=None, slope=None) -> Node:
         else:
             d_x = g @ W.value.T
         grads = (d_x, None if W.const else x.value.T @ g)
-        return grads if b is None else grads + (g.sum(axis=0),)
+        return grads if b is None else grads + (None if b.const else g.sum(axis=0),)
 
     return Node(out, parents, vjp)
 
@@ -341,6 +348,7 @@ def critic_input_gradient(weights, activations, slope: float = 0.2) -> Node:
     if len(weights) != len(activations):
         raise DimensionError(f"{len(weights)} weight matrices for "
                              f"{len(activations)} layer inputs")
+    _check_slope(slope)
     weights = [_lift(W) for W in weights]
     head = weights[-1].value
     if head.ndim != 2 or head.shape[1] != 1:

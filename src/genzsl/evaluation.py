@@ -40,6 +40,9 @@ DEFAULT_FRACTIONS = (0.25, 0.5, 1.0)
 # thread count or the batch: BLAS may round a product differently in its
 # last bit at another shape, and every host must score the same bits.
 SCORE_BLOCK_BYTES = 1 << 20
+# Rows of (descriptor, noise) pairs that `build_classifier` runs through the
+# generator at once, so that one block's activations are alive at a time.
+GENERATE_BLOCK_ROWS = 512
 # A squared distance below this fraction of |x|^2 is recomputed from x - p.
 NEAR_SQ_FRACTION = 1e-4
 # BLAS takes its thread count from the first of these that is set; when none
@@ -86,6 +89,12 @@ class GeneratedPoolClassifier:
         if np.ndim(self.pools) != 3:
             raise ValidationError(f"pools have shape {np.shape(self.pools)}, "
                                   "expected (classes, n_generate, visual_dim)")
+        if 0 in np.shape(self.pools)[:2]:
+            raise ValidationError(f"pools have shape {np.shape(self.pools)}: "
+                                  "at least one class and one member are needed")
+        # the operands reduce over each member's contiguous row, whatever
+        # the layout of the array given
+        self.pools = np.ascontiguousarray(self.pools, dtype=np.float64)
         if len(self.class_ids) != len(self.pools):
             raise ValidationError(f"{len(self.class_ids)} class ids for "
                                   f"{len(self.pools)} pools")
@@ -107,7 +116,10 @@ class GeneratedPoolClassifier:
         any batch, on any thread count.
 
         The product's columns run member-major, (member, class), so each
-        class's best member is an elementwise reduction over members.
+        class's best member is an elementwise reduction over members. The
+        product's operand is written straight from `pools` into that order,
+        with no member-major copy of the pool beside it: a call holds the
+        pool, one operand of the pool's size and two score blocks.
         Euclidean scores use |x - p|^2 = |x|^2 + (|p|^2 - 2 x.p): one product
         of the block, with a ones column appended, and [-2 p^T; |p|^2] gives
         the bracket for every pool member, each class keeps its smallest,
@@ -116,16 +128,19 @@ class GeneratedPoolClassifier:
         changes nothing.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        c, n, d = self.pools.shape
+        pools = self.pools
+        c, n, d = pools.shape
         if x.ndim != 2 or x.shape[1] != d:
             raise DimensionError(f"test points have shape {x.shape}, expected (*, {d})")
-        flat = self.pools.transpose(1, 0, 2).reshape(n * c, d)
         rows = max(2, SCORE_BLOCK_BYTES // (8 * c * n))
+        sq = np.empty((n, c))         # |p|^2 of every member, member-major
+        for k in range(c):            # a class at a time: no pool-sized square
+            sq[:, k] = (pools[k] * pools[k]).sum(axis=1)
         if self.metric == "euclidean":
             width = d + 1
             rhs = np.empty((width, n * c))
-            np.multiply(flat.T, -2.0, out=rhs[:d])
-            rhs[d] = (flat * flat).sum(axis=1)
+            np.multiply(pools.transpose(2, 1, 0), -2.0, out=rhs[:d].reshape(d, n, c))
+            rhs[d] = sq.ravel()
 
             def block(xb, lhs, prod, m):
                 lhs[:len(xb), :d] = xb
@@ -139,14 +154,16 @@ class GeneratedPoolClassifier:
                 near = m < NEAR_SQ_FRACTION * x_sq
                 for k in np.flatnonzero(near.any(axis=0)):
                     r = np.flatnonzero(near[:, k])
-                    diff = xb[r, None, :] - self.pools[k]
+                    diff = xb[r, None, :] - pools[k]
                     m[r, k] = (diff * diff).sum(axis=2).min(axis=1)
                 np.maximum(m, 0.0, out=m)
                 np.sqrt(m, out=m)
                 np.negative(m, out=m)
         elif self.metric == "cosine":
             width = d
-            fn = flat / np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
+            fn = np.empty((n * c, d))
+            norms = np.maximum(np.sqrt(sq), 1e-12)
+            np.divide(pools.transpose(1, 0, 2), norms[:, :, None], out=fn.reshape(n, c, d))
 
             def block(xb, lhs, prod, m):
                 np.divide(xb, np.maximum(np.linalg.norm(xb, axis=1, keepdims=True), 1e-12),
@@ -182,15 +199,33 @@ def build_classifier(gen: mo.GeneratorParams, semantics, n_generate: int,
                      rng: np.random.Generator, class_ids=None,
                      metric: str = "euclidean") -> GeneratedPoolClassifier:
     """Generate `n_generate` features per descriptor row and wrap them as a
-    nearest-neighbor scorer. Reproducible for a fixed random stream."""
+    nearest-neighbor scorer. Reproducible for a fixed random stream.
+
+    The pool is allocated once and filled in blocks of GENERATE_BLOCK_ROWS
+    (descriptor, noise) rows, class-major, so the generator holds one
+    block's activations at a time: an evaluation holds the pool, the
+    scorer's one operand, its two score blocks and one generator block.
+    Each block draws its noise from `rng` in stream order, so the pool is
+    the one a single generator call over all rows would give. A short last
+    block is padded with zero rows, never drawn and never kept, so every
+    product has the full block shape and none takes BLAS's one-row route.
+    """
     semantics = np.atleast_2d(np.asarray(semantics, dtype=np.float64))
     if n_generate < 1:
         raise ValidationError("n_generate must be at least 1")
     c = semantics.shape[0]
     ids = np.arange(c) if class_ids is None else np.asarray(class_ids)
-    t = np.repeat(semantics, n_generate, axis=0)
-    z = rng.standard_normal((c * n_generate, gen.arch.noise_dim))
-    pools = mo.generate(gen, t, z).reshape(c, n_generate, gen.arch.visual_dim)
+    pools = np.empty((c, n_generate, gen.arch.visual_dim))
+    flat = pools.reshape(c * n_generate, gen.arch.visual_dim)
+    t = np.zeros((GENERATE_BLOCK_ROWS, semantics.shape[1]))
+    z = np.zeros((GENERATE_BLOCK_ROWS, gen.arch.noise_dim))
+    for lo in range(0, len(flat), GENERATE_BLOCK_ROWS):
+        m = min(GENERATE_BLOCK_ROWS, len(flat) - lo)
+        t[:m] = semantics[np.arange(lo, lo + m) // n_generate]
+        rng.standard_normal(out=z[:m])
+        t[m:] = 0.0
+        z[m:] = 0.0
+        flat[lo:lo + m] = mo.generate(gen, t, z)[:m]
     return GeneratedPoolClassifier(ids, pools, metric)
 
 
@@ -284,6 +319,8 @@ def retrieval_map(centers, test_features, test_labels, unseen_ids,
     if not all(0.0 < frac <= 1.0 for frac in fractions):
         raise ValidationError("fractions must lie in (0, 1]")
     unseen_ids = np.asarray(unseen_ids)
+    if unseen_ids.size == 0:
+        raise ValidationError("no unseen classes to retrieve")
     if len(centers) != unseen_ids.size:
         raise ValidationError(f"{len(centers)} centers for {unseen_ids.size} unseen class ids")
     test_features = np.atleast_2d(np.asarray(test_features, dtype=np.float64))

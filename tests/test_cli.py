@@ -347,6 +347,21 @@ class TestEvalAndRetrieve:
         assert manifest["status"] == "failed"
         assert width in manifest["error"]
 
+    def test_retrieve_without_unseen_classes_exits_2(self, tmp_path, trained):
+        ds, ckpt = trained
+        d = io.load_dataset(ds)
+        no_unseen = dataclasses.replace(d, unseen_semantics=d.unseen_semantics[:0],
+                                        unseen_test_features=d.unseen_test_features[:0],
+                                        unseen_test_labels=d.unseen_test_labels[:0])
+        empty = str(tmp_path / "no_unseen")
+        io.save_dataset(no_unseen, empty)
+        out = tmp_path / "ret"
+        assert main(["retrieve", "--checkpoint", ckpt, "--data", empty, "--out", str(out),
+                     "--n-generate", "6"]) == 2
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert os.listdir(out) == ["run_manifest.json"]
+
     def test_checkpoint_determinism_across_invocations(self, tmp_path, trained):
         ds, ckpt = trained
         outs = []

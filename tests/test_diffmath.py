@@ -191,6 +191,16 @@ class TestFusedNodes:
         for name in params:
             assert rel_err(g_f[name], fd[name]).max() < 1e-6
 
+    @pytest.mark.parametrize("live", ["x", "W", "b"])
+    def test_dense_reverse_map_skips_every_constant_operand(self, live):
+        rng = np.random.default_rng(32)
+        values = {"x": rng.standard_normal((6, 4)), "W": rng.standard_normal((4, 3)),
+                  "b": rng.standard_normal(3)}
+        operands = {k: dm.leaf(v) if k == live else dm.constant(v) for k, v in values.items()}
+        node = dm.dense(operands["x"], operands["W"], operands["b"], 0.2)
+        grads = node.vjp(np.ones((6, 3)))
+        assert [g is None for g in grads] == [k != live for k in ("x", "W", "b")]
+
     @pytest.mark.parametrize("slope", [1.5, -0.1, float("nan")])
     def test_dense_rejects_a_slope_outside_the_unit_interval(self, slope):
         with pytest.raises(ValidationError):
@@ -285,8 +295,17 @@ class TestFusedNodes:
     def test_gate_equals_branching_select_for_slopes_below_and_above_1(self, slope):
         z = np.random.default_rng(36).standard_normal((9, 5))
         z[0, :3] = (0.0, -0.0, 1e-300)
+        if slope > 1.0:
+            with pytest.raises(ValidationError, match=r"slope must lie in \[0, 1\]"):
+                dm.leaky_gate(z > 0.0, slope)
+            return
         np.testing.assert_array_equal(dm.leaky_gate(z > 0.0, slope),
                                       np.where(z > 0.0, 1.0, slope))
+
+    def test_a_negative_zero_slope_gives_negative_zero_gates(self):
+        gate = dm.leaky_gate(np.array([True, False, False]), -0.0)
+        assert gate.tolist() == [1.0, 0.0, 0.0]
+        assert np.signbit(gate).tolist() == [False, True, True]
 
 
 class TestInputGradient:
@@ -307,6 +326,12 @@ class TestInputGradient:
         hidden = affine_stack(dm.constant(x), [(W0, np.zeros(2), "leaky")]).value
         g = dm.critic_input_gradient([W0, w1], [x, hidden], slope=0.2).value
         np.testing.assert_array_equal(g, [[0.2, 1.0], [0.2, 0.2]])
+
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
+    def test_rejects_a_slope_outside_the_unit_interval(self, slope):
+        with pytest.raises(ValidationError, match=r"slope must lie in \[0, 1\]"):
+            dm.critic_input_gradient([np.ones((3, 4)), np.ones((4, 1))],
+                                     [np.ones((2, 3)), np.ones((2, 4))], slope)
 
     @pytest.mark.parametrize("acts", [("leaky",), ("leaky", "leaky"), ("leaky", "leaky", "leaky")])
     def test_mlp_matches_finite_differences_over_input(self, acts):

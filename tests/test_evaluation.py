@@ -75,6 +75,12 @@ def unit_rows(g, n, d):
     return x
 
 
+def scaled_unit_rows(g, n, d):
+    """`unit_rows`, each scaled by its own power of two: the norms differ
+    from row to row, and every product and unit row is still exact."""
+    return unit_rows(g, n, d) * 2.0 ** g.integers(-3, 4, size=(n, 1))
+
+
 class TestBuildClassifier:
     def test_pool_shape_and_determinism(self):
         arch = mo.ArchSpec(semantic_dim=4, visual_dim=6, noise_dim=2, hidden_dim=8)
@@ -101,6 +107,29 @@ class TestBuildClassifier:
         gen, _ = mo.init_params(arch, 3, False, io.philox(1, 1))
         with pytest.raises(ValidationError):
             ev.build_classifier(gen, np.ones((2, 4)), 0, io.philox(0, 0))
+
+    @pytest.mark.parametrize("c,n", [(1, 1), (2, 1), (7, 73), (8, 64), (27, 19), (41, 25)],
+                             ids=["rows-1", "rows-2", "rows-511", "rows-512", "rows-513",
+                                  "rows-1025"])
+    def test_blocked_pool_equals_one_generator_call(self, c, n, monkeypatch):
+        arch = mo.ArchSpec(semantic_dim=6, visual_dim=8, noise_dim=3, hidden_dim=10)
+        gen, _ = mo.init_params(arch, 3, False, io.philox(1, 2))
+        sem = io.philox(2, 3).standard_normal((c, 6))
+        rng, ref_rng = io.philox(3, 4), io.philox(3, 4)
+        calls = []
+        generate = mo.generate
+        monkeypatch.setattr(mo, "generate", lambda *a: calls.append(1) or generate(*a))
+        pools = ev.build_classifier(gen, sem, n, rng).pools
+        assert len(calls) == -(-c * n // ev.GENERATE_BLOCK_ROWS)
+        # the same rows and noise in one call, with a zero row appended so
+        # that even one row goes through a matrix product, not BLAS's
+        # one-row route
+        t = np.vstack([np.repeat(sem, n, axis=0), np.zeros((1, 6))])
+        z = np.vstack([ref_rng.standard_normal((c * n, 3)), np.zeros((1, 3))])
+        want = generate(gen, t, z)[:-1].reshape(c, n, 8)
+        assert np.array_equal(pools, want)
+        # and the stream is left where one draw of all the noise leaves it
+        assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
 
 
 class TestTop1:
@@ -273,9 +302,10 @@ class TestBlockedScores:
         n_x = 3 * rows + 5          # three full blocks and a remainder
         return points(g, c * n, d).reshape(c, n, d), points(g, n_x, d), rows
 
+    @pytest.mark.parametrize("points", [unit_rows, scaled_unit_rows])
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-    def test_exact_products_match_the_unblocked_formula_bit_for_bit(self, metric):
-        pools, x, rows = self._pool_and_points(io.philox(4, 31), unit_rows)
+    def test_exact_products_match_the_unblocked_formula_bit_for_bit(self, metric, points):
+        pools, x, rows = self._pool_and_points(io.philox(4, 31), points)
         assert len(x) > 3 * rows and len(x) % rows
         clf = ev.GeneratedPoolClassifier(np.arange(len(pools)), pools, metric)
         assert np.array_equal(clf.scores(x), pool_scores_unblocked(pools, x, metric))
@@ -289,6 +319,11 @@ class TestBlockedScores:
         clf = ev.GeneratedPoolClassifier(np.arange(len(pools)), pools, metric)
         np.testing.assert_allclose(clf.scores(x), pool_scores_unblocked(pools, x, metric),
                                    rtol=0, atol=1e-12)
+        # the operand is written from the pool as given: another memory
+        # layout of the same pool scores the same bits
+        fortran = ev.GeneratedPoolClassifier(np.arange(len(pools)), np.asfortranarray(pools),
+                                             metric)
+        assert np.array_equal(fortran.scores(x), clf.scores(x))
 
     def test_peak_memory_stays_within_the_block_budget(self):
         g = io.philox(6, 31)
@@ -310,6 +345,11 @@ class TestClassifierInputs:
     def test_pools_must_be_three_dimensional(self):
         with pytest.raises(ValidationError, match="pools have shape"):
             ev.GeneratedPoolClassifier(np.arange(3), np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 4), (3, 0, 4)], ids=["no-class", "no-member"])
+    def test_an_empty_pool_set_is_a_validation_error(self, shape):
+        with pytest.raises(ValidationError, match="at least one class and one member"):
+            ev.GeneratedPoolClassifier(np.arange(shape[0]), np.zeros(shape))
 
     @pytest.mark.parametrize("n_ids", [2, 4], ids=["shorter", "longer"])
     def test_one_class_id_per_pool(self, n_ids):
@@ -505,6 +545,10 @@ class TestRetrievalMap:
         with pytest.raises(ValidationError, match="2 centers for 3 unseen class ids"):
             ev.retrieval_map(np.zeros((2, 2)), np.ones((3, 2)), [0, 1, 2], [0, 1, 2])
 
+    def test_no_unseen_classes_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="no unseen classes"):
+            ev.retrieval_map(np.zeros((0, 2)), np.ones((3, 2)), [0, 1, 2], [])
+
     def test_missing_class_images_rejected(self):
         with pytest.raises(ValidationError):
             ev.retrieval_map(np.zeros((1, 2)), np.ones((3, 2)), [1, 1, 1], [0],
@@ -586,6 +630,38 @@ class TestEvaluateModel:
         report = ev.evaluate_model(gen, d, 12, io.philox(2, 3))
         assert report.retrieval_map
         assert calls == {"generate": 1, "scores": 1}
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_peak_memory_is_the_pool_its_operand_and_one_block_of_each(self, metric):
+        # 40 classes x 60 x 256-d: a 4.9 MB pool, 4,800 generated rows
+        arch = mo.ArchSpec(semantic_dim=16, visual_dim=256, noise_dim=8, hidden_dim=64)
+        gen, _ = mo.init_params(arch, 30, False, io.philox(8, 2))
+        g = io.philox(6, 2)
+        sem = g.standard_normal((40, 16))
+        labels = np.repeat(np.arange(40), 5)
+        x = g.standard_normal((200, 256))
+        d = io.ZslDataset(x[:150], labels[:150], sem[:30], sem[30:], x[150:], labels[150:],
+                          x[:150], labels[:150])
+        n_generate = 60
+        block = ev.GENERATE_BLOCK_ROWS
+        tracemalloc.start()
+        try:
+            mo.generate(gen, np.zeros((block, 16)), np.zeros((block, 8)))
+            _, generator_block = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            ev.evaluate_model(gen, d, n_generate, io.philox(2, 2), metric=metric)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pool = 40 * n_generate * 256 * 8
+        operand = 40 * n_generate * 257 * 8
+        test_and_scores = len(x) * (256 + 40) * 8
+        # a generator graph over the whole pool, or a member-major copy of
+        # the pool and its square beside the operand, would not fit: the
+        # bound is about 2.9 pool sizes, and those make about 4
+        assert peak - base < (pool + operand + 2 * ev.SCORE_BLOCK_BYTES + generator_block
+                              + test_and_scores)
 
     @pytest.mark.parametrize("method", ["precision", "average_precision"])
     def test_retrieval_queries_the_means_of_the_pools_unseen_classes(self, method):
