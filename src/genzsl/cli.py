@@ -29,7 +29,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -147,12 +147,7 @@ class RunContext:
 
 
 def cmd_synth(args, ctx: RunContext) -> None:
-    spec = io.SyntheticSpec(
-        k_seen=args.k_seen, k_unseen=args.k_unseen, visual_dim=args.visual_dim,
-        semantic_dim=args.semantic_dim, samples_per_class=args.samples_per_class,
-        cluster_spread=args.cluster_spread, semantic_noise=args.semantic_noise,
-        split_mode=args.split, seed=args.seed,
-    )
+    spec = io.SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(io.SyntheticSpec)})
     ctx.seeds = [args.seed]
     ctx.config_snapshot = asdict(spec)
     dataset = io.make_synthetic(spec)
@@ -328,27 +323,24 @@ def _add_checkpoint_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--out")
     p.add_argument("--seed", type=int)
-    p.add_argument("--n-generate", type=int, default=60, dest="n_generate")
-    p.add_argument("--method", choices=("precision", "average_precision"),
-                   default="precision")
+    p.add_argument("--n-generate", type=int, default=tr.TrainConfig.n_generate_eval,
+                   dest="n_generate")
+    p.add_argument("--method", choices=ev.RETRIEVAL_METHODS, default=ev.RETRIEVAL_METHODS[0])
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
+    """--out, and one flag per SyntheticSpec field, at its default."""
     p.add_argument("--out", help="output directory (becomes the dataset directory)")
-    p.add_argument("--k-seen", type=int, default=8, dest="k_seen")
-    p.add_argument("--k-unseen", type=int, default=4, dest="k_unseen")
-    p.add_argument("--visual-dim", type=int, default=32, dest="visual_dim")
-    p.add_argument("--semantic-dim", type=int, default=16, dest="semantic_dim")
-    p.add_argument("--samples-per-class", type=int, default=200, dest="samples_per_class")
-    p.add_argument("--cluster-spread", type=float, default=0.15, dest="cluster_spread")
-    p.add_argument("--semantic-noise", type=float, default=0.0, dest="semantic_noise")
-    p.add_argument("--split", choices=("easy", "hard"), default="easy")
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(io.SyntheticSpec):
+        split = f.name == "split_mode"
+        p.add_argument("--split" if split else "--" + f.name.replace("_", "-"),
+                       type=type(f.default), choices=io.SYNTHETIC_SPLITS if split else None,
+                       default=f.default, dest=f.name)
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     _add_checkpoint_flags(p)
-    p.add_argument("--metric", choices=("euclidean", "cosine"), default="euclidean")
+    p.add_argument("--metric", choices=ev.METRICS, default=ev.METRICS[0])
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
@@ -366,7 +358,7 @@ def _add_ablate_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_retrieve_flags(p: argparse.ArgumentParser) -> None:
     _add_checkpoint_flags(p)
-    p.add_argument("--fractions", type=float, nargs="+", default=[0.25, 0.5, 1.0])
+    p.add_argument("--fractions", type=float, nargs="+", default=ev.DEFAULT_FRACTIONS)
 
 
 # name: (help line, flag builder, handler)

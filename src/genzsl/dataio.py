@@ -36,7 +36,8 @@ MATRIX_VERSION = 1
 DATASET_VERSION = 1
 CHECKPOINT_VERSION = 1
 
-SPLIT_MODES = ("easy", "hard", "custom")
+SYNTHETIC_SPLITS = ("easy", "hard")       # the splits `make_synthetic` draws
+SPLIT_MODES = (*SYNTHETIC_SPLITS, "custom")
 
 
 def philox(seed: int, tag: int = 0, sub: int = 0) -> np.random.Generator:
@@ -144,7 +145,7 @@ class SyntheticSpec:
             raise ValidationError("need at least 2 seen classes")
         if self.cluster_spread < 0 or self.semantic_noise < 0:
             raise ValidationError("noise scales must be non-negative")
-        if self.split_mode not in ("easy", "hard"):
+        if self.split_mode not in SYNTHETIC_SPLITS:
             raise ValidationError("split_mode must be easy or hard")
 
 
@@ -408,10 +409,9 @@ def _typed(value, kind: type, where: str):
     return value
 
 
-def load_checkpoint(directory: str, expect_arch: mo.ArchSpec | None = None):
+def load_checkpoint(directory: str):
     """Returns (ModelParams, config snapshot dict). Rejects version drift, a
-    malformed manifest, tensors that do not fit the architecture and, when
-    `expect_arch` is given, any architecture mismatch."""
+    malformed manifest and tensors that do not fit the architecture."""
     manifest = _read_manifest(directory, "zsl-checkpoint")
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise DataFormatError(f"unsupported checkpoint version {manifest.get('version')}")
@@ -429,11 +429,6 @@ def load_checkpoint(directory: str, expect_arch: mo.ArchSpec | None = None):
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataFormatError(f"{directory}: malformed checkpoint manifest "
                               f"({type(exc).__name__}: {exc})") from exc
-    if expect_arch is not None and arch != expect_arch:
-        raise ValidationError(
-            f"checkpoint was trained with {arch.preset!r} architecture "
-            f"({arch}), refusing to load into {expect_arch.preset!r} ({expect_arch})"
-        )
     pairs = {"gen": [], "disc": [], "div": []}
     for key, fname, shape in tensors:
         prefix, _, name = key.partition("/")

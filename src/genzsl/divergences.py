@@ -280,19 +280,14 @@ def special_case(p, q, spec: DivergenceSpec) -> float:
     return float(vals[0])
 
 
-def _entropy_batch(softmax, spec: DivergenceSpec):
-    softmax = np.asarray(softmax, dtype=np.float64)
-    _validate_pair(softmax, np.full(softmax.shape, 1.0 / softmax.size))
-    return divergence_to_uniform_batch(softmax[None, :], spec.gamma, spec.beta, spec.family)
-
-
 def entropy_loss(softmax, spec: DivergenceSpec) -> float:
     """Divergence between a seen-class softmax and the uniform distribution.
 
     Zero exactly when the softmax is uniform; grows as the distribution
     concentrates, for every family and valid parameter choice.
     """
-    return float(_entropy_batch(softmax, spec)[0][0])
+    softmax = np.asarray(softmax, dtype=np.float64)
+    return special_case(softmax, np.full(softmax.shape, 1.0 / softmax.size), spec)
 
 
 def divergence_to_uniform_batch(P, gamma, beta, family):

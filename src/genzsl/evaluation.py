@@ -34,11 +34,16 @@ from . import model as mo
 from .errors import DimensionError, ValidationError
 
 DEFAULT_FRACTIONS = (0.25, 0.5, 1.0)
+# The scorer's metrics and retrieval's methods; the first of each is the default.
+METRICS = ("euclidean", "cosine")
+RETRIEVAL_METHODS = ("precision", "average_precision")
 # Size of one row block's (rows, C * n_generate) distance matrix. Scoring
 # holds two such blocks, one per thread, however many points it scores. The
 # rows per block follow from this size and the pool alone, never from the
 # thread count or the batch: BLAS may round a product differently in its
-# last bit at another shape, and every host must score the same bits.
+# last bit at another shape. This holds at a fixed BLAS thread count: a BLAS
+# that splits one product over threads may sum it in another order (euclidean
+# scores at 200 classes x 60 x 2048-d differ between 1 and 2 OpenBLAS threads).
 SCORE_BLOCK_BYTES = 1 << 20
 # Rows of (descriptor, noise) pairs that `build_classifier` runs through the
 # generator at once, so that one block's activations are alive at a time.
@@ -86,6 +91,7 @@ class GeneratedPoolClassifier:
     metric: str = "euclidean"
 
     def __post_init__(self):
+        _check_metric(self.metric)
         if np.ndim(self.pools) != 3:
             raise ValidationError(f"pools have shape {np.shape(self.pools)}, "
                                   "expected (classes, n_generate, visual_dim)")
@@ -95,6 +101,9 @@ class GeneratedPoolClassifier:
         # the operands reduce over each member's contiguous row, whatever
         # the layout of the array given
         self.pools = np.ascontiguousarray(self.pools, dtype=np.float64)
+        self.class_ids = np.asarray(self.class_ids)
+        if self.class_ids.ndim != 1:
+            raise ValidationError(f"class ids have shape {self.class_ids.shape}, expected (C,)")
         if len(self.class_ids) != len(self.pools):
             raise ValidationError(f"{len(self.class_ids)} class ids for "
                                   f"{len(self.pools)} pools")
@@ -104,8 +113,10 @@ class GeneratedPoolClassifier:
 
         Rows are scored in blocks of SCORE_BLOCK_BYTES of pool distances
         each, so the temporaries do not grow with len(x). Up to two threads
-        (`_score_workers`) take every other block, each through its own
-        block buffers: 2 * SCORE_BLOCK_BYTES of distances at most. The
+        (`_score_workers`) take the blocks from one shared iterator, so a
+        thread that starts late or stalls leaves its blocks to the other;
+        each scores through its own block buffers: 2 * SCORE_BLOCK_BYTES of
+        distances at most. The
         calling thread allocates those buffers and the result, because a
         worker thread that allocates them grows a heap arena of its own
         and with it the process's resident memory. Every product has the
@@ -113,7 +124,7 @@ class GeneratedPoolClassifier:
         padded, and only its own rows are read. BLAS may round a product of
         another shape differently in the last bit, and draws a one-row
         product by another route, so a row scores the same bits alone as in
-        any batch, on any thread count.
+        any batch, whichever thread scores its block.
 
         The product's columns run member-major, (member, class), so each
         class's best member is an elementwise reduction over members. The
@@ -159,7 +170,7 @@ class GeneratedPoolClassifier:
                 np.maximum(m, 0.0, out=m)
                 np.sqrt(m, out=m)
                 np.negative(m, out=m)
-        elif self.metric == "cosine":
+        else:                         # cosine
             width = d
             fn = np.empty((n * c, d))
             norms = np.maximum(np.sqrt(sq), 1e-12)
@@ -170,17 +181,17 @@ class GeneratedPoolClassifier:
                           out=lhs[:len(xb)])
                 np.matmul(lhs, fn.T, out=prod)
                 np.maximum.reduce(prod[:len(xb)].reshape(len(xb), n, c), axis=1, out=m)
-        else:
-            raise ValidationError(f"unknown metric {self.metric!r}")
 
         out = np.empty((len(x), c))
         workers = max(1, _score_workers(-(-len(x) // rows)))
         span = rows if len(x) else 0
         slots = [(np.ones((span, width)), np.empty((span, n * c))) for _ in range(workers)]
+        # next() on a range iterator holds the GIL: each start goes to one thread
+        starts = iter(range(0, len(x), rows))
 
         def run(slot):
             lhs, prod = slots[slot]
-            for lo in range(slot * rows, len(x), workers * rows):
+            for lo in starts:
                 block(x[lo:lo + rows], lhs, prod, out[lo:lo + rows])
 
         # an executor starts a thread only on submit: one worker starts none
@@ -195,11 +206,17 @@ class GeneratedPoolClassifier:
         return self.class_ids[np.argmax(self.scores(x), axis=1)]
 
 
+def _check_metric(metric: str) -> None:
+    if metric not in METRICS:
+        raise ValidationError(f"unknown metric {metric!r}")
+
+
 def build_classifier(gen: mo.GeneratorParams, semantics, n_generate: int,
-                     rng: np.random.Generator, class_ids=None,
+                     rng: np.random.Generator,
                      metric: str = "euclidean") -> GeneratedPoolClassifier:
     """Generate `n_generate` features per descriptor row and wrap them as a
-    nearest-neighbor scorer. Reproducible for a fixed random stream.
+    nearest-neighbor scorer over classes 0..C-1, one per row, in row order.
+    Reproducible for a fixed random stream.
 
     The pool is allocated once and filled in blocks of GENERATE_BLOCK_ROWS
     (descriptor, noise) rows, class-major, so the generator holds one
@@ -213,8 +230,8 @@ def build_classifier(gen: mo.GeneratorParams, semantics, n_generate: int,
     semantics = np.atleast_2d(np.asarray(semantics, dtype=np.float64))
     if n_generate < 1:
         raise ValidationError("n_generate must be at least 1")
+    _check_metric(metric)
     c = semantics.shape[0]
-    ids = np.arange(c) if class_ids is None else np.asarray(class_ids)
     pools = np.empty((c, n_generate, gen.arch.visual_dim))
     flat = pools.reshape(c * n_generate, gen.arch.visual_dim)
     t = np.zeros((GENERATE_BLOCK_ROWS, semantics.shape[1]))
@@ -226,7 +243,7 @@ def build_classifier(gen: mo.GeneratorParams, semantics, n_generate: int,
         t[m:] = 0.0
         z[m:] = 0.0
         flat[lo:lo + m] = mo.generate(gen, t, z)[:m]
-    return GeneratedPoolClassifier(ids, pools, metric)
+    return GeneratedPoolClassifier(np.arange(c), pools, metric)
 
 
 def top1(classifier: GeneratedPoolClassifier, features, labels) -> float:
@@ -313,7 +330,7 @@ def retrieval_map(centers, test_features, test_labels, unseen_ids,
     `method` picks precision at that depth (default) or average precision
     truncated there.
     """
-    if method not in ("precision", "average_precision"):
+    if method not in RETRIEVAL_METHODS:
         raise ValidationError(f"unknown retrieval method {method!r}")
     fractions = tuple(fractions)
     if not all(0.0 < frac <= 1.0 for frac in fractions):

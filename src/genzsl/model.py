@@ -94,10 +94,6 @@ class DiscriminatorParams:
     extra_class: bool
     store: dm.ParamStore
 
-    @property
-    def n_logits(self) -> int:
-        return self.k_seen + (1 if self.extra_class else 0)
-
 
 @dataclass
 class ModelParams:

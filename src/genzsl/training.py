@@ -87,9 +87,6 @@ class HistoryRecord:
 @dataclass
 class TrainHistory:
     records: list[HistoryRecord] = field(default_factory=list)
-    n_disc_updates: int = 0
-    n_gen_updates: int = 0
-    n_entropy_updates: int = 0
     degenerate_events: dict[str, int] = field(default_factory=dict)
 
     CSV_HEADER = tuple(f.name for f in fields(HistoryRecord))
@@ -307,9 +304,6 @@ def train(dataset: ZslDataset, cfg: TrainConfig):
                 -terms_d["critic_real"] - terms_d["critic_fake"],
                 report.top1_unseen, report.su_auc, gamma, beta))
 
-    history.n_disc_updates = state_d.step
-    history.n_gen_updates = state_g.step
-    history.n_entropy_updates = state_g.step if div_init else 0
     start = history.degenerate_events
     history.degenerate_events = {
         k: v - start.get(k, 0) for k, v in events.counts().items()

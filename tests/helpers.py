@@ -394,7 +394,8 @@ def discriminate(disc, x) -> dict:
 def entropy_loss_grad(softmax, spec):
     """Gradient of :func:`genzsl.divergences.entropy_loss` w.r.t. the softmax
     vector and the (gamma, beta) parameters. Non-learnable knobs report zero."""
-    _, dsoft, dg, db = dv._entropy_batch(softmax, spec)
+    _, dsoft, dg, db = dv.divergence_to_uniform_batch(np.asarray(softmax)[None, :], spec.gamma,
+                                                      spec.beta, spec.family)
     d_gamma = float(dg[0]) if spec.learn_gamma else 0.0
     d_beta = float(db[0]) if spec.learn_beta else 0.0
     return dsoft[0], d_gamma, d_beta

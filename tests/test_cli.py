@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import signal
@@ -78,6 +79,17 @@ class TestSynth:
         assert leftovers == []
         manifest = json.loads((tmp_path / "bad" / "run_manifest.json").read_text())
         assert manifest["status"] == "failed"
+
+    def test_no_flags_write_the_default_spec(self, tmp_path):
+        out = tmp_path / "ds"
+        assert main(["synth", "--out", str(out)]) == 0
+        io.save_dataset(io.make_synthetic(io.SyntheticSpec()), str(tmp_path / "lib"))
+        names = sorted(os.listdir(tmp_path / "lib"))
+        assert names == sorted(set(os.listdir(out)) - {"run_manifest.json"})
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"] == dataclasses.asdict(io.SyntheticSpec())
 
     def test_seed_repeat_gives_identical_bytes(self, tmp_path):
         a = synth(tmp_path / "a", seed=9)
@@ -534,7 +546,7 @@ PARSED = [
     (["synth", "--out", "d", "--k-seen", "5", "--split", "hard", "--cluster-spread", "0.3"],
      dict(command="synth", func="cmd_synth", out="d", k_seen=5, k_unseen=4, visual_dim=32,
           semantic_dim=16, samples_per_class=200, cluster_spread=0.3, semantic_noise=0.0,
-          split="hard", seed=0)),
+          split_mode="hard", seed=0)),
     (["train", "--data", "d", "--out", "o", "--config", "c.json", "--set", "a=1", "--set",
       "b=2", "--steps", "4", "--seed", "7", "--batch-size", "8", "--policy", "all",
       "--lambda", "0.5"],
@@ -566,6 +578,18 @@ class TestArgumentParsing:
         ns = vars(cli.build_parser(argv[0]).parse_args(argv))
         ns["func"] = ns["func"].__name__
         assert ns == expected
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    def test_eval_and_retrieve_parse_to_the_library_defaults(self, command):
+        ns = cli.build_parser(command).parse_args([command, "--checkpoint", "k", "--data", "d"])
+        evaluate = inspect.signature(ev.evaluate_model).parameters
+        retrieve = inspect.signature(ev.retrieval_map).parameters
+        assert ns.n_generate == tr.TrainConfig().n_generate_eval
+        assert ns.method == evaluate["retrieval_method"].default == retrieve["method"].default
+        if command == "eval":
+            assert ns.metric == evaluate["metric"].default
+        else:
+            assert tuple(ns.fractions) == retrieve["fractions"].default == ev.DEFAULT_FRACTIONS
 
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

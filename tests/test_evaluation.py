@@ -1,7 +1,9 @@
 import os
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -356,11 +358,44 @@ class TestClassifierInputs:
         with pytest.raises(ValidationError, match=f"{n_ids} class ids for 3 pools"):
             ev.GeneratedPoolClassifier(np.arange(n_ids), np.zeros((3, 2, 4)))
 
+    def test_an_unknown_metric_is_rejected_at_construction(self):
+        with pytest.raises(ValidationError, match="unknown metric 'cosin'"):
+            ev.GeneratedPoolClassifier(np.arange(1), np.zeros((1, 1, 1)), "cosin")
+
+    def test_an_unknown_metric_is_rejected_before_the_first_draw(self):
+        rng = io.philox(0, 5)
+        with pytest.raises(ValidationError, match="unknown metric"):
+            ev.build_classifier(identity_generator(), np.eye(2), 3, rng, metric="cosin")
+        assert rng.standard_normal() == io.philox(0, 5).standard_normal()
+
+    @pytest.mark.parametrize("ids", [np.zeros((3, 1), dtype=int), np.int64(3)],
+                             ids=["column", "scalar"])
+    def test_class_ids_must_be_one_dimensional(self, ids):
+        with pytest.raises(ValidationError, match="class ids have shape"):
+            ev.GeneratedPoolClassifier(ids, np.zeros((3, 2, 4)))
+
+    def test_class_ids_given_as_a_list_serve_every_reader(self):
+        protos = np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]])
+        clf = ev.GeneratedPoolClassifier([5, 6, 7], protos[:, None, :])
+        x = np.vstack([protos + 0.01, protos - 0.01])
+        labels = np.array([5, 6, 7, 5, 6, 7])
+        assert clf.predict(x).tolist() == labels.tolist()
+        curve, auc = ev.su_curve_auc(clf, x, labels, [7])
+        assert auc == 1.0 and (1.0, 1.0) in curve
+
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_test_points_of_another_width_are_a_dimension_error(self, metric):
         clf = ev.GeneratedPoolClassifier(np.arange(3), np.zeros((3, 2, 4)), metric)
         with pytest.raises(DimensionError, match=r"expected \(\*, 4\)"):
             clf.scores(np.zeros((5, 3)))
+
+
+def late_executor(delay):
+    """A ThreadPoolExecutor whose jobs start `delay` seconds late."""
+    class Late(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            return super().submit(lambda: (time.sleep(delay), fn(*args))[1])
+    return Late
 
 
 class TestScoringThreads:
@@ -388,6 +423,11 @@ class TestScoringThreads:
                 assert np.array_equal(clf.scores(x), default)
         finally:
             sys.setswitchinterval(interval)
+        # a second thread that starts late, by 0.2 s after the first has
+        # taken every block, leaves every row scored with the same bits
+        for delay in (0.0, 0.2):
+            monkeypatch.setattr(ev, "ThreadPoolExecutor", late_executor(delay))
+            assert np.array_equal(clf.scores(x), default)
         if metric == "euclidean":
             assert default[3 * rows + 1, 7] == 0.0
 
@@ -630,6 +670,14 @@ class TestEvaluateModel:
         report = ev.evaluate_model(gen, d, 12, io.philox(2, 3))
         assert report.retrieval_map
         assert calls == {"generate": 1, "scores": 1}
+
+    def test_a_mistyped_metric_fails_before_any_generation(self, monkeypatch):
+        gen, d = self._model_and_data()
+        def generate(*args):
+            raise AssertionError("generated a pool for an unknown metric")
+        monkeypatch.setattr(mo, "generate", generate)
+        with pytest.raises(ValidationError, match="unknown metric 'cosin'"):
+            ev.evaluate_model(gen, d, 12, io.philox(2, 3), metric="cosin")
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_peak_memory_is_the_pool_its_operand_and_one_block_of_each(self, metric):

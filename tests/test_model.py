@@ -92,7 +92,6 @@ class TestInitParams:
     def test_extra_class_widens_head_by_one(self):
         _, disc = mo.init_params(small_arch(), 4, False, rng(0), extra_class=True)
         assert disc.store["cls.W"].shape[1] == 5
-        assert disc.n_logits == 5
 
 
 class TestGenerate:

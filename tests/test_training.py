@@ -135,20 +135,12 @@ class TestTrain:
         cfg = tiny_cfg()
         assert fingerprint(*tr.train(ds, cfg)) == fingerprint(*tr.train(ds, cfg))
 
-    def test_update_counts_follow_the_schedule(self):
-        ds = tiny_dataset()
-        cfg = tiny_cfg(n_steps=6, n_d=3, eval_every=3)
-        _, hist = tr.train(ds, cfg)
-        assert hist.n_disc_updates == 18
-        assert hist.n_gen_updates == 6
-        assert hist.n_entropy_updates == 6  # default spec learns gamma and beta
-
-    def test_no_entropy_updates_for_fixed_families(self):
+    def test_no_entropy_parameters_for_fixed_families(self):
         ds = tiny_dataset()
         cfg = tiny_cfg(loss=ls.LossConfig(
             divergence=dv.DivergenceSpec("kl", learn_gamma=False, learn_beta=False)))
-        _, hist = tr.train(ds, cfg)
-        assert hist.n_entropy_updates == 0
+        params, _ = tr.train(ds, cfg)
+        assert len(params.divergence) == 0
 
     def test_history_grid_and_finiteness(self):
         ds = tiny_dataset()
@@ -232,7 +224,8 @@ class TestTrain:
             divergence=dv.DivergenceSpec("tsallis", 2.0, learn_gamma=True)))
         params, hist = tr.train(ds, cfg)
         assert params.discriminator.segc
-        assert hist.n_entropy_updates == 4
+        assert list(params.divergence) == ["u_gamma"]
+        assert [r.step for r in hist.records] == [2, 4]
 
     def test_new_class_ablation_training_runs(self):
         ds = tiny_dataset()
@@ -259,7 +252,7 @@ class TestTrain:
     def test_class_balanced_sampling_runs(self):
         ds = tiny_dataset()
         _, hist = tr.train(ds, tiny_cfg(class_balanced=True))
-        assert hist.n_gen_updates == 4
+        assert [r.step for r in hist.records] == [2, 4]
 
 
 class TestSampling:
@@ -368,7 +361,7 @@ class TestCrossValidate:
         ds = tiny_dataset()
         cfg = tiny_cfg(lambda_grid=(0.0, 0.1))
         res = tr.cross_validate(ds, cfg)
-        assert res.final_history.n_gen_updates == res.best_step
+        assert res.final_history.records[-1].step == res.best_step
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
