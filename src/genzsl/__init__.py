@@ -15,7 +15,7 @@ from .dataio import (SyntheticSpec, ZslDataset, load_checkpoint, load_dataset,
 from .diffmath import AdamState, ParamStore, adam_step, grad_scalar
 from .divergences import DivergenceSpec, entropy_loss, sm_divergence, special_case
 from .evaluation import (EvalReport, build_classifier, evaluate_model,
-                         harmonic_mean, retrieval_map, su_curve_auc, top1)
+                         harmonic_mean, retrieval_map, su_curve_auc)
 from .hallucination import (PRESETS, HallucinationPolicy, policy_from_config,
                             sample_alphas, sample_hallucinated_text)
 from .losses import LossConfig, lipschitz_interpolate
@@ -31,7 +31,7 @@ __all__ = [
     "AdamState", "ParamStore", "adam_step", "grad_scalar",
     "DivergenceSpec", "entropy_loss", "sm_divergence", "special_case",
     "EvalReport", "build_classifier", "evaluate_model", "harmonic_mean",
-    "retrieval_map", "su_curve_auc", "top1",
+    "retrieval_map", "su_curve_auc",
     "PRESETS", "HallucinationPolicy", "policy_from_config", "sample_alphas",
     "sample_hallucinated_text",
     "LossConfig", "lipschitz_interpolate",

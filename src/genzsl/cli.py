@@ -50,12 +50,8 @@ _FLAG_KEYS = (("steps", "n_steps"), ("seed", "seed"), ("batch_size", "batch_size
 def _fmt(value):
     if type(value) is float:  # most cells, e.g. every su_curve.csv value
         return repr(value)
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+    if isinstance(value, np.generic):  # a numpy scalar is spelled as its Python value
+        return _fmt(value.item())
     return str(value)
 
 
@@ -238,16 +234,10 @@ def cmd_sweep(args, ctx: RunContext) -> None:
     else:
         results = list(map(run, configs))
 
-    cell_rows = []
-    winner_rows = []
-    for seed, res in zip(ctx.seeds, results):
-        for lam in cfg.lambda_grid:
-            curve = res.curves[lam]
-            best_auc = max(a for _, a, _ in curve)
-            best_step = min(s for s, a, _ in curve if a == best_auc)
-            cell_rows.append((seed, lam, best_auc, best_step,
-                              lam == res.best_lambda))
-        winner_rows.append((seed, res.best_lambda, res.best_step, res.best_metric))
+    cell_rows = [(seed, lam, *tr.best_point(res.curves[lam]), lam == res.best_lambda)
+                 for seed, res in zip(ctx.seeds, results) for lam in cfg.lambda_grid]
+    winner_rows = [(seed, res.best_lambda, res.best_step, res.best_metric)
+                   for seed, res in zip(ctx.seeds, results)]
     _write_csv(ctx.path("sweep.csv"),
                ["seed", "lambda", "best_val_auc", "best_step", "winner"], cell_rows)
     _write_csv(ctx.path("winners.csv"),
@@ -288,11 +278,12 @@ def cmd_ablate(args, ctx: RunContext) -> None:
 
 def cmd_retrieve(args, ctx: RunContext) -> None:
     dataset, params, seed = _checkpoint_inputs(args, ctx)
+    fractions = ev.check_retrieval(args.fractions, args.method)
     # a pool of its own for the unseen classes: these are not eval's map_at_* columns
     centers = ev.build_classifier(params.generator, dataset.unseen_semantics, args.n_generate,
                                   io.philox(seed, tr.TAG_EVAL)).pools.mean(axis=1)
     result = ev.retrieval_map(centers, dataset.unseen_test_features, dataset.unseen_test_labels,
-                              dataset.k_seen + np.arange(dataset.k_unseen), args.fractions,
+                              dataset.k_seen + np.arange(dataset.k_unseen), fractions,
                               args.method)
     _write_csv(ctx.path("retrieval.csv"), ["fraction", "map"],
                sorted(result.items()))

@@ -23,7 +23,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -81,8 +81,7 @@ class ZslDataset:
         return self.seen_semantics.shape[1]
 
     def validate(self) -> "ZslDataset":
-        for name in ("seen_features", "seen_semantics", "unseen_semantics",
-                     "unseen_test_features", "seen_test_features"):
+        for name in _MATRIX_FIELDS:
             arr = getattr(self, name)
             if arr.ndim != 2:
                 raise ValidationError(f"{name} must be a matrix")
@@ -292,12 +291,10 @@ def _read_manifest(directory: str, expected_format: str) -> dict:
 # ---------------------------------------------------------------------------
 # dataset container
 
-_DATASET_FIELDS = (
-    "seen_features", "seen_labels", "seen_semantics", "unseen_semantics",
-    "unseen_test_features", "unseen_test_labels", "seen_test_features",
-    "seen_test_labels",
-)
+# one file per array field; the split mode lives in the manifest
+_DATASET_FIELDS = tuple(f.name for f in fields(ZslDataset) if f.name != "split_mode")
 _LABEL_FIELDS = {"seen_labels", "unseen_test_labels", "seen_test_labels"}
+_MATRIX_FIELDS = tuple(name for name in _DATASET_FIELDS if name not in _LABEL_FIELDS)
 
 
 def save_dataset(dataset: ZslDataset, directory: str) -> list[str]:
@@ -336,7 +333,7 @@ def load_dataset(directory: str) -> ZslDataset:
     counts = manifest.get("counts", {})
     if not isinstance(files, dict) or not isinstance(counts, dict):
         raise DataFormatError("manifest 'files' and 'counts' must be objects")
-    fields = {}
+    arrays = {}
     for name in _DATASET_FIELDS:
         if not isinstance(files.get(name), str):
             raise DataFormatError(f"manifest lists no file name for field {name!r}")
@@ -349,8 +346,8 @@ def load_dataset(directory: str) -> ZslDataset:
             if not np.all((labels == np.round(labels)) & (np.abs(labels) <= 2**24)):
                 raise DataFormatError(f"{files[name]}: labels must be integers up to 2^24")
             arr = labels.astype(np.int64)
-        fields[name] = arr
-    dataset = ZslDataset(split_mode=manifest.get("split_mode", "custom"), **fields)
+        arrays[name] = arr
+    dataset = ZslDataset(split_mode=manifest.get("split_mode", "custom"), **arrays)
     declared = (counts.get("k_seen"), counts.get("n_seen"))
     if declared != (dataset.k_seen, len(dataset.seen_features)):
         raise DataFormatError(

@@ -86,9 +86,11 @@ class DivergenceSpec:
         if self.learn_beta and abs(self.beta - 1.0) < SINGULAR_TOL:
             raise ValidationError("learnable beta must start away from 1")
 
-    def effective_params(self) -> tuple[float, float]:
-        """The (gamma, beta) pair actually evaluated for this family."""
-        return _PLANE_POINT[self.family](self.gamma, self.beta)
+    def plane_point(self, gamma, beta):
+        """The (gamma, beta) point this family evaluates, given a free pair
+        of floats or tape nodes: Renyi pins beta at 1, Tsallis ties beta to
+        gamma, and KL and Bhattacharyya return their fixed floats."""
+        return _PLANE_POINT[self.family](gamma, beta)
 
     def unconstrained_init(self) -> dict[str, float]:
         """Initial unconstrained parameters, one entry per learnable knob."""

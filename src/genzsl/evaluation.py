@@ -202,13 +202,21 @@ class GeneratedPoolClassifier:
                 job.result()
         return out
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.class_ids[np.argmax(self.scores(x), axis=1)]
-
 
 def _check_metric(metric: str) -> None:
     if metric not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}")
+
+
+def check_retrieval(fractions, method: str) -> tuple[float, ...]:
+    """`fractions` as a tuple, once `method` is one of RETRIEVAL_METHODS and
+    every fraction lies in (0, 1]; callers check before drawing a pool."""
+    if method not in RETRIEVAL_METHODS:
+        raise ValidationError(f"unknown retrieval method {method!r}")
+    fractions = tuple(fractions)
+    if not all(0.0 < frac <= 1.0 for frac in fractions):
+        raise ValidationError("fractions must lie in (0, 1]")
+    return fractions
 
 
 def build_classifier(gen: mo.GeneratorParams, semantics, n_generate: int,
@@ -244,14 +252,6 @@ def build_classifier(gen: mo.GeneratorParams, semantics, n_generate: int,
         z[m:] = 0.0
         flat[lo:lo + m] = mo.generate(gen, t, z)[:m]
     return GeneratedPoolClassifier(np.arange(c), pools, metric)
-
-
-def top1(classifier: GeneratedPoolClassifier, features, labels) -> float:
-    """Fraction of test points whose top-scoring class is the true one."""
-    labels = np.asarray(labels)
-    if len(labels) == 0:
-        raise ValidationError("empty test set")
-    return float(np.mean(classifier.predict(features) == labels))
 
 
 def harmonic_mean(seen_acc: float, unseen_acc: float) -> float:
@@ -330,11 +330,7 @@ def retrieval_map(centers, test_features, test_labels, unseen_ids,
     `method` picks precision at that depth (default) or average precision
     truncated there.
     """
-    if method not in RETRIEVAL_METHODS:
-        raise ValidationError(f"unknown retrieval method {method!r}")
-    fractions = tuple(fractions)
-    if not all(0.0 < frac <= 1.0 for frac in fractions):
-        raise ValidationError("fractions must lie in (0, 1]")
+    fractions = check_retrieval(fractions, method)
     unseen_ids = np.asarray(unseen_ids)
     if unseen_ids.size == 0:
         raise ValidationError("no unseen classes to retrieve")
@@ -378,12 +374,13 @@ def evaluate_model(gen: mo.GeneratorParams, dataset, n_generate: int,
     DEFAULT_FRACTIONS, from one pool of `n_generate` features per class.
 
     Top-1 is the curve's all-unseen end: the fraction of unseen test points
-    whose best unseen column is their own class, ties to the lower column,
-    as `top1` over the pool's unseen classes reads it. Retrieval's centers
-    are the means of those classes' pools. The reported harmonic mean is
-    the best achievable along the curve, summarizing the trade-off like the
-    area does.
+    whose best unseen column is their own class, ties to the lower column.
+    Retrieval's centers are the means of those classes' pools. The reported
+    harmonic mean is the best achievable along the curve, summarizing the
+    trade-off like the area does. The retrieval method is checked before
+    the pool is drawn.
     """
+    check_retrieval(DEFAULT_FRACTIONS, retrieval_method)
     unseen_ids = dataset.k_seen + np.arange(dataset.k_unseen)
     all_sem = np.vstack([dataset.seen_semantics, dataset.unseen_semantics])
     pool = build_classifier(gen, all_sem, n_generate, rng, metric=metric)

@@ -129,21 +129,15 @@ def _seen_labels(y, k_seen) -> np.ndarray:
 
 
 def divergence_param_nodes(spec: dv.DivergenceSpec, params) -> tuple[dm.Node, dm.Node]:
-    """(gamma, beta) as tape nodes, mapping the unconstrained parameters
-    `u_gamma` and `u_beta` of `params` through 1 + sign * softplus(u) where
-    learnable and pinning limits otherwise."""
+    """(gamma, beta) as tape nodes: each learnable knob maps the unconstrained
+    `u_gamma` or `u_beta` of `params` through 1 + sign * softplus(u), a fixed
+    one is the spec's value, and the pair goes to the family's plane point."""
     s_gamma, s_beta = spec.reparam_signs()
-    if spec.learn_gamma:
-        gamma = dm.add(1.0, dm.mul(s_gamma, dm.softplus(params["u_gamma"])))
-    else:
-        gamma = dm.constant(spec.effective_params()[0])
-    if spec.family == "tsallis":
-        beta = gamma
-    elif spec.learn_beta:
-        beta = dm.add(1.0, dm.mul(s_beta, dm.softplus(params["u_beta"])))
-    else:
-        beta = dm.constant(spec.effective_params()[1])
-    return gamma, beta
+    gamma = dm.add(1.0, dm.mul(s_gamma, dm.softplus(params["u_gamma"]))) \
+        if spec.learn_gamma else spec.gamma
+    beta = dm.add(1.0, dm.mul(s_beta, dm.softplus(params["u_beta"]))) \
+        if spec.learn_beta else spec.beta
+    return tuple(map(dm._lift, spec.plane_point(gamma, beta)))
 
 
 def current_divergence_params(spec: dv.DivergenceSpec, store) -> tuple[float, float]:

@@ -70,6 +70,13 @@ class TrainConfig:
             raise ValidationError("n_generate_eval must be positive")
         if type(self.arch) is not ArchConfig:  # train resolves it at the dataset widths
             raise ValidationError(f"arch must be an ArchConfig, got {self.arch!r}")
+        for lam in self.lambda_grid:  # each candidate weight obeys LossConfig's rule
+            try:
+                replace(self.loss, lambda_creativity=lam)
+            except ValidationError as exc:
+                raise ValidationError(f"lambda_grid entry {lam!r}: {exc}") from None
+        if len(set(self.lambda_grid)) != len(self.lambda_grid):
+            raise ValidationError(f"lambda_grid repeats a weight: {list(self.lambda_grid)}")
 
 
 @dataclass
@@ -363,33 +370,36 @@ def split_for_validation(dataset: ZslDataset, seed: int):
     ).validate()
 
 
+def best_point(curve) -> tuple[float, int]:
+    """A validation curve's best area and the earliest step that reaches
+    it; `curve` holds (step, auc, top1) records in step order."""
+    best_auc = max(auc for _, auc, _ in curve)
+    return best_auc, min(step for step, auc, _ in curve if auc == best_auc)
+
+
 def cross_validate(dataset: ZslDataset, cfg: TrainConfig) -> CrossValResult:
-    """Pick the creativity weight (and checkpoint step) with the highest
-    validation seen-unseen area, then retrain on all seen classes."""
+    """Pick the creativity weight with the highest validation seen-unseen
+    area, at the earliest step that reaches it (:func:`best_point`) and the
+    first in the grid on a tie, then retrain on all seen classes to that step."""
     if not cfg.lambda_grid:
         raise ValidationError("lambda_grid must be non-empty")
+    if cfg.n_steps == 0:
+        raise ValidationError("no evaluation points recorded; increase n_steps")
     pseudo = split_for_validation(dataset, cfg.seed)
 
     curves: dict[float, list[tuple[int, float, float]]] = {}
-    best = None  # (metric, grid position, step)
-    for pos, lam in enumerate(cfg.lambda_grid):
+    for lam in cfg.lambda_grid:
         run_cfg = replace(cfg, loss=replace(cfg.loss, lambda_creativity=lam))
         _, hist = train(pseudo, run_cfg)
-        curve = [(r.step, r.val_auc, r.val_top1) for r in hist.records]
-        curves.setdefault(lam, curve)
-        for step, auc, _ in curve:
-            key = (auc, -pos, -step)
-            if best is None or key > (best[0], -best[1], -best[2]):
-                best = (auc, pos, step)
-    if best is None:
-        raise ValidationError("no evaluation points recorded; increase n_steps")
+        curves[lam] = [(r.step, r.val_auc, r.val_top1) for r in hist.records]
+    # max keeps the first of equal areas, which is the grid order
+    best_lambda = max(cfg.lambda_grid, key=lambda lam: best_point(curves[lam])[0])
+    best_metric, best_step = best_point(curves[best_lambda])
 
-    best_lambda = cfg.lambda_grid[best[1]]
-    best_step = best[2]
     final_cfg = replace(cfg, n_steps=best_step,
                         loss=replace(cfg.loss, lambda_creativity=best_lambda))
     params, history = train(dataset, final_cfg)
-    return CrossValResult(best_lambda, best_step, best[0], curves, params, history)
+    return CrossValResult(best_lambda, best_step, best_metric, curves, params, history)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +492,8 @@ def ablate(dataset: ZslDataset, cfg: TrainConfig, suite, seeds=None) -> list[Abl
     else:
         bundles = list(suite)
     seeds = [cfg.seed] if seeds is None else list(seeds)
+    if not seeds:
+        raise ValidationError("ablate needs at least one seed")
 
     rows = []
     for label, transform in bundles:

@@ -344,6 +344,20 @@ def pool_scores_unblocked(pools, x, metric):
     return (xn @ fn.T).reshape(len(x), c, n).max(axis=2)
 
 
+def predict(classifier, x):
+    """The argmax oracle: each point's top-scoring class id, ties to the
+    lower column."""
+    return classifier.class_ids[np.argmax(classifier.scores(x), axis=1)]
+
+
+def top1(classifier, features, labels) -> float:
+    """Fraction of test points whose top-scoring class is the true one; the
+    program reads Top-1 off the seen-unseen curve's all-unseen end."""
+    labels = np.asarray(labels)
+    assert len(labels), "empty test set"
+    return float(np.mean(predict(classifier, features) == labels))
+
+
 def argmax_sweep(table, labels, unseen_ids, biases):
     """(seen_acc, unseen_acc) by argmax at each bias, repeats dropped."""
     labels = np.asarray(labels)

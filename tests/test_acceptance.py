@@ -191,7 +191,8 @@ class TestCriterion2Gradients:
             def build(p):
                 return ls.discriminator_loss_node(
                     replace(disc, store=p), real_x, real_y, x_fake, seen.y, x_t, loss_cfg, x_h,
-                    reduced_seen, loss_cfg.divergence.effective_params())
+                    reduced_seen, loss_cfg.divergence.plane_point(loss_cfg.divergence.gamma,
+                                                               loss_cfg.divergence.beta))
 
             def value(p):
                 return sum(build(p)[0].values())

@@ -13,6 +13,7 @@ import pytest
 
 import genzsl.dataio as io
 import genzsl.evaluation as ev
+import genzsl.model as mo
 import genzsl.training as tr
 from genzsl import cli
 from genzsl.cli import main
@@ -374,6 +375,22 @@ class TestEvalAndRetrieve:
         assert manifest["status"] == "failed"
         assert os.listdir(out) == ["run_manifest.json"]
 
+    @pytest.mark.parametrize("flags,error", [
+        (["--fractions", "2"], "fractions must lie in (0, 1]"),
+        (["--fractions", "0.5", "0"], "fractions must lie in (0, 1]"),
+    ])
+    def test_bad_fractions_exit_2_before_any_generation(self, tmp_path, trained, monkeypatch,
+                                                        flags, error):
+        ds, ckpt = trained
+        calls = []
+        monkeypatch.setattr(mo, "generate", lambda *args: calls.append(1))
+        out = tmp_path / "ret"
+        assert main(["retrieve", "--checkpoint", ckpt, "--data", ds, "--out", str(out),
+                     "--n-generate", "6", *flags]) == 2
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed" and error in manifest["error"]
+        assert calls == []
+
     def test_checkpoint_determinism_across_invocations(self, tmp_path, trained):
         ds, ckpt = trained
         outs = []
@@ -463,6 +480,23 @@ class TestSweep:
                      "--lambda-grid", "0.05", "--seeds", "1", "2"]) == 0
         assert ((tmp_path / "parallel" / "sweep.csv").read_bytes()
                 == (tmp_path / "serial" / "sweep.csv").read_bytes())
+
+    @pytest.mark.parametrize("grid,error", [
+        (["0.1", "-1"], "lambda_grid entry -1.0"),
+        (["0.1", "0.1"], "lambda_grid repeats a weight"),
+    ], ids=["negative", "repeated"])
+    def test_invalid_lambda_grid_exits_2_before_any_training(self, tmp_path, monkeypatch,
+                                                             grid, error):
+        ds = synth(tmp_path)
+        calls = []
+        monkeypatch.setattr(tr, "train", lambda *args: calls.append(1))
+        out = tmp_path / "sw"
+        assert main(["sweep", "--data", ds, "--out", str(out), *SMALL_TRAIN,
+                     "--lambda-grid", *grid, "--seeds", "1"]) == 2
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed" and error in manifest["error"]
+        assert os.listdir(out) == ["run_manifest.json"]
+        assert calls == []
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_fewer_than_one_worker_exits_2_naming_the_flag(self, tmp_path, workers):

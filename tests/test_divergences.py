@@ -184,7 +184,7 @@ class TestEntropyLossGrad:
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_softmax_gradient_matches_finite_differences(self, spec):
         rng = np.random.default_rng(abs(hash(spec.family)) % 1000)
-        gamma, beta = spec.effective_params()
+        gamma, beta = spec.plane_point(spec.gamma, spec.beta)
         for _ in range(10):
             # mixed toward uniform: near-zero entries make the central
             # difference itself inaccurate (third derivative ~ 1/p^2)

@@ -12,7 +12,7 @@ import genzsl.dataio as io
 import genzsl.evaluation as ev
 import genzsl.model as mo
 from genzsl.errors import DimensionError, ValidationError
-from helpers import argmax_sweep, pool_scores_unblocked
+from helpers import argmax_sweep, pool_scores_unblocked, predict, top1
 
 
 def pool_classifier(points, ids=None, metric="euclidean"):
@@ -52,9 +52,6 @@ class ShiftedScores:
 
     def scores(self, x):
         return self.base.scores(x) + self.shift
-
-    def predict(self, x):
-        return self.class_ids[np.argmax(self.scores(x), axis=1)]
 
 
 class ScoreTable:
@@ -102,7 +99,7 @@ class TestBuildClassifier:
         centers = clf.pools[:, 0, :]
         expected = np.argmin(
             ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
-        np.testing.assert_array_equal(clf.predict(x), expected)
+        np.testing.assert_array_equal(predict(clf, x), expected)
 
     def test_n_generate_must_be_positive(self):
         arch = mo.ArchSpec(semantic_dim=4, visual_dim=6, noise_dim=2, hidden_dim=8)
@@ -139,7 +136,7 @@ class TestTop1:
         protos = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         for metric in ("euclidean", "cosine"):
             clf = pool_classifier(protos, metric=metric)
-            assert ev.top1(clf, protos, [0, 1, 2]) == 1.0
+            assert top1(clf, protos, [0, 1, 2]) == 1.0
 
     def test_cosine_scores_are_the_best_cosine_and_scale_invariant(self):
         g = io.philox(8, 8)
@@ -157,7 +154,7 @@ class TestTop1:
         clf = pool_classifier(shared, ids=[5, 6, 7, 8])
         labels = np.array([5, 6, 7, 8, 5, 5])
         x = np.zeros((6, 2))
-        acc = ev.top1(clf, x, labels)
+        acc = top1(clf, x, labels)
         assert acc == pytest.approx(np.mean(labels == 5))
 
     def test_random_pool_on_balanced_classes_hits_chance(self):
@@ -168,7 +165,7 @@ class TestTop1:
                 np.arange(4), 100.0 * g.standard_normal((4, 5, 3)), "euclidean")
             x = g.standard_normal((200, 3))
             labels = np.repeat(np.arange(4), 50)
-            accs.append(ev.top1(clf, x, labels))
+            accs.append(top1(clf, x, labels))
         assert abs(np.mean(accs) - 0.25) < 0.03
 
     def test_shift_invariance(self):
@@ -176,7 +173,7 @@ class TestTop1:
         clf = pool_classifier(g.standard_normal((4, 3)))
         x = g.standard_normal((20, 3))
         labels = g.integers(0, 4, size=20)
-        assert ev.top1(clf, x, labels) == ev.top1(ShiftedScores(clf, 11.0), x, labels)
+        assert top1(clf, x, labels) == top1(ShiftedScores(clf, 11.0), x, labels)
 
 
 class TestHarmonicMean:
@@ -379,7 +376,7 @@ class TestClassifierInputs:
         clf = ev.GeneratedPoolClassifier([5, 6, 7], protos[:, None, :])
         x = np.vstack([protos + 0.01, protos - 0.01])
         labels = np.array([5, 6, 7, 5, 6, 7])
-        assert clf.predict(x).tolist() == labels.tolist()
+        assert predict(clf, x).tolist() == labels.tolist()
         curve, auc = ev.su_curve_auc(clf, x, labels, [7])
         assert auc == 1.0 and (1.0, 1.0) in curve
 
@@ -502,7 +499,7 @@ class TestScoresAlone:
         batch = clf.scores(x)
         for i in range(points):
             assert np.array_equal(clf.scores(x[i]), batch[i:i + 1]), i
-            assert np.array_equal(clf.predict(x[i]), clf.predict(x)[i:i + 1])
+            assert np.array_equal(predict(clf, x[i]), predict(clf, x)[i:i + 1])
 
 
 class TestScoresAgainstBruteForce:
@@ -636,8 +633,7 @@ class TestEvaluateModel:
         report = ev.evaluate_model(gen, d, 4, io.philox(seed, 3))
         pool = self._pool(gen, d, 4, io.philox(seed, 3))
         zsl = ev.GeneratedPoolClassifier(pool.class_ids[d.k_seen:], pool.pools[d.k_seen:])
-        assert report.top1_unseen == ev.top1(zsl, d.unseen_test_features,
-                                              d.unseen_test_labels)
+        assert report.top1_unseen == top1(zsl, d.unseen_test_features, d.unseen_test_labels)
         assert report.top1_unseen == report.su_curve[-1][1]
 
     def test_a_tie_between_unseen_columns_goes_to_the_lower_one(self):
@@ -652,7 +648,7 @@ class TestEvaluateModel:
         report = ev.evaluate_model(gen, d, 3, io.philox(0, 4))
         zsl = ev.GeneratedPoolClassifier(np.array([2, 3, 4]), self._pool(
             gen, d, 3, io.philox(0, 4)).pools[2:])
-        assert report.top1_unseen == ev.top1(zsl, unseen_x, d.unseen_test_labels) == 0.5
+        assert report.top1_unseen == top1(zsl, unseen_x, d.unseen_test_labels) == 0.5
 
     def test_one_pool_and_one_scoring_per_evaluation(self, monkeypatch):
         gen, d = self._model_and_data()
@@ -678,6 +674,14 @@ class TestEvaluateModel:
         monkeypatch.setattr(mo, "generate", generate)
         with pytest.raises(ValidationError, match="unknown metric 'cosin'"):
             ev.evaluate_model(gen, d, 12, io.philox(2, 3), metric="cosin")
+
+    def test_a_mistyped_retrieval_method_fails_before_any_generation(self, monkeypatch):
+        gen, d = self._model_and_data()
+        calls = []
+        monkeypatch.setattr(mo, "generate", lambda *args: calls.append(1))
+        with pytest.raises(ValidationError, match="unknown retrieval method 'prec'"):
+            ev.evaluate_model(gen, d, 12, io.philox(2, 3), retrieval_method="prec")
+        assert calls == []
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_peak_memory_is_the_pool_its_operand_and_one_block_of_each(self, metric):

@@ -396,7 +396,8 @@ class TestDiscriminatorLoss:
         def build(p):
             return ls.discriminator_loss_node(
                 replace(disc, store=p), real_x, real_y, x_fake, seen.y, x_t, cfg, x_h,
-                reduced_seen, cfg.divergence.effective_params())
+                reduced_seen, cfg.divergence.plane_point(cfg.divergence.gamma,
+                                                          cfg.divergence.beta))
 
         terms, backward = build(disc.store)
         grads = backward(dict.fromkeys(terms, 1.0))

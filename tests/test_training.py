@@ -55,6 +55,19 @@ class TestTrainConfig:
         with pytest.raises(ValidationError):
             tr.TrainConfig(n_steps=150, eval_every=100)
 
+    @pytest.mark.parametrize("grid,match", [
+        ((0.1, -1.0), "lambda_grid entry -1.0: lambda_creativity must be finite and >= 0"),
+        ((float("nan"),), "lambda_grid entry nan"),
+        ((float("inf"), 0.1), "lambda_grid entry inf"),
+        ((0.1, 0.1), r"lambda_grid repeats a weight: \[0.1, 0.1\]"),
+        ((0.0, 0.5, -0.0), "lambda_grid repeats a weight"),
+    ], ids=["negative", "nan", "inf", "repeated", "signed-zero"])
+    def test_lambda_grid_weights_are_valid_creativity_weights_and_distinct(self, grid, match):
+        with pytest.raises(ValidationError, match=match):
+            tr.TrainConfig(lambda_grid=grid)
+        with pytest.raises(ValidationError, match=match):
+            tr.config_from_dict({"lambda_grid": list(grid)})
+
     @pytest.mark.parametrize("cfg", ROUND_TRIP_CONFIGS.values(), ids=ROUND_TRIP_CONFIGS.keys())
     def test_round_trip_through_dict(self, cfg):
         again = tr.config_from_dict(json.loads(json.dumps(asdict(cfg))))
@@ -348,14 +361,26 @@ class TestCrossValidate:
         assert res.best_step in (2, 4)
         assert list(res.curves) == [0.05]
 
-    def test_duplicate_grid_entries_break_to_the_first(self):
-        ds = tiny_dataset()
-        cfg = tiny_cfg(lambda_grid=(0.05, 0.05))
-        res = tr.cross_validate(ds, cfg)
-        assert res.best_lambda == 0.05
-        # the winner's metric equals the first curve's maximum
-        best_first = max(a for _, a, _ in res.curves[0.05])
-        assert res.best_metric == best_first
+    def test_equal_areas_go_to_the_first_weight_at_its_earliest_step(self, monkeypatch):
+        # each candidate's validation areas at steps 2, 4 and 6, pinned
+        areas = {0.1: (0.5, 0.7, 0.7), 0.2: (0.7, 0.6, 0.7), 0.3: (0.6, 0.6, 0.6)}
+        runs = []
+
+        def train(dataset, cfg):
+            lam = cfg.loss.lambda_creativity
+            runs.append((lam, cfg.n_steps))
+            records = [tr.HistoryRecord(2 * (i + 1), 0.0, 0.0, 0.0, 0.0, auc, 2.0, 2.0)
+                       for i, auc in enumerate(areas[lam])]
+            return None, tr.TrainHistory(records)
+
+        monkeypatch.setattr(tr, "train", train)
+        for grid, winner, step in [((0.1, 0.2, 0.3), 0.1, 4), ((0.3, 0.2, 0.1), 0.2, 2)]:
+            runs.clear()
+            res = tr.cross_validate(tiny_dataset(), tiny_cfg(n_steps=6, lambda_grid=grid))
+            assert (res.best_lambda, res.best_step, res.best_metric) == (winner, step, 0.7)
+            assert runs == [(lam, 6) for lam in grid] + [(winner, step)]
+        assert [tr.best_point(res.curves[lam]) for lam in (0.1, 0.2, 0.3)] == [
+            (0.7, 4), (0.7, 2), (0.6, 2)]
 
     def test_final_model_trained_to_winning_step(self):
         ds = tiny_dataset()
@@ -375,6 +400,13 @@ class TestAblate:
     def test_unknown_suite_name(self):
         with pytest.raises(ValidationError, match="unknown suite"):
             tr.ablate(tiny_dataset(), tiny_cfg(), "no-such-suite")
+
+    def test_no_seeds_is_a_validation_error_before_any_training(self, monkeypatch):
+        def train(*args):
+            raise AssertionError("trained a bundle without seeds")
+        monkeypatch.setattr(tr, "train", train)
+        with pytest.raises(ValidationError, match="at least one seed"):
+            tr.ablate(tiny_dataset(), tiny_cfg(), "semantic-categorizer", seeds=[])
 
     def test_suite_shapes_match_the_study_layout(self):
         assert len(tr.ABLATION_SUITES["creative-loss"]) == 9
